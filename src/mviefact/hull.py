@@ -7,7 +7,10 @@ Qhull triangulates its output, coplanar sub-facets are merged back
 into single facets here. Coordinates coming from continuous data are
 generically non-degenerate, so tolerance-based merging (rather than
 symbolic perturbation) is used, with eps_hull = 1e-9 times the point
-cloud diameter.
+cloud diameter. Duplicates are looked for only among facets whose
+offsets lie within a 2*eps_hull window of each other in offset-sorted
+order, so the merge costs O(K log K) plus the few candidate pairs
+instead of comparing all K^2 pairs.
 """
 
 from __future__ import annotations
@@ -94,21 +97,38 @@ def enumerate_facets(points) -> HPolytope:
 def _merge_duplicates(normals: np.ndarray, offsets: np.ndarray,
                       eps: float) -> tuple[np.ndarray, np.ndarray]:
     """Drop facets whose normal is within 1e-7 rad and offset within eps
-    of an earlier one (Qhull's triangulated output repeats merged facets)."""
-    keep: list[int] = []
-    for i in range(normals.shape[0]):
-        dup = False
-        for j in keep:
-            if abs(offsets[i] - offsets[j]) >= eps:
-                continue
-            cos = float(np.dot(normals[i], normals[j]))
-            if cos >= 1.0 - 5e-15:  # angle < ~1e-7 rad
-                dup = True
-                break
-        if not dup:
-            keep.append(i)
-    idx = np.array(keep, dtype=int)
-    return normals[idx], offsets[idx]
+    of an earlier kept one (Qhull's triangulated output repeats merged
+    facets).
+
+    Only facets whose offsets lie within a window of 2*eps of each other
+    can match, so the candidate pairs come from the facets sorted by
+    offset; the window is twice the tolerance so that rounding in h +- 2*eps
+    cannot hide a pair with |h_i - h_j| < eps. Close pairs (i, j), j < i,
+    are walked in ascending (i, j) order: facet i is dropped iff it
+    matches an earlier facet j that is itself kept. The normal test is
+    one np.dot per pair, so its rounding does not depend on how the
+    pairs were found.
+    """
+    k = offsets.shape[0]
+    order = np.argsort(offsets, kind="stable")
+    sorted_h = offsets[order]
+    ends = np.searchsorted(sorted_h, sorted_h + 2.0 * eps, side="right")
+    counts = ends - np.arange(k) - 1
+    first = np.repeat(np.arange(k), counts)
+    starts = np.repeat(np.cumsum(counts) - counts, counts)
+    second = first + 1 + np.arange(first.size) - starts
+    a, b = order[first], order[second]
+    i, j = np.maximum(a, b), np.minimum(a, b)
+    close = np.abs(offsets[i] - offsets[j]) < eps
+    i, j = i[close], j[close]
+    walk = np.lexsort((j, i))
+    dropped = np.zeros(k, dtype=bool)
+    for fi, fj in zip(i[walk].tolist(), j[walk].tolist()):
+        if dropped[fi] or dropped[fj]:
+            continue
+        if float(np.dot(normals[fi], normals[fj])) >= 1.0 - 5e-15:
+            dropped[fi] = True  # angle < ~1e-7 rad
+    return normals[~dropped], offsets[~dropped]
 
 
 def contains(poly: HPolytope, p, slack: float) -> bool:

@@ -2,18 +2,16 @@
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.optimize import linear_sum_assignment
 
-from .errors import BadDims, DimMismatch, ZeroColumn
+from .errors import DimMismatch, ZeroColumn
 from .numerics import as_matrix
 
 __all__ = ["TrialResult", "rms_angle_error", "snr_of"]
-
-_MAX_EXHAUSTIVE = 8
 
 
 @dataclass
@@ -39,17 +37,15 @@ def rms_angle_error(a, a_hat) -> tuple[float, tuple[int, ...]]:
     phi = min over permutations pi of
           sqrt( (1/N) sum_i arccos^2( <a_i, ahat_{pi(i)}> / norms ) ).
 
-    The search is exhaustive (N <= 8, at most 40320 permutations).
-    Returns (phi_deg, permutation), where permutation[i] is the column
-    of a_hat matched to column i of a.
+    The minimizing permutation solves a linear assignment problem on
+    the squared angles. Returns (phi_deg, permutation), where
+    permutation[i] is the column of a_hat matched to column i of a.
     """
     a = as_matrix(a, "A")
     b = as_matrix(a_hat, "A_hat")
     if a.shape != b.shape:
         raise DimMismatch(f"shape mismatch: {a.shape} vs {b.shape}")
     n = a.shape[1]
-    if n > _MAX_EXHAUSTIVE:
-        raise BadDims(f"exhaustive alignment supports N <= {_MAX_EXHAUSTIVE}")
     na = np.linalg.norm(a, axis=0)
     nb = np.linalg.norm(b, axis=0)
     if na.min() <= 0.0 or nb.min() <= 0.0:
@@ -57,15 +53,9 @@ def rms_angle_error(a, a_hat) -> tuple[float, tuple[int, ...]]:
     cos = np.clip((a / na).T @ (b / nb), -1.0, 1.0)
     ang2 = np.arccos(cos) ** 2  # ang2[i, j]: angle^2 between a_i, ahat_j
 
-    best = math.inf
-    best_perm: tuple[int, ...] = tuple(range(n))
-    rows = np.arange(n)
-    for perm in itertools.permutations(range(n)):
-        val = ang2[rows, perm].sum()
-        if val < best:
-            best = val
-            best_perm = perm
-    return math.degrees(math.sqrt(best / n)), best_perm
+    rows, cols = linear_sum_assignment(ang2)
+    best = ang2[rows, cols].sum()
+    return math.degrees(math.sqrt(best / n)), tuple(cols.tolist())
 
 
 def snr_of(x_clean, w_noise) -> float:

@@ -352,7 +352,7 @@ def solve_mvie_high_accuracy(poly: HPolytope,
                              cfg: FpgmConfig | None = None,
                              polish_iters: int = 0
                              ) -> tuple[Ellipsoid, SolveDiagnostics]:
-    """Warm-started penalty ladder: rho grows tenfold per stage up to 1e5.
+    """Warm-started penalty ladder: rho grows tenfold per stage up to RHO_MAX.
 
     Each stage runs at tol_rel = 1e-12; the final stage's solution
     approaches the constrained optimum since the penalty dominates.

@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
+from mviefact import dimred, hull, synth
 from mviefact.errors import DegenerateInput, DimMismatch, TooFewPoints
 from mviefact.hull import (
     contains,
@@ -88,6 +89,36 @@ def brute_force_hull(points):
     return [(g, h) for g, h, _ in facets], vertices
 
 
+# -- reference facet merge: the quadratic greedy loop ------------------------
+
+def reference_merge(normals, offsets, eps):
+    """Drop facets whose normal is within 1e-7 rad and offset within eps
+    of an earlier one (Qhull's triangulated output repeats merged facets)."""
+    keep: list[int] = []
+    for i in range(normals.shape[0]):
+        dup = False
+        for j in keep:
+            if abs(offsets[i] - offsets[j]) >= eps:
+                continue
+            cos = float(np.dot(normals[i], normals[j]))
+            if cos >= 1.0 - 5e-15:  # angle < ~1e-7 rad
+                dup = True
+                break
+        if not dup:
+            keep.append(i)
+    idx = np.array(keep, dtype=int)
+    return normals[idx], offsets[idx]
+
+
+def reduced_cloud(n, l, seed):
+    gt = synth.make_instance(50, n, l, 0.7, float("inf"), seed)
+    return dimred.reduce_points(gt.X, dimred.affine_fit(gt.X, n)).T
+
+
+def centred_cube(d):
+    return np.array(list(itertools.product((-1.0, 1.0), repeat=d)))
+
+
 class TestKnownShapes:
     def test_unit_square(self):
         pts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
@@ -159,6 +190,49 @@ class TestAgainstOracles:
         tight = (np.abs(slack) <= max(poly.eps_hull, 1e-9)).sum(axis=1)
         got_vertices = set(np.nonzero(tight >= d)[0])
         assert got_vertices == ref_vertices
+
+
+class TestMergeMatchesReference:
+    """enumerate_facets keeps exactly the facets, in the same order, that
+    the quadratic greedy loop keeps from the same raw Qhull output."""
+
+    @staticmethod
+    def check(pts, monkeypatch):
+        raw = []
+        merge = hull._merge_duplicates
+
+        def spy(normals, offsets, eps):
+            raw.append((normals.copy(), offsets.copy(), eps))
+            return merge(normals, offsets, eps)
+
+        monkeypatch.setattr(hull, "_merge_duplicates", spy)
+        poly = enumerate_facets(pts)
+        (normals, offsets, eps), = raw
+        ref_normals, ref_offsets = reference_merge(normals, offsets, eps)
+        assert np.array_equal(poly.normals, ref_normals)
+        assert np.array_equal(poly.offsets, ref_offsets)
+        return normals.shape[0], poly
+
+    @pytest.mark.parametrize("n,l", [(4, 1000), (5, 400)])
+    def test_reduced_synth_cloud(self, n, l, monkeypatch):
+        k_raw, poly = self.check(reduced_cloud(n, l, 0), monkeypatch)
+        assert poly.n_facets < k_raw  # the merge had work to do
+
+    @pytest.mark.parametrize("n,l", [(4, 1000), (5, 400)])
+    def test_translated_cloud(self, n, l, monkeypatch):
+        # offsets ~1e6 x diameter put eps near one ulp of the offsets
+        pts = reduced_cloud(n, l, 0)
+        diam = np.linalg.norm(pts.max(axis=0) - pts.min(axis=0))
+        shift = 1e6 * diam / np.sqrt(pts.shape[1])
+        _, poly = self.check(pts + shift, monkeypatch)
+        assert np.abs(poly.offsets).max() > 1e5 * diam
+
+    @pytest.mark.parametrize("d", [4, 5])
+    def test_centred_cube(self, d, monkeypatch):
+        # every offset is equal, so every pair of facets is a candidate
+        k_raw, poly = self.check(centred_cube(d), monkeypatch)
+        assert k_raw > 2 * d
+        assert poly.n_facets == 2 * d
 
 
 class TestInvariants:

@@ -31,6 +31,15 @@ class TestRmsAngleError:
         # found[i] is the a_hat column matched to column i of a
         assert all(perm[found[i]] == i for i in range(5))
 
+    def test_recovers_permutation_beyond_brute_force(self, rng):
+        # N=10 has 3.6M permutations, past what a brute-force search covers
+        a = rng.random((30, 10)) + 0.1
+        perm = rng.permutation(10)
+        phi, found = rms_angle_error(a, a[:, perm])
+        assert phi <= 1e-6
+        assert all(perm[found[i]] == i for i in range(10))
+        assert all(type(k) is int for k in found)
+
     def test_self_is_zero(self, rng):
         a = rng.random((10, 4)) + 0.1
         phi, perm = rms_angle_error(a, a)
