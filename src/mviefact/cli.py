@@ -211,6 +211,9 @@ def cmd_run(args) -> int:
             "termination": report.solver.termination,
             "restarts": report.solver.restarts,
             "stage_iterations": report.solver.stage_iterations,
+            "max_violation": report.max_violation,
+            "john_residual": mvie.check_john(
+                report.ellipsoid, report.contacts_reduced).residual,
         },
         "timings": report.timings,
     }
@@ -378,12 +381,14 @@ def build_parser() -> argparse.ArgumentParser:
     pr.add_argument("--N", type=int, required=True)
     pr.add_argument("--truth", default=None,
                     help="truth.json for angle-error evaluation")
-    pr.add_argument("--config", default=None, help="solver config JSON")
+    pr.add_argument("--config", default=None,
+                    help="solver config JSON; tunes the --fast solver only")
     pr.add_argument("--seed", type=int, default=0)
     pr.add_argument("--tau", type=float, default=1e-5,
                     help="relative contact slack tolerance")
     pr.add_argument("--fast", action="store_true",
-                    help="single penalty solve instead of the rho ladder")
+                    help="the paper's first-order penalty solver instead of "
+                         "the barrier Newton method")
     pr.add_argument("--emit-shat", action="store_true",
                     help="include recovered abundances in the report")
     pr.add_argument("--out", default="report.json")
@@ -397,7 +402,8 @@ def build_parser() -> argparse.ArgumentParser:
     pb.add_argument("--seed", type=int, default=0)
     pb.add_argument("--M", type=int, default=50)
     pb.add_argument("--L", type=int, default=1000)
-    pb.add_argument("--config", default=None, help="solver config JSON")
+    pb.add_argument("--config", default=None,
+                    help="solver config JSON; tunes the --fast solver only")
     pb.add_argument("--tau", type=float, default=1e-5)
     pb.add_argument("--fast", action="store_true")
     pb.add_argument("--omit-timings", action="store_true",

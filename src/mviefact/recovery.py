@@ -47,6 +47,7 @@ class RecoveryReport:
     solver: mvie.SolveDiagnostics | None = None
     timings: dict[str, float] = field(default_factory=dict)
     affine_residual: float = 0.0
+    max_violation: float = 0.0            # mvie.max_violation of the solve
 
 
 def find_contacts(f: np.ndarray, c: np.ndarray, poly: hull.HPolytope,
@@ -54,7 +55,8 @@ def find_contacts(f: np.ndarray, c: np.ndarray, poly: hull.HPolytope,
     """Tangency points of the ellipsoid (f, c) on near-active facets.
 
     A facet qualifies when its slack h_i - (||f g_i|| + g_i . c) is at
-    most tau * max(1, |h_i|); each qualifying facet yields the boundary
+    most tau times its distance h_i - g_i . c from the centre, a rule
+    free of the data's units; each qualifying facet yields the boundary
     point f (f g_i / ||f g_i||) + c. Returns one row per contact.
     """
     f = as_matrix(f, "F")
@@ -64,8 +66,9 @@ def find_contacts(f: np.ndarray, c: np.ndarray, poly: hull.HPolytope,
     h = poly.offsets
     fg = g @ f.T                     # row i = (f g_i)^T for symmetric f
     norms = np.linalg.norm(fg, axis=1)
-    slack = h - (norms + g @ c)
-    active = slack <= tau * np.maximum(1.0, np.abs(h))
+    depth = h - g @ c
+    slack = depth - norms
+    active = slack <= tau * depth
     if not active.any():
         raise NoContacts(
             f"no facet within slack tolerance tau={tau} "
@@ -153,14 +156,14 @@ def run_pipeline(x: np.ndarray, n: int,
                  seed: int = 0,
                  tau: float = 1e-5,
                  high_accuracy: bool = True,
-                 want_abundances: bool = False,
-                 polish_iters: int = 0) -> RecoveryReport:
+                 want_abundances: bool = False) -> RecoveryReport:
     """Blind recovery of the signature factor from observations alone.
 
     Steps: affine fit to N-1 dimensions, facet enumeration of the
-    reduced hull, inscribed-ellipsoid solve (high-accuracy penalty
-    ladder by default), contact extraction and consolidation, lift,
-    and signature reconstruction.
+    reduced hull, inscribed-ellipsoid solve, contact extraction and
+    consolidation, lift, and signature reconstruction. The solve is the
+    barrier Newton method; ``high_accuracy=False`` selects the paper's
+    first-order penalty method, the only one ``cfg`` tunes.
     """
     x = as_matrix(x, "X")
     timings: dict[str, float] = {}
@@ -177,8 +180,7 @@ def run_pipeline(x: np.ndarray, n: int,
 
     t0 = time.perf_counter()
     if high_accuracy:
-        ell, diag = mvie.solve_mvie_high_accuracy(poly, cfg,
-                                                  polish_iters=polish_iters)
+        ell, diag = mvie.solve_mvie_high_accuracy(poly)
     else:
         ell, diag = mvie.solve_mvie(poly, cfg)
     timings["solve"] = time.perf_counter() - t0
@@ -203,4 +205,5 @@ def run_pipeline(x: np.ndarray, n: int,
         solver=diag,
         timings=timings,
         affine_residual=residual,
+        max_violation=mvie.max_violation(ell, poly),
     )

@@ -87,7 +87,7 @@ def test_4b_triangle_incircle_oracle():
     # feasible ellipse. See notes/decisions.md.
     pts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
     poly = hull.enumerate_facets(pts)
-    ell, _ = mvie.solve_mvie_high_accuracy(poly, polish_iters=10000)
+    ell, _ = mvie.solve_mvie_high_accuracy(poly)
     c_star = pts.mean(axis=0)
     lam, u = np.linalg.eigh((pts - c_star).T @ (pts - c_star) / 6.0)
     f_star = (u * np.sqrt(lam)) @ u.T
@@ -102,7 +102,7 @@ def test_4b_triangle_incircle_oracle():
 
 def _pure_pixel_report(n, seed):
     a, x = pure_pixel_instance(n, 50, seed)
-    rep = recovery.run_pipeline(x, n, seed=seed, polish_iters=12000)
+    rep = recovery.run_pipeline(x, n, seed=seed)
     return a, x, rep
 
 
@@ -127,8 +127,8 @@ def test_5_pure_pixel_geometry():
 def test_6_john_certificate():
     # The certificate validates the analytically known optimal
     # configuration of the pure-pixel instance (ellipsoid and facet
-    # midpoints from the true signatures) with fitted weights; the
-    # solved ellipsoid's own residual is reported for reference.
+    # midpoints from the true signatures) with fitted weights, and the
+    # solved ellipsoid's own residual at the same tolerance.
     ok = True
     lines = []
     for n, seed in [(3, 21), (4, 3)]:
@@ -144,6 +144,7 @@ def test_6_john_certificate():
         cert = mvie.check_john(mvie.Ellipsoid(f_true, c_true), q_red)
         solved = mvie.check_john(rep.ellipsoid, rep.contacts_reduced)
         ok &= cert.residual <= 1e-6
+        ok &= solved.residual <= 1e-6
         lines.append(f"N={n}: residual {cert.residual:.2e} "
                      f"(solved-ellipsoid residual {solved.residual:.2e})")
     gate("6", ok, "weighted contact conditions, gate 1e-6; "

@@ -67,6 +67,10 @@ class TestRunCommand:
         assert payload["K"] >= 4
         assert len(payload["A_hat"]) == 30
         assert payload["diagnostics"]["iterations"] > 0
+        viol = payload["diagnostics"]["max_violation"]
+        john = payload["diagnostics"]["john_residual"]
+        assert np.isfinite(viol) and np.isfinite(john)
+        assert viol <= 0.0
         assert set(payload["timings"]) == {"dimred", "hull", "solve",
                                            "recover"}
 

@@ -171,7 +171,7 @@ class TestSolve:
         # regular simplex's inscribed ball (an independent closed form)
         pts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
         poly = hull.enumerate_facets(pts)
-        ell, _ = solve_mvie_high_accuracy(poly, polish_iters=10000)
+        ell, _ = solve_mvie_high_accuracy(poly)
         eq, _ = regular_simplex_points(3)
         a_ls = np.hstack([eq, np.ones((3, 1))])
         sol = np.linalg.solve(a_ls, pts)
@@ -194,6 +194,28 @@ class TestSolve:
             beta = 1.0 / math.sqrt(n * (n - 1))
             assert np.abs(ell.F - beta * np.eye(n - 1)).max() <= 1e-4
             assert np.abs(ell.c).max() <= 1e-6
+
+    @staticmethod
+    def _scaled_triangles():
+        pts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+        for scale in (1e-4, 1.0, 1e4):
+            poly = hull.enumerate_facets(scale * pts)
+            yield scale, poly, solve_mvie_high_accuracy(poly)[0]
+
+    def test_scale_covariant(self):
+        # solving the triangle in other units rescales F and c exactly
+        solved = list(self._scaled_triangles())
+        f_unit = solved[1][2].F
+        c_unit = solved[1][2].c
+        for scale, _, ell in solved:
+            assert np.abs(ell.F / scale - f_unit).max() <= 1e-9
+            assert np.abs(ell.c / scale - c_unit).max() <= 1e-9
+
+    def test_returned_ellipsoid_is_inscribed(self):
+        for _, poly, ell in self._scaled_triangles():
+            excess = (np.linalg.norm(poly.normals @ ell.F, axis=1)
+                      + poly.normals @ ell.c - poly.offsets)
+            assert excess.max() <= 0.0
 
     def test_monotone_trace_and_symmetry(self, rng):
         pts = rng.standard_normal((60, 3))

@@ -31,7 +31,7 @@ class TestFindContacts:
         # side midpoints
         tri = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
         poly = hull.enumerate_facets(tri)
-        ell, _ = solve_mvie_high_accuracy(poly, polish_iters=10000)
+        ell, _ = solve_mvie_high_accuracy(poly)
         pts = find_contacts(ell.F, ell.c, poly, 1e-5)
         assert pts.shape == (3, 2)
         mids = {(0.5, 0.0), (0.0, 0.5), (0.5, 0.5)}
@@ -166,6 +166,26 @@ class TestPipeline:
         for q in rep.contacts_ambient:
             d = np.linalg.norm(q_true - q, axis=1)
             assert d.min() <= 1e-3 * np.linalg.norm(q_true[d.argmin()])
+
+    @pytest.mark.parametrize("n,r", [(3, 0.85), (4, 0.7)])
+    def test_answer_follows_the_units_of_x(self, n, r):
+        # A_hat(s X) = s A_hat(X): nothing in the pipeline has a unit
+        gt = synth.make_instance(50, n, 1000, r, math.inf, seed=0)
+        base = run_pipeline(gt.X, n)
+        for s in (1e-4, 1e-2, 1e2, 1e4):
+            rep = run_pipeline(s * gt.X, n)
+            assert rep.raw_contact_count == base.raw_contact_count
+            err = np.abs(rep.A_hat / s - base.A_hat).max()
+            assert err <= 1e-9 * np.abs(base.A_hat).max()
+
+    @pytest.mark.filterwarnings("ignore:affine fit residual")
+    @pytest.mark.parametrize("n,r", [(4, 0.7), (3, 0.85)])
+    def test_integer_sensor_counts(self, n, r):
+        # the instance in integer counts (x 1e4, rounded) still recovers
+        gt = synth.make_instance(50, n, 1000, r, math.inf, seed=0)
+        rep = run_pipeline(np.round(1e4 * gt.X), n)
+        phi, _ = metrics.rms_angle_error(gt.A, rep.A_hat)
+        assert phi <= 0.05
 
     def test_report_fields(self):
         gt = synth.make_instance(30, 3, 300, 0.9, math.inf, seed=2)
