@@ -176,7 +176,7 @@ def _run_report(x: np.ndarray, n: int, cfg, seed: int, tau: float,
                  "hull": ("DegenerateInput", "TooFewPoints"),
                  "solve": ("EmptyInterior", "Divergence", "NotFinite"),
                  "recover": ("NoContacts", "TooFewContacts", "WrongCount",
-                             "RankDeficientA")}
+                             "RankDeficientA", "ConvergenceFailure")}
         name = type(exc).__name__
         for label, names in stage.items():
             if name in names:

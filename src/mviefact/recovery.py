@@ -4,8 +4,10 @@ The inscribed ellipsoid touches the data hull on the facets with zero
 slack; each such facet contributes the tangency point
 q = F (F g / ||F g||) + c. Under the recovery condition the touched
 points are the N facet midpoints of the latent simplex, so the
-signature columns follow from a_i = sum_j q_j - (N-1) q_i, and the
-abundances from simplex-constrained least squares.
+signature columns follow from a_i = sum_j q_j - (N-1) q_i. The
+abundances are the exact simplex-constrained least-squares fit (FCLS)
+of every pixel to those columns, found in finitely many rounds by a
+primal active-set method; like A_hat, they follow the units of the data.
 """
 
 from __future__ import annotations
@@ -17,12 +19,13 @@ import numpy as np
 
 from . import dimred, hull, mvie
 from .errors import (
+    ConvergenceFailure,
     NoContacts,
     RankDeficientA,
     TooFewContacts,
     WrongCount,
 )
-from .numerics import as_matrix, kmeans, project_simplex_columns, eig_sym
+from .numerics import as_matrix, eig_sym, kmeans
 
 __all__ = [
     "RecoveryReport",
@@ -32,6 +35,16 @@ __all__ = [
     "recover_abundances",
     "run_pipeline",
 ]
+
+# Bound multipliers down to -_MULTIPLIER_RTOL (lambda_max(G) + |b|) count
+# as nonnegative. On a pixel that lies on a face of the simplex the true
+# multipliers are 0 and rounding puts some just below; freeing an entry
+# on rounding alone makes the working sets cycle (with no margin, 53 of
+# 60 random degenerate test sets did; 1e-15 already sufficed).
+_MULTIPLIER_RTOL = 1e-12
+# Safety bound on active-set rounds; random data need 2-12 at
+# N = 3..10 and at most 38 at N <= 24.
+_MAX_ROUNDS = 1000
 
 
 @dataclass
@@ -110,13 +123,25 @@ def reconstruct_endmembers(contacts_ambient) -> np.ndarray:
     return a_cols.T
 
 
-def recover_abundances(x: np.ndarray, a_hat: np.ndarray,
-                       max_iter: int = 5000,
-                       tol: float = 1e-9) -> np.ndarray:
+def recover_abundances(x: np.ndarray, a_hat: np.ndarray) -> np.ndarray:
     """Simplex-constrained least squares, every column of x at once.
 
-    Accelerated projected gradient with step 1/lambda_max(A^T A),
-    stopped on the projected-gradient fixed-point residual.
+    Column j of the result minimises ||A_hat s - x_j||^2 over s >= 0,
+    1^T s = 1 (FCLS, Heinz & Chang, IEEE TGRS 2001), found exactly by
+    the primal active-set method (Nocedal & Wright, Alg. 16.3) on the
+    Gram system G = A_hat^T A_hat, b = A_hat^T x. Every pixel starts at
+    s = 1/N with all N entries free. Each round solves the sum-to-one
+    KKT system on each pixel's free set, one solve per distinct free
+    set; a pixel whose solution is nonnegative moves there and frees the
+    fixed entry with the most negative bound multiplier, or stops when
+    there is none; a pixel whose solution has a negative entry steps
+    until the first entry reaches 0 and fixes it there.
+
+    The multiplier test is relative to lambda_max(G) and |b|, so
+    recover_abundances(k x, k A_hat) is recover_abundances(x, A_hat)
+    for any k > 0. Raises RankDeficientA when lambda_min(G) is at most
+    1e-10 lambda_max(G), and ConvergenceFailure should the working sets
+    cycle past _MAX_ROUNDS.
     """
     x = as_matrix(x, "X")
     a = as_matrix(a_hat, "A_hat")
@@ -124,31 +149,67 @@ def recover_abundances(x: np.ndarray, a_hat: np.ndarray,
         raise WrongCount(
             f"A_hat has {a.shape[0]} rows, X has {x.shape[0]}")
     n, l = a.shape[1], x.shape[1]
-    ata = a.T @ a
-    lam = eig_sym(ata).eigenvalues
-    if lam[-1] < 1e-10 * max(1.0, lam[0]):
+    gram = a.T @ a
+    lam = eig_sym(gram).eigenvalues
+    if not lam[-1] > 1e-10 * lam[0]:
         raise RankDeficientA(
             f"estimated signatures are rank deficient (eigs {lam})")
-    atx = a.T @ x
-    step = 1.0 / lam[0]
-    scale = max(1.0, float(np.abs(atx).max()))
+    b = a.T @ x
+    # A bound multiplier is a difference of entries of G s - b, so its
+    # rounding error scales with lambda_max(G) and |b|, as its value does.
+    floor = _MULTIPLIER_RTOL * (lam[0] + np.abs(b).max(axis=0))
 
     s = np.full((n, l), 1.0 / n)
-    z = s.copy()
-    u_prev = 0.0
-    for _ in range(max_iter):
-        grad = ata @ z - atx
-        s_new = project_simplex_columns(z - step * grad)
-        u_k = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * u_prev * u_prev))
-        z = s_new + ((u_prev - 1.0) / u_k) * (s_new - s)
-        s = s_new
-        u_prev = u_k
-        grad_s = ata @ s - atx
-        resid = np.linalg.norm(s - project_simplex_columns(s - grad_s),
-                               axis=0).max()
-        if resid <= tol * scale:
-            break
-    return s
+    free = np.ones((n, l), dtype=bool)
+    done = np.zeros(l, dtype=bool)
+    for _ in range(_MAX_ROUNDS):
+        todo = np.flatnonzero(~done)
+        if todo.size == 0:
+            return s
+        sets, group = np.unique(free[:, todo], axis=1, return_inverse=True)
+        group = group.ravel()
+        for g in range(sets.shape[1]):
+            cols = todo[group == g]
+            idx = np.flatnonzero(sets[:, g])
+            k = idx.size
+            kkt = np.ones((k + 1, k + 1))
+            kkt[:k, :k] = gram[np.ix_(idx, idx)]
+            kkt[k, k] = 0.0
+            rhs = np.vstack([b[np.ix_(idx, cols)], np.ones((1, cols.size))])
+            sol = np.linalg.solve(kkt, rhs)
+            target, nu = sol[:k], sol[k]
+            cur = s[np.ix_(idx, cols)]
+
+            # Step toward the target until the first free entry reaches 0;
+            # a pixel so blocked fixes that entry.
+            neg = target < 0
+            ratio = np.full(target.shape, np.inf)
+            ratio[neg] = cur[neg] / (cur[neg] - target[neg])
+            first = ratio.argmin(axis=0)
+            alpha = ratio[first, np.arange(cols.size)]
+            blocked = alpha < 1.0
+            step = np.maximum(cur + np.minimum(alpha, 1.0) * (target - cur),
+                              0.0)
+            step[first[blocked], np.flatnonzero(blocked)] = 0.0
+            s[np.ix_(idx, cols)] = step
+            free[idx[first[blocked]], cols[blocked]] = False
+
+            # A pixel that reached its target is optimal unless a fixed
+            # entry has a negative multiplier; the most negative is freed.
+            fixed = np.flatnonzero(~sets[:, g])
+            reached = cols[~blocked]
+            if fixed.size == 0:
+                done[reached] = True
+                continue
+            mu = (gram[np.ix_(fixed, idx)] @ target[:, ~blocked]
+                  - b[np.ix_(fixed, reached)] + nu[~blocked])
+            worst = mu.argmin(axis=0)
+            optimal = mu[worst, np.arange(reached.size)] >= -floor[reached]
+            done[reached[optimal]] = True
+            free[fixed[worst[~optimal]], reached[~optimal]] = True
+    raise ConvergenceFailure(
+        f"active-set FCLS did not settle in {_MAX_ROUNDS} rounds "
+        f"({int((~done).sum())} of {l} pixels open)")
 
 
 def run_pipeline(x: np.ndarray, n: int,

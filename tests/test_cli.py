@@ -3,15 +3,17 @@ import json
 import numpy as np
 import pytest
 
+from mviefact import recovery
 from mviefact.cli import (
     BenchSpec,
     main,
     read_matrix_csv,
     read_truth_json,
     run_bench,
+    write_matrix_csv,
     write_results_csv,
 )
-from mviefact.errors import ParameterError
+from mviefact.errors import ConvergenceFailure, ParameterError
 
 
 def run_cli(*argv):
@@ -82,6 +84,36 @@ class TestRunCommand:
         s_hat = np.asarray(json.loads(report.read_text())["S_hat"])
         assert s_hat.shape == (3, 400)
         assert np.abs(s_hat.sum(axis=0) - 1.0).max() <= 1e-9
+
+    @pytest.mark.filterwarnings("ignore:affine fit residual")
+    def test_emit_shat_follows_the_units_of_x(self, tmp_path):
+        data = tmp_path / "noisy"
+        run_cli("synth", "--N", "4", "--M", "30", "--L", "400",
+                "--purity", "0.75", "--snr", "30", "--seed", "5",
+                "--out", str(data))
+        scaled = tmp_path / "X_counts.csv"
+        write_matrix_csv(scaled, 1e4 * read_matrix_csv(data / "X.csv"))
+        s_hat = []
+        for name, src in (("unit", data / "X.csv"), ("counts", scaled)):
+            report = tmp_path / f"{name}.json"
+            code = run_cli("run", "--input", str(src), "--N", "4",
+                           "--emit-shat", "--out", str(report))
+            assert code == 0
+            s_hat.append(np.asarray(json.loads(report.read_text())["S_hat"]))
+        assert np.abs(s_hat[1] - s_hat[0]).max() <= 1e-9
+
+    def test_abundance_failure_names_recover_stage(self, instance_dir,
+                                                   tmp_path, monkeypatch,
+                                                   capsys):
+        def fail(x, a_hat):
+            raise ConvergenceFailure("active set did not settle")
+
+        monkeypatch.setattr(recovery, "recover_abundances", fail)
+        code = run_cli("run", "--input", str(instance_dir / "X.csv"),
+                       "--N", "3", "--emit-shat",
+                       "--out", str(tmp_path / "report.json"))
+        assert code == 3
+        assert "error [recover]" in capsys.readouterr().err
 
     def test_missing_input_exit_1(self, tmp_path, capsys):
         code = run_cli("run", "--input", str(tmp_path / "nope.csv"),

@@ -1,10 +1,17 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 
-from mviefact import dimred, hull, metrics, synth
-from mviefact.errors import NoContacts, RankDeficientA, TooFewContacts, WrongCount
+from mviefact import dimred, hull, metrics, recovery, synth
+from mviefact.errors import (
+    ConvergenceFailure,
+    NoContacts,
+    RankDeficientA,
+    TooFewContacts,
+    WrongCount,
+)
 from mviefact.mvie import Ellipsoid, solve_mvie_high_accuracy
 from mviefact.numerics import rng_from_seed
 from mviefact.recovery import (
@@ -131,6 +138,59 @@ class TestRecoverAbundances:
         a = np.tile(rng.random((5, 1)), (1, 3))
         with pytest.raises(RankDeficientA):
             recover_abundances(rng.random((5, 4)), a)
+
+    def test_abundances_follow_the_units_of_x(self):
+        # S_hat(s X, s A) = S_hat(X, A): noisy pixels leave the simplex,
+        # so many bounds are active; the small scales also hold the rank
+        # test to a relative threshold
+        gt = synth.make_instance(50, 4, 1000, 0.7, 30.0, seed=0)
+        base = recover_abundances(gt.X, gt.A)
+        for s in (1e-6, 1e-4, 1e-2, 1e2, 1e4):
+            s_hat = recover_abundances(s * gt.X, s * gt.A)
+            assert np.abs(s_hat - base).max() <= 1e-9
+
+    @pytest.mark.parametrize("n", range(3, 9))
+    def test_matches_support_enumeration(self, n):
+        gen = rng_from_seed(40 + n)
+        a = gen.random((n + 4, n)) + 0.1
+        off_cone = gen.standard_normal((n + 4, 60)) * 2.0
+        t = np.linspace(0.0, 1.0, 5)
+        edge = np.outer(a[:, 0], t) + np.outer(a[:, 1], 1.0 - t)
+        x = np.hstack([off_cone, a, edge, off_cone[:, :4], a[:, :2]])
+        s_hat = recover_abundances(x, a)
+        assert s_hat.min() >= 0
+        assert np.abs(s_hat.sum(axis=0) - 1.0).max() <= 1e-12
+        got = np.sum((a @ s_hat - x) ** 2, axis=0)
+        best = _fcls_by_enumeration(a, x)
+        # pixels fitted exactly have optimum 0; measure them against |x|^2
+        floor = best + np.sum(x * x, axis=0)
+        assert np.all(np.abs(got - best) <= 1e-12 * floor)
+
+    def test_round_guard_raises(self, rng, monkeypatch):
+        # a pixel outside the simplex needs more than one round
+        a = rng.random((6, 3)) + 0.1
+        monkeypatch.setattr(recovery, "_MAX_ROUNDS", 1)
+        with pytest.raises(ConvergenceFailure):
+            recover_abundances(a @ [[10.0], [-9.0], [0.0]], a)
+
+
+def _fcls_by_enumeration(a, x):
+    """min over the unit simplex of ||A s - x||^2 per column, by trying
+    the sum-to-one least-squares fit on every one of the 2^N - 1 supports
+    and keeping the best nonnegative one."""
+    n = a.shape[1]
+    best = np.full(x.shape[1], np.inf)
+    for k in range(1, n + 1):
+        for support in itertools.combinations(range(n), k):
+            sub = a[:, support]
+            kkt = np.ones((k + 1, k + 1))
+            kkt[:k, :k] = sub.T @ sub
+            kkt[k, k] = 0.0
+            rhs = np.vstack([sub.T @ x, np.ones((1, x.shape[1]))])
+            s = np.linalg.solve(kkt, rhs)[:k]
+            obj = np.sum((sub @ s - x) ** 2, axis=0)
+            best = np.where((s.min(axis=0) >= 0) & (obj < best), obj, best)
+    return best
 
 
 class TestPipeline:
