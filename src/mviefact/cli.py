@@ -165,36 +165,21 @@ def _load_library(path, m: int):
     return lib
 
 
-def _run_report(x: np.ndarray, n: int, cfg, seed: int, tau: float,
-                high_accuracy: bool, want_shat: bool) -> recovery.RecoveryReport:
-    try:
-        return recovery.run_pipeline(
-            x, n, cfg=cfg, seed=seed, tau=tau,
-            high_accuracy=high_accuracy, want_abundances=want_shat)
-    except MviefactError as exc:
-        stage = {"dimred": ("RankDeficientData", "BadDims"),
-                 "hull": ("DegenerateInput", "TooFewPoints"),
-                 "solve": ("EmptyInterior", "Divergence", "NotFinite"),
-                 "recover": ("NoContacts", "TooFewContacts", "WrongCount",
-                             "RankDeficientA", "ConvergenceFailure")}
-        name = type(exc).__name__
-        for label, names in stage.items():
-            if name in names:
-                raise StageError(label, exc) from exc
-        raise StageError("pipeline", exc) from exc
-
-
 def cmd_run(args) -> int:
     try:
         x = read_matrix_csv(args.input)
     except OSError as exc:
         raise StageError("io", exc) from exc
     cfg = mvie.load_config(args.config) if args.config else mvie.FpgmConfig()
-    report = _run_report(x, args.N, cfg, args.seed, args.tau,
-                         not args.fast, args.emit_shat)
+    try:
+        report = recovery.run_pipeline(
+            x, args.N, cfg=cfg, tau=args.tau, high_accuracy=not args.fast,
+            want_abundances=args.emit_shat)
+    except MviefactError as exc:
+        raise StageError(exc.stage, exc) from exc
 
     payload = {
-        "params": {"N": args.N, "seed": args.seed, "tau": args.tau,
+        "params": {"N": args.N, "tau": args.tau,
                    "high_accuracy": not args.fast},
         "A_hat": [[float(v) for v in row] for row in report.A_hat],
         "contacts_reduced": [[float(v) for v in row]
@@ -250,7 +235,7 @@ def run_bench(spec: BenchSpec) -> tuple[list[metrics.TrialResult], list[dict]]:
             try:
                 gt = synth.make_instance(spec.M, n, spec.L, r, snr, seed)
                 report = recovery.run_pipeline(
-                    gt.X, n, cfg=spec.config, seed=seed, tau=spec.tau,
+                    gt.X, n, cfg=spec.config, tau=spec.tau,
                     high_accuracy=spec.high_accuracy)
                 phi, perm = metrics.rms_angle_error(gt.A, report.A_hat)
                 res.rms_angle_deg = phi
@@ -383,7 +368,6 @@ def build_parser() -> argparse.ArgumentParser:
                     help="truth.json for angle-error evaluation")
     pr.add_argument("--config", default=None,
                     help="solver config JSON; tunes the --fast solver only")
-    pr.add_argument("--seed", type=int, default=0)
     pr.add_argument("--tau", type=float, default=1e-5,
                     help="relative contact slack tolerance")
     pr.add_argument("--fast", action="store_true",

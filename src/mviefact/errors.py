@@ -7,7 +7,14 @@ Two branches matter for the CLI exit-code mapping: ``ParameterError``
 
 
 class MviefactError(Exception):
-    """Base class for all package-specific errors."""
+    """Base class for all package-specific errors.
+
+    ``stage`` names the pipeline stage the error came from ("dimred",
+    "hull", "solve" or "recover"); ``recovery.run_pipeline`` sets it,
+    and it is None for errors raised outside the pipeline.
+    """
+
+    stage: str | None = None
 
 
 class ParameterError(MviefactError, ValueError):

@@ -15,7 +15,6 @@ instead of comparing all K^2 pairs.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -24,8 +23,7 @@ from scipy.spatial import ConvexHull, QhullError
 from .errors import DegenerateInput, DimMismatch, TooFewPoints
 from .numerics import as_matrix
 
-__all__ = ["HPolytope", "enumerate_facets", "contains",
-           "dump_facets", "load_facets"]
+__all__ = ["HPolytope", "enumerate_facets", "contains"]
 
 
 @dataclass(frozen=True)
@@ -137,35 +135,3 @@ def contains(poly: HPolytope, p, slack: float) -> bool:
     if p.shape[0] != poly.dim:
         raise DimMismatch(f"point has dim {p.shape[0]}, polytope {poly.dim}")
     return bool(np.all(poly.normals @ p <= poly.offsets + slack))
-
-
-def dump_facets(poly: HPolytope, path) -> None:
-    """Write facets as CSV rows ``g_1,...,g_d,h``."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        for g, h in zip(poly.normals, poly.offsets):
-            writer.writerow([format(v, ".17g") for v in g] +
-                            [format(h, ".17g")])
-
-
-def load_facets(path) -> HPolytope:
-    """Read a facet CSV produced by dump_facets (or an external tool).
-
-    Normals are re-normalized to unit length; no interior point is
-    attached (the solver derives one when needed).
-    """
-    rows = []
-    with open(path, newline="") as fh:
-        for row in csv.reader(fh):
-            if row:
-                rows.append([float(v) for v in row])
-    if not rows:
-        raise DegenerateInput(f"no facets in {path}")
-    arr = np.asarray(rows, dtype=float)
-    d = arr.shape[1] - 1
-    normals = arr[:, :d]
-    offsets = arr[:, d]
-    scale = np.linalg.norm(normals, axis=1)
-    if (scale <= 0).any():
-        raise DegenerateInput("zero normal in facet file")
-    return HPolytope(d, normals / scale[:, None], offsets / scale, None, 0.0)

@@ -375,6 +375,15 @@ def _sym_basis(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return basis, upper, lower
 
 
+# In the solver's scaled coordinates the centre's nearest facet lies at
+# distance 1. An inscribed iterate with trace(E) > 1/eps spans about
+# 1/eps of that distance, and a hull that wide holds its facets, computed
+# from vertex coordinates of that size, only to within about that
+# distance. Iterates that grow so far grow without bound: the polytope
+# has a direction of recession, and the program has no optimum.
+_UNBOUNDED_TRACE = 1.0 / np.finfo(float).eps
+
+
 def solve_mvie_high_accuracy(poly: HPolytope
                              ) -> tuple[Ellipsoid, SolveDiagnostics]:
     """Log-barrier Newton method for the constrained program itself.
@@ -392,8 +401,10 @@ def solve_mvie_high_accuracy(poly: HPolytope
     barrier's log-det gap bound 2K/t is at most 1e-10. Each stage runs
     damped Newton steps with a backtracking line search that accepts
     strictly feasible points only, so every iterate, and the returned
-    ellipsoid, is inscribed. ``solve_mvie`` is the paper's first-order
-    method, kept as the fast path.
+    ellipsoid, is inscribed. Raises Divergence when the iterates grow
+    without bound, which they do on an unbounded polytope.
+    ``solve_mvie`` is the paper's first-order method, kept as the fast
+    path.
 
     Diagnostics: ``iterations`` counts Newton steps, ``stage_iterations``
     the steps per barrier stage, ``backtracks`` the step halvings per
@@ -464,7 +475,12 @@ def solve_mvie_high_accuracy(poly: HPolytope
             hess[m_e:, m_e:] -= gram
             grad = 2.0 * (vt @ w)
             grad[:m_e] -= np.einsum("kaa->k", ei_b)
-            step = -np.linalg.solve(hess, grad)
+            try:
+                step = -np.linalg.solve(hess, grad)
+            except np.linalg.LinAlgError as exc:
+                # the facet normals do not span R^d
+                raise Divergence(f"singular Newton system ({exc}); the "
+                                 "polytope is unbounded") from exc
             slope = float(grad @ step)         # -(Newton decrement)^2
             if -slope / 2.0 <= 1e-9:
                 break
@@ -480,6 +496,12 @@ def solve_mvie_high_accuracy(poly: HPolytope
                 break
             x, gain, f = trial, f - f_new, f_new
             e, cc = unpack(x)
+            if np.trace(e) > _UNBOUNDED_TRACE:
+                raise Divergence(
+                    f"inscribed ellipsoid grew past {_UNBOUNDED_TRACE:.1e} "
+                    "times the centre's facet distance after "
+                    f"{sum(stage_iters) + steps + 1} Newton steps; "
+                    "the polytope is unbounded")
             steps += 1
             backtracks.append(halvings)
             inv_step.append(1.0 / alpha)

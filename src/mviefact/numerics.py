@@ -4,7 +4,7 @@ Matrices throughout the package are plain float64 ``numpy.ndarray``
 objects in row-major layout; every public operation validates shape and
 finiteness on entry. This module provides the shared primitives: a
 symmetric eigendecomposition, a thin SVD, Euclidean projection onto the
-unit simplex, and a seeded k-means.
+unit simplex, and the package-wide random generator.
 """
 
 from __future__ import annotations
@@ -13,13 +13,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import (
-    BadRank,
-    ConvergenceFailure,
-    NonSquare,
-    NotFinite,
-    TooFewPoints,
-)
+from .errors import BadRank, ConvergenceFailure, NonSquare, NotFinite
 
 __all__ = [
     "EigSymResult",
@@ -29,7 +23,6 @@ __all__ = [
     "svd_thin",
     "project_simplex",
     "project_simplex_columns",
-    "kmeans",
     "rng_from_seed",
 ]
 
@@ -122,69 +115,3 @@ def _simplex_core(rows: np.ndarray) -> np.ndarray:
     rho = n - np.argmax(cond[:, ::-1], axis=1) - 1  # last True index
     theta = css[np.arange(rows.shape[0]), rho] / (rho + 1)
     return np.maximum(rows - theta[:, None], 0.0)
-
-
-def kmeans(points, k: int, seed: int, max_iter: int = 100,
-           tol: float = 1e-9) -> tuple[np.ndarray, np.ndarray]:
-    """Lloyd's k-means with k-means++ seeding, deterministic given seed.
-
-    Empty clusters are reseeded from the point farthest from its
-    assigned centroid. The within-cluster sum of squares is checked to
-    be non-increasing at every iteration.
-
-    Returns (centroids (k, d), labels (n,)).
-    """
-    pts = as_matrix(points, "kmeans points")
-    n = pts.shape[0]
-    if k < 1 or n < k:
-        raise TooFewPoints(f"kmeans needs at least k={k} points, got {n}")
-    rng = rng_from_seed(seed)
-    centroids = _kmeanspp_init(pts, k, rng)
-
-    prev_obj = np.inf
-    labels = np.zeros(n, dtype=int)
-    for _ in range(max_iter):
-        d2 = _sqdist(pts, centroids)
-        labels = np.argmin(d2, axis=1)
-        obj = float(d2[np.arange(n), labels].sum())
-        if obj > prev_obj * (1.0 + 1e-12) + 1e-15:
-            raise ConvergenceFailure("k-means objective increased")
-        for j in range(k):
-            mask = labels == j
-            if mask.any():
-                centroids[j] = pts[mask].mean(axis=0)
-            else:
-                far = int(np.argmax(d2[np.arange(n), labels]))
-                centroids[j] = pts[far]
-                labels[far] = j
-        if prev_obj - obj <= tol * max(1.0, abs(obj)):
-            prev_obj = obj
-            break
-        prev_obj = obj
-
-    d2 = _sqdist(pts, centroids)
-    labels = np.argmin(d2, axis=1)
-    return centroids, labels
-
-
-def _kmeanspp_init(pts: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
-    n = pts.shape[0]
-    centroids = np.empty((k, pts.shape[1]))
-    centroids[0] = pts[rng.integers(n)]
-    d2 = _sqdist(pts, centroids[:1]).ravel()
-    for j in range(1, k):
-        total = d2.sum()
-        if total <= 0.0:
-            # all remaining points coincide with chosen centroids
-            centroids[j] = pts[rng.integers(n)]
-            continue
-        probs = d2 / total
-        centroids[j] = pts[rng.choice(n, p=probs)]
-        d2 = np.minimum(d2, _sqdist(pts, centroids[j:j + 1]).ravel())
-    return centroids
-
-
-def _sqdist(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    # (n, d), (k, d) -> (n, k) squared distances; clipped against fp noise
-    diff = a[:, None, :] - b[None, :, :]
-    return np.maximum(np.einsum("nkd,nkd->nk", diff, diff), 0.0)

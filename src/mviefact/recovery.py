@@ -3,16 +3,20 @@
 The inscribed ellipsoid touches the data hull on the facets with zero
 slack; each such facet contributes the tangency point
 q = F (F g / ||F g||) + c. Under the recovery condition the touched
-points are the N facet midpoints of the latent simplex, so the
-signature columns follow from a_i = sum_j q_j - (N-1) q_i. The
-abundances are the exact simplex-constrained least-squares fit (FCLS)
-of every pixel to those columns, found in finitely many rounds by a
-primal active-set method; like A_hat, they follow the units of the data.
+points are the N facet midpoints of the latent simplex, each possibly
+reached through several hull facets, so the tangency points fall into
+N tight groups; a farthest-first traversal finds the groups without a
+seed, and each group's mean is one contact. The signature columns
+follow from a_i = sum_j q_j - (N-1) q_i. The abundances are the exact
+simplex-constrained least-squares fit (FCLS) of every pixel to those
+columns, found in finitely many rounds by a primal active-set method;
+like A_hat, they follow the units of the data.
 """
 
 from __future__ import annotations
 
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -20,12 +24,13 @@ import numpy as np
 from . import dimred, hull, mvie
 from .errors import (
     ConvergenceFailure,
+    MviefactError,
     NoContacts,
     RankDeficientA,
     TooFewContacts,
     WrongCount,
 )
-from .numerics import as_matrix, eig_sym, kmeans
+from .numerics import as_matrix, eig_sym
 
 __all__ = [
     "RecoveryReport",
@@ -91,21 +96,39 @@ def find_contacts(f: np.ndarray, c: np.ndarray, poly: hull.HPolytope,
     return dirs @ f.T + c
 
 
-def consolidate_contacts(candidates, n: int, seed: int) -> np.ndarray:
-    """Reduce raw contact candidates to exactly N points.
+def consolidate_contacts(candidates, n: int) -> np.ndarray:
+    """Merge raw contact candidates into exactly N contacts.
 
-    Up to N candidates pass through unchanged; more than N are merged
-    by seeded k-means and the centroids returned.
+    Farthest-first traversal (Gonzalez, Theor. Comput. Sci. 38, 1985)
+    picks N candidates: first the one farthest from the candidates'
+    mean, then each time the one farthest from all picks so far. Every
+    candidate joins its nearest pick, and each contact is its group's
+    mean, listed in the order of the group's first candidate, so N
+    distinct candidates pass through unchanged. When every group is
+    narrower than the gap between groups, the groups are exactly those
+    (notes/decisions.md). Raises TooFewContacts when there are fewer
+    than N distinct candidates.
     """
     pts = np.atleast_2d(np.asarray(candidates, dtype=float))
     if pts.shape[0] < n:
         raise TooFewContacts(
             f"only {pts.shape[0]} contact candidates for N={n}; "
             "increase the contact slack tau")
-    if pts.shape[0] == n:
-        return pts
-    centroids, _ = kmeans(pts, n, seed)
-    return centroids
+    start = np.linalg.norm(pts - pts.mean(axis=0), axis=1).argmax()
+    gap = np.linalg.norm(pts - pts[start], axis=1)   # to the nearest pick
+    label = np.zeros(pts.shape[0], dtype=int)
+    for j in range(1, n):
+        far = gap.argmax()
+        if gap[far] == 0.0:
+            raise TooFewContacts(
+                f"only {j} distinct contact candidates for N={n}")
+        dist = np.linalg.norm(pts - pts[far], axis=1)
+        closer = dist < gap
+        label[closer] = j
+        gap[closer] = dist[closer]
+    _, first = np.unique(label, return_index=True)
+    return np.array([pts[label == label[i]].mean(axis=0)
+                     for i in np.sort(first)])
 
 
 def reconstruct_endmembers(contacts_ambient) -> np.ndarray:
@@ -212,47 +235,58 @@ def recover_abundances(x: np.ndarray, a_hat: np.ndarray) -> np.ndarray:
         f"({int((~done).sum())} of {l} pixels open)")
 
 
+@contextmanager
+def _stage(name: str, timings: dict[str, float]):
+    """Time one pipeline stage and tag a package error raised in it."""
+    t0 = time.perf_counter()
+    try:
+        yield
+    except MviefactError as exc:
+        exc.stage = name
+        raise
+    timings[name] = time.perf_counter() - t0
+
+
 def run_pipeline(x: np.ndarray, n: int,
                  cfg: mvie.FpgmConfig | None = None,
-                 seed: int = 0,
                  tau: float = 1e-5,
                  high_accuracy: bool = True,
                  want_abundances: bool = False) -> RecoveryReport:
     """Blind recovery of the signature factor from observations alone.
 
-    Steps: affine fit to N-1 dimensions, facet enumeration of the
-    reduced hull, inscribed-ellipsoid solve, contact extraction and
-    consolidation, lift, and signature reconstruction. The solve is the
-    barrier Newton method; ``high_accuracy=False`` selects the paper's
-    first-order penalty method, the only one ``cfg`` tunes.
+    Stages: ``dimred`` (input check, affine fit to N-1 dimensions),
+    ``hull`` (facet enumeration of the reduced hull), ``solve``
+    (inscribed-ellipsoid solve) and ``recover`` (contacts, their
+    farthest-first merge, lift, signature reconstruction and optional
+    abundances). Each stage's wall time goes into ``timings``, and a
+    package error raised in a stage carries its name in ``exc.stage``.
+    No step draws random numbers. The solve is the barrier Newton
+    method; ``high_accuracy=False`` selects the paper's first-order
+    penalty method, the only one ``cfg`` tunes.
     """
-    x = as_matrix(x, "X")
     timings: dict[str, float] = {}
 
-    t0 = time.perf_counter()
-    chart = dimred.affine_fit(x, n)
-    reduced = dimred.reduce_points(x, chart)
-    residual = dimred.fit_residual(chart, x)
-    timings["dimred"] = time.perf_counter() - t0
+    with _stage("dimred", timings):
+        x = as_matrix(x, "X")
+        chart = dimred.affine_fit(x, n)
+        reduced = dimred.reduce_points(x, chart)
+        residual = dimred.fit_residual(chart, x)
 
-    t0 = time.perf_counter()
-    poly = hull.enumerate_facets(reduced.T)
-    timings["hull"] = time.perf_counter() - t0
+    with _stage("hull", timings):
+        poly = hull.enumerate_facets(reduced.T)
 
-    t0 = time.perf_counter()
-    if high_accuracy:
-        ell, diag = mvie.solve_mvie_high_accuracy(poly)
-    else:
-        ell, diag = mvie.solve_mvie(poly, cfg)
-    timings["solve"] = time.perf_counter() - t0
+    with _stage("solve", timings):
+        if high_accuracy:
+            ell, diag = mvie.solve_mvie_high_accuracy(poly)
+        else:
+            ell, diag = mvie.solve_mvie(poly, cfg)
 
-    t0 = time.perf_counter()
-    raw = find_contacts(ell.F, ell.c, poly, tau)
-    merged = consolidate_contacts(raw, n, seed)
-    ambient = dimred.lift_points(merged.T, chart).T
-    a_hat = reconstruct_endmembers(ambient)
-    s_hat = recover_abundances(x, a_hat) if want_abundances else None
-    timings["recover"] = time.perf_counter() - t0
+    with _stage("recover", timings):
+        raw = find_contacts(ell.F, ell.c, poly, tau)
+        merged = consolidate_contacts(raw, n)
+        ambient = dimred.lift_points(merged.T, chart).T
+        a_hat = reconstruct_endmembers(ambient)
+        s_hat = recover_abundances(x, a_hat) if want_abundances else None
 
     return RecoveryReport(
         A_hat=a_hat,

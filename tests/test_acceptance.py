@@ -36,7 +36,7 @@ def _bench_cell(n, r, trials=20, m=50, l=1000, snr=math.inf, seed0=0):
     for trial in range(trials):
         t0 = time.perf_counter()
         gt = synth.make_instance(m, n, l, r, snr, seed0 + trial)
-        rep = recovery.run_pipeline(gt.X, n, seed=seed0 + trial)
+        rep = recovery.run_pipeline(gt.X, n)
         phi, _ = metrics.rms_angle_error(gt.A, rep.A_hat)
         phis.append(phi)
         times.append(time.perf_counter() - t0)
@@ -102,7 +102,7 @@ def test_4b_triangle_incircle_oracle():
 
 def _pure_pixel_report(n, seed):
     a, x = pure_pixel_instance(n, 50, seed)
-    rep = recovery.run_pipeline(x, n, seed=seed)
+    rep = recovery.run_pipeline(x, n)
     return a, x, rep
 
 

@@ -115,6 +115,16 @@ class TestRunCommand:
         assert code == 3
         assert "error [recover]" in capsys.readouterr().err
 
+    def test_nan_input_names_dimred_stage(self, instance_dir, tmp_path,
+                                          capsys):
+        x = read_matrix_csv(instance_dir / "X.csv")
+        x[3, 7] = np.nan
+        write_matrix_csv(tmp_path / "X_nan.csv", x)
+        code = run_cli("run", "--input", str(tmp_path / "X_nan.csv"),
+                       "--N", "3", "--out", str(tmp_path / "report.json"))
+        assert code == 3
+        assert "error [dimred]" in capsys.readouterr().err
+
     def test_missing_input_exit_1(self, tmp_path, capsys):
         code = run_cli("run", "--input", str(tmp_path / "nope.csv"),
                        "--N", "3")

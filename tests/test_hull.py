@@ -5,12 +5,7 @@ import pytest
 
 from mviefact import dimred, hull, synth
 from mviefact.errors import DegenerateInput, DimMismatch, TooFewPoints
-from mviefact.hull import (
-    contains,
-    dump_facets,
-    enumerate_facets,
-    load_facets,
-)
+from mviefact.hull import contains, enumerate_facets
 
 
 # -- independent 2-D oracle: Andrew's monotone chain ------------------------
@@ -274,15 +269,3 @@ class TestContains:
         poly = enumerate_facets(np.array([[0.0], [1.0], [0.5]]))
         with pytest.raises(DimMismatch):
             contains(poly, [0.0, 0.0], 0.0)
-
-
-class TestFacetCsv:
-    def test_round_trip(self, tmp_path, rng):
-        pts = rng.standard_normal((20, 3))
-        poly = enumerate_facets(pts)
-        path = tmp_path / "facets.csv"
-        dump_facets(poly, path)
-        loaded = load_facets(path)
-        assert loaded.dim == 3
-        assert np.allclose(loaded.normals, poly.normals)
-        assert np.allclose(loaded.offsets, poly.offsets)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from mviefact import hull
-from mviefact.errors import EmptyInterior, TooFewContacts
+from mviefact.errors import Divergence, EmptyInterior, TooFewContacts
 from mviefact.mvie import (
     Ellipsoid,
     FpgmConfig,
@@ -256,6 +256,16 @@ class TestSolve:
         poly = hull.HPolytope(2, g, h, None, 0.0)
         with pytest.raises(EmptyInterior):
             solve_mvie(poly)
+
+    @pytest.mark.filterwarnings("error")
+    def test_unbounded_polytope_diverges(self):
+        # a quadrant and a slab contain inscribed ellipses of any area
+        quadrant = hull.HPolytope(2, np.eye(2), np.ones(2), None, 0.0)
+        slab = hull.HPolytope(2, np.array([[1.0, 0.0], [-1.0, 0.0]]),
+                              np.ones(2), np.zeros(2), 0.0)
+        for poly in (quadrant, slab):
+            with pytest.raises(Divergence):
+                solve_mvie_high_accuracy(poly)
 
     def test_diagnostics_shapes(self):
         ell, diag = solve_mvie(square_polytope())

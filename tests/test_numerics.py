@@ -4,15 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mviefact.errors import (
-    BadRank,
-    NonSquare,
-    NotFinite,
-    TooFewPoints,
-)
+from mviefact.errors import BadRank, NonSquare, NotFinite
 from mviefact.numerics import (
     eig_sym,
-    kmeans,
     project_simplex,
     project_simplex_columns,
     rng_from_seed,
@@ -208,49 +202,6 @@ class TestProjectSimplex:
     def test_rejects_nonfinite(self):
         with pytest.raises(NotFinite):
             project_simplex([np.inf, 0.0])
-
-
-class TestKmeans:
-    def test_two_separated_pairs(self):
-        pts = np.array([[0.0, 0.0], [0.0, 0.1], [5.0, 5.0], [5.0, 5.1]])
-        cents, labels = kmeans(pts, 2, seed=1)
-        got = {tuple(np.round(c, 6)) for c in cents}
-        assert got == {(0.0, 0.05), (5.0, 5.05)}
-        assert labels[0] == labels[1] and labels[2] == labels[3]
-
-    def test_k_equals_n(self, rng):
-        pts = rng.standard_normal((6, 3))
-        cents, labels = kmeans(pts, 6, seed=0)
-        # every point is its own centroid
-        d = np.linalg.norm(pts[:, None, :] - cents[None], axis=2)
-        assert np.allclose(d.min(axis=1), 0.0, atol=1e-12)
-        assert sorted(labels) == list(range(6))
-
-    def test_three_gaussians_vs_restarts(self):
-        gen = rng_from_seed(7)
-        centers = np.array([[0.0, 0.0], [2.0, 0.0], [0.0, 2.0]])
-        pts = np.concatenate([
-            c + 0.01 * gen.standard_normal((10, 2)) for c in centers])
-        cents, _ = kmeans(pts, 3, seed=3)
-
-        def objective(c):
-            d = np.linalg.norm(pts[:, None, :] - c[None], axis=2)
-            return float((d.min(axis=1) ** 2).sum())
-
-        best = min(objective(kmeans(pts, 3, seed=s)[0]) for s in range(100))
-        assert objective(cents) <= best * (1.0 + 1e-9)
-        for c in centers:
-            assert np.linalg.norm(cents - c, axis=1).min() <= 0.05
-
-    def test_deterministic(self, rng):
-        pts = rng.standard_normal((40, 3))
-        a = kmeans(pts, 4, seed=11)
-        b = kmeans(pts, 4, seed=11)
-        assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
-
-    def test_too_few_points(self):
-        with pytest.raises(TooFewPoints):
-            kmeans(np.zeros((2, 2)), 3, seed=0)
 
 
 def test_rng_is_reproducible():
