@@ -31,6 +31,9 @@ def main():
                     default=[15.0, 20.0, 25.0, 30.0, 35.0, 40.0, 50.0])
     ap.add_argument("--out", default="results/noise_sweep")
     args = ap.parse_args()
+    if args.N < 3:
+        ap.error(f"--N must be at least 3 (got {args.N}): no purity lies "
+                 "above the recovery threshold 1/sqrt(N-1) below N=3")
 
     os.makedirs(args.out, exist_ok=True)
     spec = BenchSpec(Ns=(args.N,), rs=(low_purity(args.N), 0.8),

@@ -12,8 +12,8 @@ File formats (owned here):
   matrix CSV   no header, one row per band (M rows), one column per
                pixel, 17 significant digits
   truth JSON   {"A": rows, "S": rows, "params": {N,M,L,r,snr_db,seed}}
-  results CSV  N,M,L,r,snr_db,seed,status,phi_deg,K,t_dimred,t_hull,
-               t_solve,t_recover,t_total
+  results CSV  N,M,L,r,snr_db,seed,status,phi_deg,K,kept_facets,rounds,
+               t_dimred,t_hull,t_solve,t_recover,t_total
 """
 
 from __future__ import annotations
@@ -39,8 +39,8 @@ EXIT_PARAMS = 2
 EXIT_NUMERICAL = 3
 
 _RESULT_COLUMNS = ["N", "M", "L", "r", "snr_db", "seed", "status", "phi_deg",
-                   "K", "t_dimred", "t_hull", "t_solve", "t_recover",
-                   "t_total"]
+                   "K", "kept_facets", "rounds", "t_dimred", "t_hull",
+                   "t_solve", "t_recover", "t_total"]
 
 
 class StageError(Exception):
@@ -196,6 +196,8 @@ def cmd_run(args) -> int:
             "termination": report.solver.termination,
             "restarts": report.solver.restarts,
             "stage_iterations": report.solver.stage_iterations,
+            "kept_facets": report.solver.kept_facets,
+            "rounds": report.solver.rounds,
             "max_violation": report.max_violation,
             "john_residual": mvie.check_john(
                 report.ellipsoid, report.contacts_reduced).residual,
@@ -241,6 +243,8 @@ def run_bench(spec: BenchSpec) -> tuple[list[metrics.TrialResult], list[dict]]:
                 res.rms_angle_deg = phi
                 res.permutation = perm
                 res.K_facets = report.n_facets
+                res.kept_facets = report.solver.kept_facets
+                res.rounds = report.solver.rounds
                 res.runtimes_sec = dict(report.timings)
             except MviefactError as exc:
                 res.status = f"error:{type(exc).__name__}"
@@ -279,7 +283,7 @@ def write_results_csv(path, results: list[metrics.TrialResult],
                 "inf" if math.isinf(t.snr_db) else _fmt(t.snr_db),
                 t.seed, t.status,
                 "nan" if math.isnan(t.rms_angle_deg) else _fmt(t.rms_angle_deg),
-                t.K_facets,
+                t.K_facets, t.kept_facets, t.rounds,
                 _fmt(times.get("dimred", 0.0)),
                 _fmt(times.get("hull", 0.0)),
                 _fmt(times.get("solve", 0.0)),

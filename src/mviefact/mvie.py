@@ -11,7 +11,12 @@ The default solver, ``solve_mvie_high_accuracy``, is a log-barrier
 Newton method (Boyd & Vandenberghe, Convex Optimization, 8.4.2 and 11)
 on the polytope translated to an interior point and scaled by that
 point's smallest facet distance, so its answer does not depend on the
-units of the data and every iterate is strictly inscribed.
+units of the data and every iterate is strictly inscribed. It generates
+its constraints: it solves on a subset of the facets, adds the facets
+its iterate meets as it goes, and ends with an ellipsoid that is optimal
+for the subset and inside every facet, hence the MVIE of the whole
+polytope (Zhang & Gao, SIAM J. Optim. 14(1), 2003). The solution
+touches a few dozen of the thousands of facets of a data hull.
 
 ``solve_mvie`` is the paper's first-order method, the ``--fast`` path.
 It replaces the constraints by the composite minimization
@@ -34,7 +39,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import nnls
 
 from .errors import (
     DimMismatch,
@@ -101,6 +105,8 @@ class SolveDiagnostics:
     termination: str
     restarts: int = 0
     stage_iterations: list[int] | None = None
+    kept_facets: int = 0      # facets the solve kept, of the polytope's K
+    rounds: int = 1           # kept sets solved on
 
 
 def load_config(path) -> FpgmConfig:
@@ -353,6 +359,7 @@ def solve_mvie(poly: HPolytope, cfg: FpgmConfig | None = None,
         inv_step_trace=inv_t,
         termination=reason,
         restarts=restarts,
+        kept_facets=poly.n_facets,
     )
     return Ellipsoid(F=w_cur, c=y_cur), diag
 
@@ -379,40 +386,124 @@ def _sym_basis(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 # distance 1. An inscribed iterate with trace(E) > 1/eps spans about
 # 1/eps of that distance, and a hull that wide holds its facets, computed
 # from vertex coordinates of that size, only to within about that
-# distance. Iterates that grow so far grow without bound: the polytope
-# has a direction of recession, and the program has no optimum.
+# distance. Iterates that grow so far grow without bound: the kept facets
+# have a direction of recession, and so does the polytope unless one of
+# its other facets cuts the iterate off.
 _UNBOUNDED_TRACE = 1.0 / np.finfo(float).eps
+# Fixed seed rays per dimension, besides the 2 d coordinate rays.
+_SEED_RAYS_PER_DIM = 16
+# Largest number of elements in one K x (block of rays) temporary (1 MB).
+_RAY_BLOCK = 1 << 17
+
+
+def _seed_rays(d: int) -> np.ndarray:
+    """16 d fixed unit directions in R^d, then +-e_1 ... +-e_d.
+
+    The fixed directions are the points frac(1/2 + j alpha), j = 1, 2, ...,
+    of the Kronecker sequence with alpha_k = phi_d^-k, phi_d the root of
+    x^(d+1) = x + 1 (Roberts' R_d sequence, low-discrepancy in [0, 1)^d),
+    mapped to [-1, 1)^d and normalized. No random numbers are drawn.
+    """
+    phi = 2.0
+    for _ in range(64):                    # contraction to phi_d
+        phi = (1.0 + phi) ** (1.0 / (d + 1))
+    alpha = phi ** -np.arange(1.0, d + 1)
+    j = np.arange(1.0, _SEED_RAYS_PER_DIM * d + 1)[:, None]
+    u = 2.0 * np.mod(0.5 + j * alpha, 1.0) - 1.0
+    u /= np.linalg.norm(u, axis=1, keepdims=True)
+    return np.vstack([u, np.eye(d), -np.eye(d)])
+
+
+def _exit_facets(g: np.ndarray, h: np.ndarray, rays: np.ndarray
+                 ) -> np.ndarray:
+    """For each ray u from the origin, the facet of {x : g_i . x <= h_i}
+    (h > 0) where it leaves: argmin h_i / (g_i . u) over g_i . u > 0,
+    or -1 when there is none. Rays go in blocks, so no K x (rays)
+    temporary exceeds _RAY_BLOCK elements."""
+    block = max(1, _RAY_BLOCK // g.shape[0])
+    hit = np.full(rays.shape[0], -1)
+    for lo in range(0, rays.shape[0], block):
+        proj = g @ rays[lo:lo + block].T
+        dist = np.divide(h[:, None], proj, out=np.full(proj.shape, np.inf),
+                         where=proj > 0.0)
+        first = dist.argmin(axis=0)
+        found = np.isfinite(dist[first, np.arange(first.size)])
+        hit[lo:lo + block][found] = first[found]
+    return hit
+
+
+def _spanning(g: np.ndarray, h: np.ndarray, kept: np.ndarray) -> np.ndarray:
+    """Grow kept until its normals span R^d: while they leave a subspace
+    free, add the facets where the rays from the origin along +-v leave
+    the polytope, for a basis v of that subspace. Raises Divergence when
+    a ray never leaves, for the polytope then contains it."""
+    d = g.shape[1]
+    while True:
+        lam, vec = np.linalg.eigh(g[kept].T @ g[kept])
+        free = vec[:, lam <= d * np.finfo(float).eps * lam[-1]].T
+        if not free.size:
+            return kept
+        hit = _exit_facets(g, h, np.vstack([free, -free]))
+        if (hit < 0).any():
+            raise Divergence("no facet bounds the polytope along a "
+                             "direction its kept facets leave free; the "
+                             "polytope is unbounded")
+        kept = np.union1d(kept, hit)
 
 
 def solve_mvie_high_accuracy(poly: HPolytope
                              ) -> tuple[Ellipsoid, SolveDiagnostics]:
-    """Log-barrier Newton method for the constrained program itself.
+    """Log-barrier Newton method for the constrained program itself,
+    on a generated subset of the facets.
 
     The polytope is first moved to the interior point c0 (the hull-vertex
     centroid, or the Chebyshev-style centre when none is attached) and
     scaled by r0 = min_i (h_i - g_i . c0), so the solve sees offsets
     h' = (h - G c0) / r0 whatever the units of the data; the result maps
-    back as F = r0 E, c = c0 + r0 c'. In those coordinates it minimizes
+    back as F = r0 E, c = c0 + r0 c'. In those coordinates it minimizes,
+    over the kept facets,
 
         -log det E - (1/t) sum_i log(s_i^2 - ||E g_i||^2),
         s_i = h'_i - g_i . c',
 
     from E = I/2, c' = 0, t = 1, multiplying t by 20 per stage until the
-    barrier's log-det gap bound 2K/t is at most 1e-10. Each stage runs
-    damped Newton steps with a backtracking line search that accepts
-    strictly feasible points only, so every iterate, and the returned
-    ellipsoid, is inscribed. Raises Divergence when the iterates grow
-    without bound, which they do on an unbounded polytope.
+    barrier's log-det gap bound 2 K_kept / t is at most 1e-10. Each stage
+    runs damped Newton steps with a backtracking line search that accepts
+    strictly feasible points only, until t lambda^2 / 2 <= 1e-2 for the
+    Newton decrement lambda: t times the stage objective is
+    self-concordant, so the stage ends about where Newton's quadratic
+    phase begins.
+
+    The kept facets start as those where the rays from c0 along 16 d
+    fixed directions and +-e_i leave the polytope, grown until their
+    normals span R^d. After every stage the iterate is tested against all
+    K facets; the facets it meets or crosses (||E g_i|| >= s_i) are kept
+    from then on, the iterate is pulled strictly inside them and the
+    stage is run again at the same t. The returned ellipsoid is optimal
+    for the kept facets, whose polytope contains the full one, and lies
+    inside all K facets, so it is the maximum-volume ellipsoid inscribed
+    in the full polytope (notes/decisions.md). Raises Divergence when the
+    polytope is unbounded: when a ray from c0 leaves through no facet, or
+    when the iterates grow without bound and no facet cuts them off.
     ``solve_mvie`` is the paper's first-order method, kept as the fast
     path.
 
-    Diagnostics: ``iterations`` counts Newton steps, ``stage_iterations``
-    the steps per barrier stage, ``backtracks`` the step halvings per
-    Newton step, ``inv_step_trace`` the inverse accepted step length and
-    ``objective_trace`` -log det F after every step.
+    Diagnostics: ``iterations`` counts Newton steps over all rounds,
+    ``stage_iterations`` the steps of every stage run (a stage run again
+    after facets were added has one entry per run), ``backtracks`` the
+    step halvings per Newton step, ``inv_step_trace`` the inverse accepted
+    step length, ``objective_trace`` -log det F after every step,
+    ``kept_facets`` the number of facets kept at the end and ``rounds``
+    the number of kept sets solved on (1 when no facet had to be added).
     """
+    return _barrier_solve(poly, None)
+
+
+def _barrier_solve(poly: HPolytope, seed: np.ndarray | None
+                   ) -> tuple[Ellipsoid, SolveDiagnostics]:
+    """solve_mvie_high_accuracy from the kept facets seed (indices into
+    poly's facets), or from the ray-exit facets when seed is None."""
     g = poly.normals
-    gt = np.ascontiguousarray(g.T)
     c0 = (poly.interior.astype(float) if poly.interior is not None
           else _chebyshev_style_center(poly))
     depth = poly.offsets - g @ c0
@@ -421,29 +512,38 @@ def solve_mvie_high_accuracy(poly: HPolytope
         raise EmptyInterior(
             f"no strictly feasible center found (best slack {r0:.3e})")
     h = depth / r0
-    k, d = g.shape
+    d = g.shape[1]
+    if seed is None:
+        seed = _exit_facets(g, h, _seed_rays(d))
+    kept = _spanning(g, h, np.unique(seed[seed >= 0]))
     basis, upper, lower = _sym_basis(d)
     m_e = basis.shape[0]
+    flat = basis.reshape(m_e, d * d)
+    # row (k, l) holds B_k B_l: sum_ac (B_k B_l)_ac G_ac = tr(B_k B_l G)
+    pairs = np.einsum("kab,lbc->klac", basis, basis).reshape(m_e * m_e, -1)
 
     def unpack(x):
-        return np.einsum("k,kab->ab", x[:m_e], basis), x[m_e:]
+        return (x[:m_e] @ flat).reshape(d, d), x[m_e:]
 
+    # gt and hk are the kept facets' normals (transposed) and offsets,
+    # rebound below whenever facets join.
     def slacks(e, cc):
-        s = h - cc @ gt
+        s = hk - cc @ gt
         ut = e @ gt                            # column i = E g_i
         return s, ut, s * s - np.einsum("ij,ij->j", ut, ut)
 
     def objective(e, cc, t):
-        """Barrier objective, or inf outside the strict interior."""
+        """Barrier objective and log det E; inf outside the strict
+        interior."""
         try:
             chol = np.linalg.cholesky(e)
         except np.linalg.LinAlgError:
-            return math.inf
+            return math.inf, 0.0
         s, _, delta = slacks(e, cc)
         if s.min() <= 0.0 or delta.min() <= 0.0:
-            return math.inf
-        return (-2.0 * float(np.log(np.diag(chol)).sum())
-                - float(np.log(delta).sum()) / t)
+            return math.inf, 0.0
+        logdet = 2.0 * float(np.log(np.diag(chol)).sum())
+        return -logdet - float(np.log(delta).sum()) / t, logdet
 
     x = np.concatenate([np.full(d, 0.5), np.zeros(m_e)])   # E = I/2, c' = 0
     t = 1.0
@@ -452,16 +552,20 @@ def solve_mvie_high_accuracy(poly: HPolytope
     backtracks: list[int] = []
     inv_step: list[float] = []
     stage_iters: list[int] = []
+    rounds = 1
     while True:
+        gt = np.ascontiguousarray(g[kept].T)
+        hk = h[kept]
         e, cc = unpack(x)
-        f = objective(e, cc, t)
+        f = objective(e, cc, t)[0]
         steps = 0
+        unbounded = False
         while True:
             e_inv = np.linalg.inv(e)
             s, ut, delta = slacks(e, cc)
             w = 1.0 / (t * delta)
             # column i of vt = -(1/2) grad of Delta_i in (B_k, c')
-            vt = np.empty((m_e + d, k))
+            vt = np.empty((m_e + d, kept.size))
             np.multiply(ut, gt, out=vt[:d])
             np.multiply(ut[upper], gt[lower], out=vt[d:m_e])
             vt[d:m_e] += ut[lower] * gt[upper]
@@ -470,24 +574,27 @@ def solve_mvie_high_accuracy(poly: HPolytope
             hess = (vt * (4.0 / (t * delta * delta))) @ vt.T
             ei_b = e_inv @ basis
             hess[:m_e, :m_e] += (
-                np.einsum("kab,lbc,ca->kl", basis, basis, gram)
-                + np.einsum("kab,lba->kl", ei_b, ei_b))
+                (pairs @ gram.ravel()).reshape(m_e, m_e)
+                + ei_b.reshape(m_e, -1)
+                @ ei_b.transpose(0, 2, 1).reshape(m_e, -1).T)
             hess[m_e:, m_e:] -= gram
             grad = 2.0 * (vt @ w)
             grad[:m_e] -= np.einsum("kaa->k", ei_b)
             try:
                 step = -np.linalg.solve(hess, grad)
-            except np.linalg.LinAlgError as exc:
-                # the facet normals do not span R^d
-                raise Divergence(f"singular Newton system ({exc}); the "
-                                 "polytope is unbounded") from exc
+            except np.linalg.LinAlgError:
+                # positive definite while the kept normals span R^d, so
+                # singular only by rounding: the stage can go no further
+                break
             slope = float(grad @ step)         # -(Newton decrement)^2
-            if -slope / 2.0 <= 1e-9:
+            # t times the objective is self-concordant; its decrement
+            # at 0.14 is about where Newton's quadratic phase begins
+            if -slope * t / 2.0 <= 1e-2:
                 break
             alpha, halvings = 1.0, 0
             while halvings <= 60:
                 trial = x + alpha * step
-                f_new = objective(*unpack(trial), t)
+                f_new, logdet = objective(*unpack(trial), t)
                 if f_new <= f + 0.25 * alpha * slope:
                     break
                 alpha *= 0.5
@@ -496,20 +603,41 @@ def solve_mvie_high_accuracy(poly: HPolytope
                 break
             x, gain, f = trial, f - f_new, f_new
             e, cc = unpack(x)
-            if np.trace(e) > _UNBOUNDED_TRACE:
-                raise Divergence(
-                    f"inscribed ellipsoid grew past {_UNBOUNDED_TRACE:.1e} "
-                    "times the centre's facet distance after "
-                    f"{sum(stage_iters) + steps + 1} Newton steps; "
-                    "the polytope is unbounded")
             steps += 1
             backtracks.append(halvings)
             inv_step.append(1.0 / alpha)
-            trace.append(-(float(np.linalg.slogdet(e)[1]) + logdet_shift))
+            trace.append(-(logdet + logdet_shift))
+            if np.trace(e) > _UNBOUNDED_TRACE:
+                unbounded = True
+                break
             if gain <= 1e-15 * abs(f):
                 break
         stage_iters.append(steps)
-        if 2.0 * k / t <= 1e-10:
+        s = h - g @ cc
+        met = np.linalg.norm(g @ e, axis=1) >= s
+        met[kept] = False
+        if met.any():
+            # Keep the facets the iterate meets and pull it strictly
+            # inside them: back c' off toward 0, where every s_i = h'_i
+            # >= 1, if it lies outside one, then shrink E to fit.
+            kept = np.union1d(kept, np.flatnonzero(met))
+            rounds += 1
+            gk, hk = g[kept], h[kept]
+            s = hk - gk @ cc
+            if s.min() <= 0.0:
+                out = s <= 0.0
+                x[m_e:] *= 0.5 * float((hk[out] / (gk[out] @ cc)).min())
+                s = hk - gk @ x[m_e:]
+            fit = float((s / np.linalg.norm(gk @ e, axis=1)).min())
+            x[:m_e] *= min(1.0, (1.0 - 1e-6) * fit)
+            continue
+        if unbounded:
+            raise Divergence(
+                f"inscribed ellipsoid grew past {_UNBOUNDED_TRACE:.1e} "
+                "times the centre's facet distance after "
+                f"{sum(stage_iters)} Newton steps, and no facet cuts it "
+                "off; the polytope is unbounded")
+        if 2.0 * kept.size / t <= 1e-10:
             break
         t *= 20.0
     diag = SolveDiagnostics(
@@ -520,6 +648,8 @@ def solve_mvie_high_accuracy(poly: HPolytope
         inv_step_trace=inv_step,
         termination="tol",
         stage_iterations=stage_iters,
+        kept_facets=int(kept.size),
+        rounds=rounds,
     )
     return Ellipsoid(F=r0 * e, c=c0 + r0 * cc), diag
 
@@ -571,6 +701,7 @@ def check_john(ellipsoid: Ellipsoid, contacts,
         design[d:, i] = np.outer(u[:, i], u[:, i]).ravel()
     target = np.concatenate([np.zeros(d), np.eye(d).ravel()])
     if weights is None:
+        from scipy.optimize import nnls   # on use, as in metrics
         lam, rnorm = nnls(design, target)
         return JohnCertificate(residual=float(rnorm), weights=lam, fitted=True)
     lam = as_vector(weights, "weights")

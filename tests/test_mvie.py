@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from mviefact import hull
+from mviefact import dimred, hull, mvie, synth
 from mviefact.errors import Divergence, EmptyInterior, TooFewContacts
 from mviefact.mvie import (
     Ellipsoid,
@@ -273,6 +273,71 @@ class TestSolve:
         assert diag.iterations == len(diag.inv_step_trace)
         assert len(diag.objective_trace) == diag.iterations + 1
         assert np.isfinite(diag.objective_trace).all()
+
+
+def synth_polytope(n, r, l, seed):
+    """Facets of the reduced data hull of a noiseless synth instance."""
+    gt = synth.make_instance(30, n, l, r, math.inf, seed)
+    chart = dimred.affine_fit(gt.X, n)
+    return hull.enumerate_facets(dimred.reduce_points(gt.X, chart).T)
+
+
+def full_set_solve(poly):
+    """The barrier path with every facet kept from the start."""
+    return mvie._barrier_solve(poly, np.arange(poly.n_facets))
+
+
+def assert_same_ellipsoid(ell, ref, rtol):
+    # c is compared at the ellipsoid's size: its own norm depends on where
+    # the origin of the reduced coordinates lies
+    size = np.linalg.norm(ref.F)
+    assert np.linalg.norm(ell.F - ref.F) <= rtol * size
+    assert np.linalg.norm(ell.c - ref.c) <= rtol * size
+
+
+class TestConstraintGeneration:
+    @pytest.mark.parametrize("n,r,l", [(4, 0.7, 1000), (5, 0.7, 400),
+                                       (6, 0.6, 200), (7, 0.55, 150)])
+    def test_matches_full_set_solve(self, n, r, l):
+        for seed in (0, 1):
+            poly = synth_polytope(n, r, l, seed)
+            ell, diag = solve_mvie_high_accuracy(poly)
+            assert_same_ellipsoid(ell, full_set_solve(poly)[0], 1e-6)
+            assert mvie.max_violation(ell, poly) <= 0.0
+            assert diag.kept_facets < poly.n_facets
+
+    def test_repeated_calls_are_bitwise_equal(self):
+        poly = synth_polytope(6, 0.6, 200, 0)
+        first, _ = solve_mvie_high_accuracy(poly)
+        second, _ = solve_mvie_high_accuracy(poly)
+        assert np.array_equal(first.F, second.F)
+        assert np.array_equal(first.c, second.c)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("seed", [[5, 25], [0, 10]])
+    def test_unbounded_seed_in_bounded_polygon(self, seed):
+        # 40 facets with normals at k * 9 degrees; the facets with normals
+        # (1, 1) and (-1, -1) (k = 5, 25) sit closer in. Started from that
+        # pair (unbounded along (1, -1)) or from the quadrant x, y <= 1
+        # (k = 0, 10), the solve must add facets until it has the MVIE.
+        ang = 2.0 * np.pi * np.arange(40) / 40
+        h = np.ones(40)
+        h[[5, 25]] = 0.8
+        poly = hull.HPolytope(2, np.column_stack([np.cos(ang), np.sin(ang)]),
+                              h, np.array([0.3, -0.2]), 0.0)
+        ell, diag = mvie._barrier_solve(poly, np.array(seed))
+        assert_same_ellipsoid(ell, full_set_solve(poly)[0], 1e-6)
+        assert mvie.max_violation(ell, poly) <= 0.0
+        assert diag.kept_facets > len(seed)
+
+    def test_diagnostics_count_every_round(self):
+        poly = synth_polytope(6, 0.6, 200, 0)
+        _, diag = solve_mvie_high_accuracy(poly)
+        assert diag.rounds > 1
+        assert 0 < diag.kept_facets < poly.n_facets
+        assert diag.iterations == sum(diag.stage_iterations)
+        assert diag.iterations == len(diag.backtracks)
+        assert len(diag.objective_trace) == diag.iterations + 1
 
 
 class TestCheckJohn:

@@ -1,5 +1,8 @@
 import itertools
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -277,3 +280,19 @@ class TestPipeline:
         # rows of S_hat follow the columns of A_hat, in no set order
         _, perm = metrics.rms_angle_error(gt.A, rep.A_hat)
         assert np.abs(rep.S_hat[list(perm)] - gt.S).max() <= 1e-2
+
+    def test_pipeline_leaves_scipy_optimize_unimported(self):
+        # scipy.optimize is imported where it is used, not by the package
+        src = os.path.join(os.path.dirname(os.path.dirname(
+            os.path.abspath(__file__))), "src")
+        code = ("import math, sys; import mviefact; "
+                "gt = mviefact.synth.make_instance(20, 3, 150, 0.9, "
+                "math.inf, 0); mviefact.recovery.run_pipeline(gt.X, 3); "
+                "print('scipy.optimize' in sys.modules)")
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["False"]
