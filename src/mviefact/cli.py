@@ -24,6 +24,7 @@ import json
 import math
 import sys
 import time
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -94,18 +95,25 @@ def _fmt(x: float) -> str:
 
 
 def write_matrix_csv(path, x: np.ndarray) -> None:
+    """Write x in the matrix CSV format: the bytes csv.writer gives for
+    rows of _fmt cells, CRLF line ends included."""
+    x = np.asarray(x, dtype=float)
+    line = ",".join(["%.17g"] * x.shape[1]) + "\r\n"
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        for row in x:
-            writer.writerow([_fmt(v) for v in row])
+        fh.writelines(line % tuple(row) for row in x.tolist())
 
 
 def read_matrix_csv(path) -> np.ndarray:
-    with open(path, newline="") as fh:
-        rows = [[float(v) for v in row] for row in csv.reader(fh) if row]
-    if not rows:
+    """Parse a matrix CSV; a malformed or empty file raises OSError."""
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")    # empty input: raised below
+            x = np.loadtxt(path, delimiter=",", ndmin=2, comments=None)
+    except ValueError as exc:
+        raise OSError(f"malformed matrix file {path}: {exc}") from exc
+    if not x.size:
         raise OSError(f"empty matrix file: {path}")
-    return np.asarray(rows, dtype=float)
+    return x
 
 
 def _snr_json(snr_db: float):

@@ -5,17 +5,24 @@ For data spanning an (N-1)-dimensional affine set, the chart (Phi, b)
 with semi-orthonormal Phi maps reduced coordinates u to Phi u + b, and
 Phi^T (x - b) inverts it on the affine hull. Volumes are preserved
 because det(Phi^T Phi) = 1.
+
+The fit takes Phi from the small triangular factor of the centred data
+rather than from the data itself (Chan's R-SVD, ACM TOMS 8(1), 1982):
+with C^T = Q R, C = R^T Q^T has the left singular vectors and singular
+values of R^T, an M x min(M, L) matrix, and no L-long right singular
+vectors are formed.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import BadDims, DimMismatch, RankDeficientData
-from .numerics import as_matrix, as_vector, svd_thin
+from .numerics import as_matrix, as_vector
 
 __all__ = [
     "AffineChart",
@@ -31,15 +38,19 @@ __all__ = [
 class AffineChart:
     Phi: np.ndarray  # M x (N-1), Phi^T Phi = I
     b: np.ndarray    # M
+    residual: float = math.nan   # fit_residual of the fitted data; nan
+                                 # for a chart not made by affine_fit
 
 
 def affine_fit(x: np.ndarray, n: int) -> AffineChart:
     """Fit the (N-1)-dimensional affine hull of the data columns.
 
     b is the column mean and Phi holds the top N-1 left singular
-    vectors of the centered data. Raises RankDeficientData when the
+    vectors of the centered data C, taken from the SVD of R^T for the
+    triangular factor R of C^T. Raises RankDeficientData when the
     centered data does not carry N-1 directions (relative singular
-    value below 1e-10).
+    value below 1e-10). The chart carries the fit's residual, the
+    largest distance of a column from the fitted affine set.
     """
     x = as_matrix(x, "data")
     m, l = x.shape
@@ -51,26 +62,30 @@ def affine_fit(x: np.ndarray, n: int) -> AffineChart:
         raise BadDims("need N >= 2 for a nontrivial affine fit")
     b = x.mean(axis=1)
     centered = x - b[:, None]
-    u, s, _ = svd_thin(centered, n - 1)
+    tri = np.linalg.qr(centered.T, mode="r")
+    u, s, _ = np.linalg.svd(tri.T, full_matrices=False)
+    phi, s = u[:, :n - 1], s[:n - 1]
     if s[0] <= 0.0 or s[-1] < 1e-10 * s[0]:
         raise RankDeficientData(
             f"centered data is rank deficient: singular values {s}")
-    chart = AffineChart(Phi=u, b=b)
-    res = fit_residual(chart, x)
+    res = _largest_offset(centered, phi)
     scale = float(np.linalg.norm(centered, axis=0).max())
     if res > 1e-8 * max(scale, 1e-300):
         warnings.warn(
             f"affine fit residual {res:.3e} exceeds 1e-8 relative; "
             "data is inconsistent with the noiseless model",
             stacklevel=2)
-    return chart
+    return AffineChart(Phi=phi, b=b, residual=res)
 
 
 def fit_residual(chart: AffineChart, x: np.ndarray) -> float:
     """Largest distance of any column from the chart's affine set."""
     x = as_matrix(x, "data")
-    centered = x - chart.b[:, None]
-    off = centered - chart.Phi @ (chart.Phi.T @ centered)
+    return _largest_offset(x - chart.b[:, None], chart.Phi)
+
+
+def _largest_offset(centered: np.ndarray, phi: np.ndarray) -> float:
+    off = centered - phi @ (phi.T @ centered)
     return float(np.linalg.norm(off, axis=0).max())
 
 

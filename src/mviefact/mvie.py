@@ -418,16 +418,16 @@ def _exit_facets(g: np.ndarray, h: np.ndarray, rays: np.ndarray
                  ) -> np.ndarray:
     """For each ray u from the origin, the facet of {x : g_i . x <= h_i}
     (h > 0) where it leaves: argmin h_i / (g_i . u) over g_i . u > 0,
-    or -1 when there is none. Rays go in blocks, so no K x (rays)
-    temporary exceeds _RAY_BLOCK elements."""
+    found as argmax_i (g_i . u) / h_i, or -1 when that maximum is not
+    positive. Rays go in blocks, so no (rays) x K temporary exceeds
+    _RAY_BLOCK elements."""
+    gh = g / h[:, None]
     block = max(1, _RAY_BLOCK // g.shape[0])
     hit = np.full(rays.shape[0], -1)
     for lo in range(0, rays.shape[0], block):
-        proj = g @ rays[lo:lo + block].T
-        dist = np.divide(h[:, None], proj, out=np.full(proj.shape, np.inf),
-                         where=proj > 0.0)
-        first = dist.argmin(axis=0)
-        found = np.isfinite(dist[first, np.arange(first.size)])
+        rate = rays[lo:lo + block] @ gh.T       # row j: (g_i . u_j) / h_i
+        first = rate.argmax(axis=1)
+        found = rate[np.arange(first.size), first] > 0.0
         hit[lo:lo + block][found] = first[found]
     return hit
 
@@ -477,12 +477,14 @@ def solve_mvie_high_accuracy(poly: HPolytope
     The kept facets start as those where the rays from c0 along 16 d
     fixed directions and +-e_i leave the polytope, grown until their
     normals span R^d. After every stage the iterate is tested against all
-    K facets; the facets it meets or crosses (||E g_i|| >= s_i) are kept
-    from then on, the iterate is pulled strictly inside them and the
-    stage is run again at the same t. The returned ellipsoid is optimal
-    for the kept facets, whose polytope contains the full one, and lies
-    inside all K facets, so it is the maximum-volume ellipsoid inscribed
-    in the full polytope (notes/decisions.md). Raises Divergence when the
+    K facets. Of the facets it meets or crosses (||E g_i|| >= s_i), the
+    d(d+3)/2 most crossed (s_i <= 0 first, then by ||E g_i|| / s_i) are
+    kept from then on, the iterate is pulled strictly inside them and the
+    stage is run again at the same t; the facets left out are tested
+    again after that stage. The returned ellipsoid is optimal for the
+    kept facets, whose polytope contains the full one, and lies inside
+    all K facets, so it is the maximum-volume ellipsoid inscribed in the
+    full polytope (notes/decisions.md). Raises Divergence when the
     polytope is unbounded: when a ray from c0 leaves through no facet, or
     when the iterates grow without bound and no facet cuts them off.
     ``solve_mvie`` is the paper's first-order method, kept as the fast
@@ -614,13 +616,22 @@ def _barrier_solve(poly: HPolytope, seed: np.ndarray | None
                 break
         stage_iters.append(steps)
         s = h - g @ cc
-        met = np.linalg.norm(g @ e, axis=1) >= s
+        ge = g @ e
+        reach = np.sqrt(np.einsum("ij,ij->i", ge, ge))     # ||E g_i||
+        met = reach >= s
         met[kept] = False
         if met.any():
-            # Keep the facets the iterate meets and pull it strictly
+            # Keep the most-crossed facets the iterate meets, at most as
+            # many as the program has unknowns: those whose s_i <= 0
+            # first, then by ||E g_i|| / s_i. Pull the iterate strictly
             # inside them: back c' off toward 0, where every s_i = h'_i
             # >= 1, if it lies outside one, then shrink E to fit.
-            kept = np.union1d(kept, np.flatnonzero(met))
+            new = np.flatnonzero(met)
+            crossing = np.full(new.size, np.inf)
+            inside = s[new] > 0.0
+            crossing[inside] = reach[new[inside]] / s[new[inside]]
+            new = new[np.argsort(-crossing, kind="stable")[:m_e + d]]
+            kept = np.union1d(kept, new)
             rounds += 1
             gk, hk = g[kept], h[kept]
             s = hk - gk @ cc
@@ -628,7 +639,7 @@ def _barrier_solve(poly: HPolytope, seed: np.ndarray | None
                 out = s <= 0.0
                 x[m_e:] *= 0.5 * float((hk[out] / (gk[out] @ cc)).min())
                 s = hk - gk @ x[m_e:]
-            fit = float((s / np.linalg.norm(gk @ e, axis=1)).min())
+            fit = float((s / reach[kept]).min())
             x[:m_e] *= min(1.0, (1.0 - 1e-6) * fit)
             continue
         if unbounded:

@@ -3,8 +3,8 @@
 Matrices throughout the package are plain float64 ``numpy.ndarray``
 objects in row-major layout; every public operation validates shape and
 finiteness on entry. This module provides the shared primitives: a
-symmetric eigendecomposition, a thin SVD, Euclidean projection onto the
-unit simplex, and the package-wide random generator.
+symmetric eigendecomposition, Euclidean projection onto the unit
+simplex, and the package-wide random generator.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ __all__ = [
     "as_matrix",
     "as_vector",
     "eig_sym",
-    "svd_thin",
     "project_simplex",
     "project_simplex_columns",
     "rng_from_seed",
@@ -74,20 +73,6 @@ def eig_sym(a) -> EigSymResult:
         raise ConvergenceFailure(f"symmetric eigensolver failed: {exc}") from exc
     order = np.argsort(w)[::-1]
     return EigSymResult(w[order], u[:, order])
-
-
-def svd_thin(a, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Thin SVD: top-k left/right singular vectors and singular values.
-
-    Returns (U, s, V) with U m-by-k, s descending, V n-by-k such that
-    A V = U diag(s).
-    """
-    a = as_matrix(a, "svd_thin input")
-    m, n = a.shape
-    if not (1 <= k <= min(m, n)):
-        raise BadRank(f"k={k} out of range for a {m}x{n} matrix")
-    u, s, vt = np.linalg.svd(a, full_matrices=False)
-    return u[:, :k], s[:k], vt[:k].T
 
 
 def project_simplex(v) -> np.ndarray:

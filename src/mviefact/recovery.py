@@ -270,7 +270,6 @@ def run_pipeline(x: np.ndarray, n: int,
         x = as_matrix(x, "X")
         chart = dimred.affine_fit(x, n)
         reduced = dimred.reduce_points(x, chart)
-        residual = dimred.fit_residual(chart, x)
 
     with _stage("hull", timings):
         poly = hull.enumerate_facets(reduced.T)
@@ -299,6 +298,6 @@ def run_pipeline(x: np.ndarray, n: int,
         n_facets=poly.n_facets,
         solver=diag,
         timings=timings,
-        affine_residual=residual,
+        affine_residual=chart.residual,
         max_violation=mvie.max_violation(ell, poly),
     )

@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 
 import numpy as np
@@ -131,6 +133,16 @@ class TestRunCommand:
         assert code == 1
         assert "io" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text", ["1,2,3\n4,abc,6\n", "1,2,3\n4,5\n"],
+                             ids=["non-numeric", "short-row"])
+    def test_malformed_input_exit_1(self, tmp_path, capsys, text):
+        bad = tmp_path / "bad.csv"
+        bad.write_text(text)
+        code = run_cli("run", "--input", str(bad), "--N", "3",
+                       "--out", str(tmp_path / "report.json"))
+        assert code == 1
+        assert "error [io]" in capsys.readouterr().err
+
     def test_solver_config_respected(self, instance_dir, tmp_path):
         cfg_path = tmp_path / "solver.json"
         cfg_path.write_text(json.dumps({"max_iter": 40, "rho": 150.0}))
@@ -141,6 +153,34 @@ class TestRunCommand:
         assert code == 0
         payload = json.loads(report.read_text())
         assert payload["diagnostics"]["iterations"] <= 40
+
+
+class TestMatrixCsv:
+    def test_bytes_match_csv_writer(self, tmp_path, rng):
+        x = rng.standard_normal((6, 9)) * 10.0 ** rng.integers(-300, 300,
+                                                                 (6, 9))
+        x[0, :5] = [0.0, -0.0, 1.0, 1e-320, -2.5]
+        x[1, :3] = [np.nan, np.inf, -np.inf]
+        ref = io.StringIO(newline="")
+        writer = csv.writer(ref)
+        for row in x:
+            writer.writerow([format(float(v), ".17g") for v in row])
+        write_matrix_csv(tmp_path / "x.csv", x)
+        assert (tmp_path / "x.csv").read_bytes() == ref.getvalue().encode()
+        back = read_matrix_csv(tmp_path / "x.csv")
+        assert np.array_equal(back, x, equal_nan=True)
+
+    @pytest.mark.parametrize("text", ["", "\n\n", "1,x\n", "1,2\n3\n"])
+    def test_empty_or_malformed_raises_oserror(self, tmp_path, text):
+        path = tmp_path / "x.csv"
+        path.write_text(text)
+        with pytest.raises(OSError):
+            read_matrix_csv(path)
+
+    def test_one_row_and_one_column_stay_2d(self, tmp_path):
+        for x in (np.arange(4.0)[None, :], np.arange(4.0)[:, None]):
+            write_matrix_csv(tmp_path / "x.csv", x)
+            assert np.array_equal(read_matrix_csv(tmp_path / "x.csv"), x)
 
 
 class TestBenchCommand:

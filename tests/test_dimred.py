@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -44,6 +45,30 @@ class TestAffineFit:
     def test_preconditions(self, rng):
         with pytest.raises(BadDims):
             dimred.affine_fit(rng.random((5, 2)), 3)
+
+    @pytest.mark.parametrize("m,n,l", [(50, 4, 1000), (50, 4, 20),
+                                       (30, 6, 200), (5, 6, 40)])
+    def test_matches_svd_of_the_data(self, rng, m, n, l):
+        # Phi must span the top N-1 left singular vectors of the centred
+        # data, as a full SVD of it gives them, also when L < M
+        x = rng.standard_normal((m, l)) * rng.uniform(0.5, 2.0, (m, 1))
+        centered = x - x.mean(axis=1)[:, None]
+        u, s, _ = np.linalg.svd(centered, full_matrices=False)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")   # random data: not noiseless
+            chart = dimred.affine_fit(x, n)
+        top = u[:, :n - 1]
+        assert (np.abs(chart.Phi @ chart.Phi.T - top @ top.T).max()
+                <= 1e-12)
+        s_fit = np.linalg.svd(chart.Phi.T @ centered, compute_uv=False)
+        assert np.abs(s_fit - s[:n - 1]).max() <= 1e-12 * s[0]
+
+    @pytest.mark.filterwarnings("ignore:affine fit residual")
+    @pytest.mark.parametrize("snr", [math.inf, 20.0])
+    def test_chart_carries_its_residual(self, snr):
+        gt = synth.make_instance(25, 4, 300, 0.8, snr, seed=1)
+        chart = dimred.affine_fit(gt.X, 4)
+        assert chart.residual == dimred.fit_residual(chart, gt.X)
 
 
 class TestTransforms:

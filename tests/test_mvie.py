@@ -330,6 +330,16 @@ class TestConstraintGeneration:
         assert mvie.max_violation(ell, poly) <= 0.0
         assert diag.kept_facets > len(seed)
 
+    def test_caps_facets_added_per_round(self):
+        # On this cloud the iterate once met thousands of facets at a
+        # stage end (2257 of 12642 were kept); each round now adds at most
+        # d(d+3)/2 = 27, and the solve keeps 181
+        poly = synth_polytope(7, 0.55, 150, 0)
+        ell, diag = solve_mvie_high_accuracy(poly)
+        assert diag.kept_facets <= 300
+        assert_same_ellipsoid(ell, full_set_solve(poly)[0], 1e-6)
+        assert mvie.max_violation(ell, poly) <= 0.0
+
     def test_diagnostics_count_every_round(self):
         poly = synth_polytope(6, 0.6, 200, 0)
         _, diag = solve_mvie_high_accuracy(poly)
@@ -338,6 +348,49 @@ class TestConstraintGeneration:
         assert diag.iterations == sum(diag.stage_iterations)
         assert diag.iterations == len(diag.backtracks)
         assert len(diag.objective_trace) == diag.iterations + 1
+
+
+def brute_force_exits(g, h, rays):
+    """argmin h_i / (g_i . u) over g_i . u > 0, ray by ray; -1 if none."""
+    hit = []
+    for u in rays:
+        proj = g @ u
+        ahead = np.flatnonzero(proj > 0.0)
+        hit.append(ahead[np.argmin(h[ahead] / proj[ahead])]
+                   if ahead.size else -1)
+    return np.array(hit)
+
+
+class TestExitFacets:
+    @pytest.mark.parametrize("k,d,blocks", [(40, 3, 1), (5000, 6, 5)])
+    def test_matches_brute_force(self, rng, k, d, blocks):
+        # The normals lie within 60 degrees of e_1 (g_1 >= 1/2), so every
+        # ray -e_1 + v with |v| <= 1/2 leaves through no facet: there
+        # g . u <= -1/2 + sin(60 deg) / 2 < 0.
+        tilt = rng.uniform(0.0, np.pi / 3, k)
+        side = rng.standard_normal((k, d - 1))
+        side /= np.linalg.norm(side, axis=1, keepdims=True)
+        g = np.column_stack([np.cos(tilt), np.sin(tilt)[:, None] * side])
+        h = rng.uniform(0.5, 2.0, k)
+        rays = rng.standard_normal((120, d))
+        away = rays[::4, 1:]
+        away *= 0.5 * rng.random((30, 1)) / np.linalg.norm(
+            away, axis=1, keepdims=True)
+        rays[::4, 0] = -1.0
+        rays /= np.linalg.norm(rays, axis=1, keepdims=True)
+        assert -(-120 // max(1, mvie._RAY_BLOCK // k)) == blocks
+        hit = mvie._exit_facets(g, h, rays)
+        assert np.array_equal(hit, brute_force_exits(g, h, rays))
+        assert (hit[::4] == -1).all() and (hit >= 0).sum() >= 60
+
+    def test_every_seed_ray_leaves_a_bounded_polytope(self):
+        poly = synth_polytope(5, 0.7, 400, 0)
+        g = poly.normals
+        h = poly.offsets - g @ poly.interior
+        rays = mvie._seed_rays(poly.dim)
+        hit = mvie._exit_facets(g, h, rays)
+        assert (hit >= 0).all()
+        assert np.array_equal(hit, brute_force_exits(g, h, rays))
 
 
 class TestCheckJohn:

@@ -4,13 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mviefact.errors import BadRank, NonSquare, NotFinite
+from mviefact.errors import NonSquare, NotFinite
 from mviefact.numerics import (
     eig_sym,
     project_simplex,
     project_simplex_columns,
     rng_from_seed,
-    svd_thin,
 )
 
 from conftest import random_symmetric
@@ -105,47 +104,6 @@ class TestEigSym:
     def test_rejects_nonfinite(self):
         with pytest.raises(NotFinite):
             eig_sym(np.array([[np.nan, 0.0], [0.0, 1.0]]))
-
-
-class TestSvdThin:
-    def test_identity(self):
-        u, s, v = svd_thin(np.eye(3), 2)
-        assert np.allclose(s, [1.0, 1.0])
-        assert u.shape == (3, 2) and v.shape == (3, 2)
-
-    def test_rank_one_scaling(self, rng):
-        uu = rng.standard_normal(4)
-        vv = rng.standard_normal(5)
-        uu *= 2.0 / np.linalg.norm(uu)
-        vv *= 3.0 / np.linalg.norm(vv)
-        _, s, _ = svd_thin(np.outer(uu, vv), 1)
-        assert abs(s[0] - 6.0) < 1e-10
-
-    def test_frobenius_identity(self, rng):
-        a = rng.standard_normal((6, 4))
-        _, s, _ = svd_thin(a, 4)
-        assert abs((s ** 2).sum() - np.linalg.norm(a) ** 2) <= 1e-8
-
-    def test_factor_properties(self, rng):
-        a = rng.standard_normal((8, 5))
-        k = 3
-        u, s, v = svd_thin(a, k)
-        assert np.all(np.diff(s) <= 0) and np.all(s >= 0)
-        assert np.linalg.norm(u.T @ u - np.eye(k)) <= 1e-10
-        assert np.linalg.norm(v.T @ v - np.eye(k)) <= 1e-10
-        assert np.linalg.norm(a @ v - u * s) <= 1e-8 * np.linalg.norm(a)
-
-    def test_full_rank_reconstruction(self, rng):
-        a = rng.standard_normal((6, 4))
-        u, s, v = svd_thin(a, 4)
-        assert np.linalg.norm(a - (u * s) @ v.T) <= 1e-8 * np.linalg.norm(a)
-
-    def test_bad_rank(self, rng):
-        a = rng.standard_normal((3, 4))
-        with pytest.raises(BadRank):
-            svd_thin(a, 0)
-        with pytest.raises(BadRank):
-            svd_thin(a, 4)
 
 
 def _simplex_grid_argmin(v, steps=200):
