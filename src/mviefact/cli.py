@@ -5,8 +5,13 @@ Subcommands:
   run    recover signatures from an observation CSV, write a JSON report
   bench  sweep a (N, purity, SNR) grid and write per-trial/aggregate CSVs
 
+Both run and bench solve the MVIE by the barrier Newton method of
+mvie.solve_mvie_high_accuracy; neither takes a solver option.
+
 Exit codes: 0 success, 1 I/O failure, 2 invalid parameters, 3 numerical
-failure.
+failure. A failure prints "error [<where>]: <message>" to stderr, where
+<where> is the pipeline stage that raised it (dimred, hull, solve or
+recover), or io, params or numerical outside the pipeline.
 
 File formats (owned here):
   matrix CSV   no header, one row per band (M rows), one column per
@@ -25,7 +30,7 @@ import math
 import sys
 import time
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -44,15 +49,6 @@ _RESULT_COLUMNS = ["N", "M", "L", "r", "snr_db", "seed", "status", "phi_deg",
                    "t_solve", "t_recover", "t_total"]
 
 
-class StageError(Exception):
-    """Wraps a failure with the pipeline stage it occurred in."""
-
-    def __init__(self, stage: str, cause: BaseException):
-        super().__init__(f"stage {stage}: {cause}")
-        self.stage = stage
-        self.cause = cause
-
-
 @dataclass(frozen=True)
 class BenchSpec:
     Ns: tuple[int, ...]
@@ -62,9 +58,6 @@ class BenchSpec:
     base_seed: int
     M: int
     L: int
-    config: mvie.FpgmConfig = field(default_factory=mvie.FpgmConfig)
-    tau: float = 1e-5
-    high_accuracy: bool = True
     omit_timings: bool = False
 
     def __post_init__(self):
@@ -174,21 +167,12 @@ def _load_library(path, m: int):
 
 
 def cmd_run(args) -> int:
-    try:
-        x = read_matrix_csv(args.input)
-    except OSError as exc:
-        raise StageError("io", exc) from exc
-    cfg = mvie.load_config(args.config) if args.config else mvie.FpgmConfig()
-    try:
-        report = recovery.run_pipeline(
-            x, args.N, cfg=cfg, tau=args.tau, high_accuracy=not args.fast,
-            want_abundances=args.emit_shat)
-    except MviefactError as exc:
-        raise StageError(exc.stage, exc) from exc
+    x = read_matrix_csv(args.input)
+    report = recovery.run_pipeline(x, args.N,
+                                   want_abundances=args.emit_shat)
 
     payload = {
-        "params": {"N": args.N, "tau": args.tau,
-                   "high_accuracy": not args.fast},
+        "params": {"N": args.N},
         "A_hat": [[float(v) for v in row] for row in report.A_hat],
         "contacts_reduced": [[float(v) for v in row]
                              for row in report.contacts_reduced],
@@ -202,7 +186,6 @@ def cmd_run(args) -> int:
             "iterations": report.solver.iterations,
             "final_objective": report.solver.final_objective,
             "termination": report.solver.termination,
-            "restarts": report.solver.restarts,
             "stage_iterations": report.solver.stage_iterations,
             "kept_facets": report.solver.kept_facets,
             "rounds": report.solver.rounds,
@@ -213,10 +196,7 @@ def cmd_run(args) -> int:
         "timings": report.timings,
     }
     if args.truth:
-        try:
-            a_true, _, _ = read_truth_json(args.truth)
-        except OSError as exc:
-            raise StageError("io", exc) from exc
+        a_true, _, _ = read_truth_json(args.truth)
         phi, perm = metrics.rms_angle_error(a_true, report.A_hat)
         payload["phi_deg"] = phi
         payload["permutation"] = list(perm)
@@ -244,9 +224,7 @@ def run_bench(spec: BenchSpec) -> tuple[list[metrics.TrialResult], list[dict]]:
             t0 = time.perf_counter()
             try:
                 gt = synth.make_instance(spec.M, n, spec.L, r, snr, seed)
-                report = recovery.run_pipeline(
-                    gt.X, n, cfg=spec.config, tau=spec.tau,
-                    high_accuracy=spec.high_accuracy)
+                report = recovery.run_pipeline(gt.X, n)
                 phi, perm = metrics.rms_angle_error(gt.A, report.A_hat)
                 res.rms_angle_deg = phi
                 res.permutation = perm
@@ -327,11 +305,9 @@ def write_aggregate_csv(path, aggregates: list[dict],
 
 def cmd_bench(args) -> int:
     import os
-    cfg = mvie.load_config(args.config) if args.config else mvie.FpgmConfig()
     spec = BenchSpec(
         Ns=tuple(args.N), rs=tuple(args.r), snrs=tuple(args.snr),
         trials=args.trials, base_seed=args.seed, M=args.M, L=args.L,
-        config=cfg, tau=args.tau, high_accuracy=not args.fast,
         omit_timings=args.omit_timings)
     results, aggregates = run_bench(spec)
     os.makedirs(args.out, exist_ok=True)
@@ -378,13 +354,6 @@ def build_parser() -> argparse.ArgumentParser:
     pr.add_argument("--N", type=int, required=True)
     pr.add_argument("--truth", default=None,
                     help="truth.json for angle-error evaluation")
-    pr.add_argument("--config", default=None,
-                    help="solver config JSON; tunes the --fast solver only")
-    pr.add_argument("--tau", type=float, default=1e-5,
-                    help="relative contact slack tolerance")
-    pr.add_argument("--fast", action="store_true",
-                    help="the paper's first-order penalty solver instead of "
-                         "the barrier Newton method")
     pr.add_argument("--emit-shat", action="store_true",
                     help="include recovered abundances in the report")
     pr.add_argument("--out", default="report.json")
@@ -398,10 +367,6 @@ def build_parser() -> argparse.ArgumentParser:
     pb.add_argument("--seed", type=int, default=0)
     pb.add_argument("--M", type=int, default=50)
     pb.add_argument("--L", type=int, default=1000)
-    pb.add_argument("--config", default=None,
-                    help="solver config JSON; tunes the --fast solver only")
-    pb.add_argument("--tau", type=float, default=1e-5)
-    pb.add_argument("--fast", action="store_true")
     pb.add_argument("--omit-timings", action="store_true",
                     help="write zeros in timing columns so repeated runs "
                          "are byte-identical")
@@ -414,18 +379,11 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except StageError as exc:
-        print(f"error [{exc.stage}]: {exc.cause}", file=sys.stderr)
-        if isinstance(exc.cause, ParameterError):
-            return EXIT_PARAMS
-        if isinstance(exc.cause, (OSError, json.JSONDecodeError)):
-            return EXIT_IO
-        return EXIT_NUMERICAL
     except ParameterError as exc:
-        print(f"error [params]: {exc}", file=sys.stderr)
+        print(f"error [{exc.stage or 'params'}]: {exc}", file=sys.stderr)
         return EXIT_PARAMS
     except NumericalError as exc:
-        print(f"error [numerical]: {exc}", file=sys.stderr)
+        print(f"error [{exc.stage or 'numerical'}]: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except (OSError, json.JSONDecodeError) as exc:
         print(f"error [io]: {exc}", file=sys.stderr)

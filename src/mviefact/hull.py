@@ -40,10 +40,6 @@ class HPolytope:
     def n_facets(self) -> int:
         return self.normals.shape[0]
 
-    def slacks(self, p: np.ndarray) -> np.ndarray:
-        """h - G p for a single point p."""
-        return self.offsets - self.normals @ np.asarray(p, dtype=float)
-
 
 def enumerate_facets(points) -> HPolytope:
     """Irredundant H-representation of conv(points).

@@ -7,7 +7,7 @@ The program is
 for the polytope {x : g_i . x <= h_i} and the ellipsoid
 {F u + c : ||u|| <= 1}. It has d(d+1)/2 + d unknowns.
 
-The default solver, ``solve_mvie_high_accuracy``, is a log-barrier
+The pipeline's solver, ``solve_mvie_high_accuracy``, is a log-barrier
 Newton method (Boyd & Vandenberghe, Convex Optimization, 8.4.2 and 11)
 on the polytope translated to an interior point and scaled by that
 point's smallest facet distance, so its answer does not depend on the
@@ -18,8 +18,10 @@ for the subset and inside every facet, hence the MVIE of the whole
 polytope (Zhang & Gao, SIAM J. Optim. 14(1), 2003). The solution
 touches a few dozen of the thousands of facets of a data hull.
 
-``solve_mvie`` is the paper's first-order method, the ``--fast`` path.
-It replaces the constraints by the composite minimization
+``solve_mvie`` is the paper's first-order method (FPGM). The pipeline
+does not call it; it is kept as the paper's reference, against which
+the tests check the Newton answer. It replaces the constraints by the
+composite minimization
 
     min_{W in S_eps, y}  sum_i psi(sqrt(||W g_i||^2 + eps) + g_i . y - h_i)
                          - (1/rho) log det(W),
@@ -29,12 +31,11 @@ symmetric matrices with smallest eigenvalue >= eps. The smooth part has
 a Lipschitz gradient, and the log-det part admits a closed-form
 proximal map through a symmetric eigendecomposition, so the fast
 proximal gradient method (FISTA-style momentum plus backtracking line
-search) applies. ``FpgmConfig`` tunes this method only.
+search) applies. ``FpgmConfig`` holds its settings.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -63,8 +64,6 @@ __all__ = [
     "solve_mvie",
     "solve_mvie_high_accuracy",
     "check_john",
-    "load_config",
-    "save_config",
     "max_violation",
 ]
 
@@ -107,26 +106,6 @@ class SolveDiagnostics:
     stage_iterations: list[int] | None = None
     kept_facets: int = 0      # facets the solve kept, of the polytope's K
     rounds: int = 1           # kept sets solved on
-
-
-def load_config(path) -> FpgmConfig:
-    """Read solver settings from JSON; missing keys keep their defaults."""
-    with open(path) as fh:
-        raw = json.load(fh)
-    allowed = {"rho", "eps", "alpha", "beta", "t_max", "max_iter", "tol_rel"}
-    unknown = set(raw) - allowed
-    if unknown:
-        raise ValueError(f"unknown solver config keys: {sorted(unknown)}")
-    return FpgmConfig(**raw)
-
-
-def save_config(cfg: FpgmConfig, path) -> None:
-    with open(path, "w") as fh:
-        json.dump({"rho": cfg.rho, "eps": cfg.eps, "alpha": cfg.alpha,
-                   "beta": cfg.beta, "t_max": cfg.t_max,
-                   "max_iter": cfg.max_iter, "tol_rel": cfg.tol_rel},
-                  fh, indent=2)
-        fh.write("\n")
 
 
 def huber(z):
@@ -240,8 +219,7 @@ def _chebyshev_style_center(poly: HPolytope, steps: int = 200) -> np.ndarray:
     return best_y
 
 
-def solve_mvie(poly: HPolytope, cfg: FpgmConfig | None = None,
-               init: tuple[np.ndarray, np.ndarray] | None = None
+def solve_mvie(poly: HPolytope, cfg: FpgmConfig | None = None
                ) -> tuple[Ellipsoid, SolveDiagnostics]:
     """Run the accelerated proximal gradient solver on one polytope.
 
@@ -257,19 +235,12 @@ def solve_mvie(poly: HPolytope, cfg: FpgmConfig | None = None,
     gt = g.T
     d = poly.dim
 
-    if init is not None:
-        w0 = np.asarray(init[0], dtype=float)
-        lam, u = eig_sym(0.5 * (w0 + w0.T))
-        w = (u * np.maximum(lam, cfg.eps)) @ u.T
-        w = 0.5 * (w + w.T)
-        y = np.asarray(init[1], dtype=float).copy()
-    else:
-        y = _chebyshev_style_center(poly)
-        slack = float((h - g @ y).min())
-        if slack <= 0.0:
-            raise EmptyInterior(
-                f"no strictly feasible center found (best slack {slack:.3e})")
-        w = 0.9 * slack * np.eye(d)
+    y = _chebyshev_style_center(poly)
+    slack = float((h - g @ y).min())
+    if slack <= 0.0:
+        raise EmptyInterior(
+            f"no strictly feasible center found (best slack {slack:.3e})")
+    w = 0.9 * slack * np.eye(d)
 
     def pen(wm, yv):
         return _penalty_value(wm, yv, gt, g, h, cfg.eps)
@@ -487,8 +458,8 @@ def solve_mvie_high_accuracy(poly: HPolytope
     full polytope (notes/decisions.md). Raises Divergence when the
     polytope is unbounded: when a ray from c0 leaves through no facet, or
     when the iterates grow without bound and no facet cuts them off.
-    ``solve_mvie`` is the paper's first-order method, kept as the fast
-    path.
+    ``solve_mvie`` is the paper's first-order method, kept as the
+    reference the tests check this solve against.
 
     Diagnostics: ``iterations`` counts Newton steps over all rounds,
     ``stage_iterations`` the steps of every stage run (a stage run again

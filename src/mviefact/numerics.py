@@ -1,10 +1,9 @@
-"""Dense linear-algebra and small-ML kernel.
+"""Dense linear-algebra primitives shared across the package.
 
 Matrices throughout the package are plain float64 ``numpy.ndarray``
 objects in row-major layout; every public operation validates shape and
 finiteness on entry. This module provides the shared primitives: a
-symmetric eigendecomposition, Euclidean projection onto the unit
-simplex, and the package-wide random generator.
+symmetric eigendecomposition and the package-wide random generator.
 """
 
 from __future__ import annotations
@@ -20,8 +19,6 @@ __all__ = [
     "as_matrix",
     "as_vector",
     "eig_sym",
-    "project_simplex",
-    "project_simplex_columns",
     "rng_from_seed",
 ]
 
@@ -73,30 +70,3 @@ def eig_sym(a) -> EigSymResult:
         raise ConvergenceFailure(f"symmetric eigensolver failed: {exc}") from exc
     order = np.argsort(w)[::-1]
     return EigSymResult(w[order], u[:, order])
-
-
-def project_simplex(v) -> np.ndarray:
-    """Euclidean projection of a vector onto the unit simplex.
-
-    Sort-based finite-step algorithm: exact in exact arithmetic.
-    """
-    v = as_vector(v, "project_simplex input")
-    return _simplex_core(v[None, :])[0]
-
-
-def project_simplex_columns(v) -> np.ndarray:
-    """Project every column of a matrix onto the unit simplex."""
-    v = as_matrix(v, "project_simplex_columns input")
-    return _simplex_core(v.T).T
-
-
-def _simplex_core(rows: np.ndarray) -> np.ndarray:
-    # rows: (m, n), each row projected independently.
-    n = rows.shape[1]
-    u = np.sort(rows, axis=1)[:, ::-1]
-    css = np.cumsum(u, axis=1) - 1.0
-    j = np.arange(1, n + 1)
-    cond = u * j > css
-    rho = n - np.argmax(cond[:, ::-1], axis=1) - 1  # last True index
-    theta = css[np.arange(rows.shape[0]), rho] / (rho + 1)
-    return np.maximum(rows - theta[:, None], 0.0)

@@ -50,6 +50,9 @@ _MULTIPLIER_RTOL = 1e-12
 # Safety bound on active-set rounds; random data need 2-12 at
 # N = 3..10 and at most 38 at N <= 24.
 _MAX_ROUNDS = 1000
+# A facet touches the solved ellipsoid when its slack is at most
+# _CONTACT_TAU times its distance from the centre.
+_CONTACT_TAU = 1e-5
 
 
 @dataclass
@@ -89,9 +92,9 @@ def find_contacts(f: np.ndarray, c: np.ndarray, poly: hull.HPolytope,
     active = slack <= tau * depth
     if not active.any():
         raise NoContacts(
-            f"no facet within slack tolerance tau={tau} "
-            f"(smallest slack {slack.min():.3e}); the solver may be "
-            "under-converged or tau too tight")
+            f"no facet within relative slack {tau:g} of the ellipsoid "
+            f"(smallest slack {slack.min():.3e}); the solve is "
+            "under-converged")
     dirs = fg[active] / norms[active, None]
     return dirs @ f.T + c
 
@@ -113,7 +116,7 @@ def consolidate_contacts(candidates, n: int) -> np.ndarray:
     if pts.shape[0] < n:
         raise TooFewContacts(
             f"only {pts.shape[0]} contact candidates for N={n}; "
-            "increase the contact slack tau")
+            "the ellipsoid touches too few facets of the data hull")
     start = np.linalg.norm(pts - pts.mean(axis=0), axis=1).argmax()
     gap = np.linalg.norm(pts - pts[start], axis=1)   # to the nearest pick
     label = np.zeros(pts.shape[0], dtype=int)
@@ -248,21 +251,17 @@ def _stage(name: str, timings: dict[str, float]):
 
 
 def run_pipeline(x: np.ndarray, n: int,
-                 cfg: mvie.FpgmConfig | None = None,
-                 tau: float = 1e-5,
-                 high_accuracy: bool = True,
                  want_abundances: bool = False) -> RecoveryReport:
     """Blind recovery of the signature factor from observations alone.
 
     Stages: ``dimred`` (input check, affine fit to N-1 dimensions),
     ``hull`` (facet enumeration of the reduced hull), ``solve``
-    (inscribed-ellipsoid solve) and ``recover`` (contacts, their
+    (inscribed-ellipsoid solve by the barrier Newton method,
+    ``mvie.solve_mvie_high_accuracy``) and ``recover`` (contacts, their
     farthest-first merge, lift, signature reconstruction and optional
     abundances). Each stage's wall time goes into ``timings``, and a
     package error raised in a stage carries its name in ``exc.stage``.
-    No step draws random numbers. The solve is the barrier Newton
-    method; ``high_accuracy=False`` selects the paper's first-order
-    penalty method, the only one ``cfg`` tunes.
+    No step draws random numbers.
     """
     timings: dict[str, float] = {}
 
@@ -275,13 +274,10 @@ def run_pipeline(x: np.ndarray, n: int,
         poly = hull.enumerate_facets(reduced.T)
 
     with _stage("solve", timings):
-        if high_accuracy:
-            ell, diag = mvie.solve_mvie_high_accuracy(poly)
-        else:
-            ell, diag = mvie.solve_mvie(poly, cfg)
+        ell, diag = mvie.solve_mvie_high_accuracy(poly)
 
     with _stage("recover", timings):
-        raw = find_contacts(ell.F, ell.c, poly, tau)
+        raw = find_contacts(ell.F, ell.c, poly, _CONTACT_TAU)
         merged = consolidate_contacts(raw, n)
         ambient = dimred.lift_points(merged.T, chart).T
         a_hat = reconstruct_endmembers(ambient)

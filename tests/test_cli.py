@@ -143,17 +143,6 @@ class TestRunCommand:
         assert code == 1
         assert "error [io]" in capsys.readouterr().err
 
-    def test_solver_config_respected(self, instance_dir, tmp_path):
-        cfg_path = tmp_path / "solver.json"
-        cfg_path.write_text(json.dumps({"max_iter": 40, "rho": 150.0}))
-        report = tmp_path / "report.json"
-        code = run_cli("run", "--input", str(instance_dir / "X.csv"),
-                       "--N", "3", "--fast", "--config", str(cfg_path),
-                       "--out", str(report))
-        assert code == 0
-        payload = json.loads(report.read_text())
-        assert payload["diagnostics"]["iterations"] <= 40
-
 
 class TestMatrixCsv:
     def test_bytes_match_csv_writer(self, tmp_path, rng):
@@ -228,3 +217,21 @@ class TestBenchCommand:
         assert aggregates[0]["n_ok"] == 0
         write_results_csv(tmp_path / "t.csv", results)
         assert "error:" in (tmp_path / "t.csv").read_text()
+
+
+@pytest.mark.parametrize("knob", [["--fast"], ["--config", "x.json"],
+                                  ["--tau", "1e-3"]],
+                         ids=["fast", "config", "tau"])
+@pytest.mark.parametrize("command", ["run", "bench"])
+def test_solver_options_are_usage_errors(command, knob, tmp_path, capsys):
+    # the MVIE has one solver and a fixed contact slack: no option selects
+    # or tunes either, and argparse rejects the old ones before any work
+    args = {"run": ["--input", str(tmp_path / "X.csv"), "--N", "3",
+                    "--out", str(tmp_path / "report.json")],
+            "bench": ["--N", "3", "--r", "0.9", "--trials", "1",
+                      "--M", "20", "--L", "100",
+                      "--out", str(tmp_path / "bench")]}[command]
+    with pytest.raises(SystemExit) as exc:
+        run_cli(command, *args, *knob)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err

@@ -1,4 +1,3 @@
-import json
 import math
 
 import numpy as np
@@ -13,10 +12,8 @@ from mviefact.mvie import (
     composite_objective,
     huber,
     huber_prime,
-    load_config,
     objective_and_grad,
     prox_logdet,
-    save_config,
     solve_mvie,
     solve_mvie_high_accuracy,
 )
@@ -243,13 +240,6 @@ class TestSolve:
         diam = 2.0 * np.linalg.norm(pts, axis=1).max()
         assert viol <= 1e-6 * diam
 
-    def test_warm_start_accepted(self):
-        poly = square_polytope()
-        ell, _ = solve_mvie(poly)
-        ell2, diag2 = solve_mvie(poly, init=(ell.F, ell.c))
-        assert diag2.iterations <= 60
-        assert np.abs(ell2.F - ell.F).max() <= 1e-2
-
     def test_empty_interior(self):
         g = np.array([[1.0, 0.0], [-1.0, 0.0]])
         h = np.array([1.0, -2.0])  # x <= 1 and x >= 2: empty
@@ -275,9 +265,9 @@ class TestSolve:
         assert np.isfinite(diag.objective_trace).all()
 
 
-def synth_polytope(n, r, l, seed):
+def synth_polytope(n, r, l, seed, m=30):
     """Facets of the reduced data hull of a noiseless synth instance."""
-    gt = synth.make_instance(30, n, l, r, math.inf, seed)
+    gt = synth.make_instance(m, n, l, r, math.inf, seed)
     chart = dimred.affine_fit(gt.X, n)
     return hull.enumerate_facets(dimred.reduce_points(gt.X, chart).T)
 
@@ -348,6 +338,27 @@ class TestConstraintGeneration:
         assert diag.iterations == sum(diag.stage_iterations)
         assert diag.iterations == len(diag.backtracks)
         assert len(diag.objective_trace) == diag.iterations + 1
+
+
+class TestPaperReference:
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("n,r", [(3, 0.85), (4, 0.7)])
+    def test_newton_agrees_with_fpgm(self, n, r, seed):
+        # The paper's FPGM at its rho = 150 stops near the MVIE, within
+        # 1.1e-2 in F and 8.3e-3 in c (relative to max|F|) on these
+        # instances. Shrunk about its centre until it is inscribed, its
+        # volume is below the Newton answer's, which is the maximum.
+        poly = synth_polytope(n, r, 1000, seed, m=50)
+        fpgm, _ = solve_mvie(poly)
+        newton, _ = solve_mvie_high_accuracy(poly)
+        size = np.abs(newton.F).max()
+        assert np.abs(fpgm.F - newton.F).max() <= 2e-2 * size
+        assert np.abs(fpgm.c - newton.c).max() <= 2e-2 * size
+        depth = poly.offsets - poly.normals @ fpgm.c
+        reach = np.linalg.norm(poly.normals @ fpgm.F, axis=1)
+        shrink = min(1.0, float((depth / reach).min()))
+        logdet_fpgm = np.linalg.slogdet(shrink * fpgm.F)[1]
+        assert logdet_fpgm <= np.linalg.slogdet(newton.F)[1]
 
 
 def brute_force_exits(g, h, rays):
@@ -436,24 +447,6 @@ class TestConfig:
         assert cfg.eps == 2.22e-16
         assert cfg.alpha == 2.0
         assert cfg.beta == 0.6
-
-    def test_json_round_trip(self, tmp_path):
-        cfg = FpgmConfig(rho=99.0, max_iter=500, tol_rel=1e-7)
-        path = tmp_path / "solver.json"
-        save_config(cfg, path)
-        assert load_config(path) == cfg
-
-    def test_partial_json_keeps_defaults(self, tmp_path):
-        path = tmp_path / "solver.json"
-        path.write_text(json.dumps({"rho": 10.0}))
-        cfg = load_config(path)
-        assert cfg.rho == 10.0 and cfg.beta == 0.6
-
-    def test_unknown_key_rejected(self, tmp_path):
-        path = tmp_path / "solver.json"
-        path.write_text(json.dumps({"rho": 10.0, "momentum": 3}))
-        with pytest.raises(ValueError):
-            load_config(path)
 
     def test_invalid_values_rejected(self):
         with pytest.raises(ValueError):

@@ -2,15 +2,9 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from mviefact.errors import NonSquare, NotFinite
-from mviefact.numerics import (
-    eig_sym,
-    project_simplex,
-    project_simplex_columns,
-    rng_from_seed,
-)
+from mviefact.numerics import eig_sym, rng_from_seed
 
 from conftest import random_symmetric
 
@@ -104,62 +98,6 @@ class TestEigSym:
     def test_rejects_nonfinite(self):
         with pytest.raises(NotFinite):
             eig_sym(np.array([[np.nan, 0.0], [0.0, 1.0]]))
-
-
-def _simplex_grid_argmin(v, steps=200):
-    """Dense grid search for the closest 3-simplex point to v."""
-    best, best_d = None, np.inf
-    for i in range(steps + 1):
-        for j in range(steps + 1 - i):
-            s = np.array([i, j, steps - i - j], dtype=float) / steps
-            d = np.sum((s - v) ** 2)
-            if d < best_d:
-                best, best_d = s, d
-    return best
-
-
-class TestProjectSimplex:
-    def test_already_on_simplex(self):
-        e1 = np.array([1.0, 0.0, 0.0])
-        assert np.allclose(project_simplex(e1), e1)
-
-    def test_symmetric_input(self):
-        out = project_simplex(np.array([0.5, 0.5, 0.5]))
-        assert np.allclose(out, np.full(3, 1.0 / 3.0))
-
-    def test_against_grid_search(self):
-        v = np.array([2.0, 0.0, 0.0])
-        out = project_simplex(v)
-        ref = _simplex_grid_argmin(v)
-        assert np.allclose(out, [1.0, 0.0, 0.0], atol=1e-12)
-        assert np.linalg.norm(out - ref) <= 2.0 / 200  # grid resolution
-
-    def test_grid_search_random(self, rng):
-        for _ in range(5):
-            v = rng.standard_normal(3) * 2.0
-            out = project_simplex(v)
-            ref = _simplex_grid_argmin(v)
-            assert np.sum((out - v) ** 2) <= np.sum((ref - v) ** 2) + 1e-12
-
-    @given(st.lists(st.floats(-50, 50), min_size=1, max_size=12))
-    @settings(max_examples=200, deadline=None)
-    def test_properties(self, vals):
-        v = np.array(vals)
-        s = project_simplex(v)
-        assert np.all(s >= 0)
-        assert abs(s.sum() - 1.0) <= 1e-12
-        again = project_simplex(s)
-        assert np.abs(again - s).max() <= 1e-14
-
-    def test_columns_variant(self, rng):
-        v = rng.standard_normal((4, 7))
-        cols = project_simplex_columns(v)
-        for j in range(7):
-            assert np.allclose(cols[:, j], project_simplex(v[:, j]))
-
-    def test_rejects_nonfinite(self):
-        with pytest.raises(NotFinite):
-            project_simplex([np.inf, 0.0])
 
 
 def test_rng_is_reproducible():
