@@ -2,7 +2,7 @@
 inscribed ellipsoid of the data convex hull."""
 
 from . import cli, dimred, errors, hull, metrics, mvie, numerics, recovery, synth
-from .dimred import AffineChart, affine_fit, lift_point, reduce_points
+from .dimred import AffineChart, affine_fit, reduce_points
 from .hull import HPolytope, enumerate_facets
 from .metrics import rms_angle_error, snr_of
 from .mvie import (
@@ -31,7 +31,6 @@ __all__ = [
     "enumerate_facets",
     "errors",
     "hull",
-    "lift_point",
     "make_instance",
     "metrics",
     "mvie",

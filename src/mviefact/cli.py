@@ -13,12 +13,20 @@ failure. A failure prints "error [<where>]: <message>" to stderr, where
 <where> is the pipeline stage that raised it (dimred, hull, solve or
 recover), or io, params or numerical outside the pipeline.
 
+--snr is read by float: dB, or inf, +inf or Infinity (any case) for
+noiseless data.
+
 File formats (owned here):
-  matrix CSV   no header, one row per band (M rows), one column per
-               pixel, 17 significant digits
-  truth JSON   {"A": rows, "S": rows, "params": {N,M,L,r,snr_db,seed}}
-  results CSV  N,M,L,r,snr_db,seed,status,phi_deg,K,kept_facets,rounds,
-               t_dimred,t_hull,t_solve,t_recover,t_total
+  matrix CSV     no header, one row per band (M rows), one column per
+                 pixel, 17 significant digits
+  truth JSON     {"A": rows, "S": rows, "params": {N,M,L,r,snr_db,seed}};
+                 snr_db is dB or "inf", and noiseless if missing or null
+  trials CSV     N,M,L,r,snr_db,seed,status,phi_deg,K,kept_facets,rounds,
+                 t_dimred,t_hull,t_solve,t_recover,t_total
+  aggregate CSV  N,M,L,r,snr_db,trials,n_ok,phi_mean_deg,phi_std_deg,
+                 K_mean,t_total_mean
+  CSV cells are formatted as in the matrix CSV, with "inf" for an
+  infinite SNR; --omit-timings writes 0 in every t_ column.
 """
 
 from __future__ import annotations
@@ -27,6 +35,7 @@ import argparse
 import csv
 import json
 import math
+import os
 import sys
 import time
 import warnings
@@ -44,9 +53,11 @@ EXIT_IO = 1
 EXIT_PARAMS = 2
 EXIT_NUMERICAL = 3
 
+_TIMINGS = ["dimred", "hull", "solve", "recover", "total"]
 _RESULT_COLUMNS = ["N", "M", "L", "r", "snr_db", "seed", "status", "phi_deg",
-                   "K", "kept_facets", "rounds", "t_dimred", "t_hull",
-                   "t_solve", "t_recover", "t_total"]
+                   "K", "kept_facets", "rounds", *(f"t_{k}" for k in _TIMINGS)]
+_AGGREGATE_COLUMNS = ["N", "M", "L", "r", "snr_db", "trials", "n_ok",
+                      "phi_mean_deg", "phi_std_deg", "K_mean", "t_total_mean"]
 
 
 @dataclass(frozen=True)
@@ -66,12 +77,8 @@ class BenchSpec:
         if not self.Ns or not self.rs or not self.snrs:
             raise ParameterError("bench grid must be nonempty")
         for n in self.Ns:
-            lo = 1.0 / math.sqrt(n)
             for r in self.rs:
-                if not (lo < r <= 1.0):
-                    raise ParameterError(
-                        f"purity r={r} infeasible for N={n} "
-                        f"(must be in ({lo:.6f}, 1])")
+                synth.check_purity(n, r)
 
     @property
     def cells(self):
@@ -83,13 +90,24 @@ class BenchSpec:
 
 # -- serialization helpers ----------------------------------------------------
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
+def _cell(v):
+    """A CSV cell: a float to 17 significant digits, "inf" for either
+    infinity; anything else as it is."""
+    if isinstance(v, float):
+        return "inf" if math.isinf(v) else format(v, ".17g")
+    return v
+
+
+def _write_csv(path, columns: list[str], rows) -> None:
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(columns)
+        writer.writerows([_cell(v) for v in row] for row in rows)
 
 
 def write_matrix_csv(path, x: np.ndarray) -> None:
     """Write x in the matrix CSV format: the bytes csv.writer gives for
-    rows of _fmt cells, CRLF line ends included."""
+    rows of %.17g cells, CRLF line ends included."""
     x = np.asarray(x, dtype=float)
     line = ",".join(["%.17g"] * x.shape[1]) + "\r\n"
     with open(path, "w", newline="") as fh:
@@ -113,15 +131,11 @@ def _snr_json(snr_db: float):
     return "inf" if math.isinf(snr_db) else snr_db
 
 
-def _snr_parse(value) -> float:
-    return math.inf if value in ("inf", "Infinity", None) else float(value)
-
-
-def write_truth_json(path, gt: synth.GroundTruth, n: int) -> None:
+def write_truth_json(path, gt: synth.GroundTruth) -> None:
     payload = {
-        "A": [[float(v) for v in row] for row in gt.A],
-        "S": [[float(v) for v in row] for row in gt.S],
-        "params": {"N": n, "M": gt.A.shape[0], "L": gt.S.shape[1],
+        "A": gt.A.tolist(),
+        "S": gt.S.tolist(),
+        "params": {"N": gt.A.shape[1], "M": gt.A.shape[0], "L": gt.S.shape[1],
                    "r": gt.purity_r, "snr_db": _snr_json(gt.snr_db),
                    "seed": gt.seed},
     }
@@ -136,20 +150,20 @@ def read_truth_json(path) -> tuple[np.ndarray, np.ndarray, dict]:
     a = np.asarray(payload["A"], dtype=float)
     s = np.asarray(payload["S"], dtype=float)
     params = dict(payload["params"])
-    params["snr_db"] = _snr_parse(params.get("snr_db"))
+    snr = params.get("snr_db")
+    params["snr_db"] = math.inf if snr is None else float(snr)
     return a, s, params
 
 
 # -- subcommands ---------------------------------------------------------------
 
 def cmd_synth(args) -> int:
-    import os
     gt = synth.make_instance(args.M, args.N, args.L, args.purity,
                              args.snr, args.seed,
                              library=_load_library(args.library, args.M))
     os.makedirs(args.out, exist_ok=True)
     write_matrix_csv(os.path.join(args.out, "X.csv"), gt.X)
-    write_truth_json(os.path.join(args.out, "truth.json"), gt, args.N)
+    write_truth_json(os.path.join(args.out, "truth.json"), gt)
     print(f"wrote {args.out}/X.csv ({args.M}x{args.L}) and "
           f"{args.out}/truth.json (N={args.N}, r={args.purity}, "
           f"snr={_snr_json(args.snr)}, seed={args.seed})")
@@ -173,13 +187,11 @@ def cmd_run(args) -> int:
 
     payload = {
         "params": {"N": args.N},
-        "A_hat": [[float(v) for v in row] for row in report.A_hat],
-        "contacts_reduced": [[float(v) for v in row]
-                             for row in report.contacts_reduced],
-        "contacts_ambient": [[float(v) for v in row]
-                             for row in report.contacts_ambient],
+        "A_hat": report.A_hat.tolist(),
+        "contacts_reduced": report.contacts_reduced.tolist(),
+        "contacts_ambient": report.contacts_ambient.tolist(),
         "raw_contact_count": report.raw_contact_count,
-        "center_ambient": [float(v) for v in report.center_ambient],
+        "center_ambient": report.center_ambient.tolist(),
         "K": report.n_facets,
         "affine_residual": report.affine_residual,
         "diagnostics": {
@@ -201,7 +213,7 @@ def cmd_run(args) -> int:
         payload["phi_deg"] = phi
         payload["permutation"] = list(perm)
     if args.emit_shat:
-        payload["S_hat"] = [[float(v) for v in row] for row in report.S_hat]
+        payload["S_hat"] = report.S_hat.tolist()
 
     with open(args.out, "w") as fh:
         json.dump(payload, fh)
@@ -259,52 +271,23 @@ def run_bench(spec: BenchSpec) -> tuple[list[metrics.TrialResult], list[dict]]:
 
 def write_results_csv(path, results: list[metrics.TrialResult],
                       omit_timings: bool = False) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(_RESULT_COLUMNS)
-        for t in results:
-            times = ({} if omit_timings else t.runtimes_sec)
-            writer.writerow([
-                t.N, t.M, t.L, _fmt(t.r),
-                "inf" if math.isinf(t.snr_db) else _fmt(t.snr_db),
-                t.seed, t.status,
-                "nan" if math.isnan(t.rms_angle_deg) else _fmt(t.rms_angle_deg),
-                t.K_facets, t.kept_facets, t.rounds,
-                _fmt(times.get("dimred", 0.0)),
-                _fmt(times.get("hull", 0.0)),
-                _fmt(times.get("solve", 0.0)),
-                _fmt(times.get("recover", 0.0)),
-                _fmt(times.get("total", 0.0)),
-            ])
+    _write_csv(path, _RESULT_COLUMNS, (
+        [t.N, t.M, t.L, t.r, t.snr_db, t.seed, t.status, t.rms_angle_deg,
+         t.K_facets, t.kept_facets, t.rounds,
+         *(0.0 if omit_timings else t.runtimes_sec.get(k, 0.0)
+           for k in _TIMINGS)]
+        for t in results))
 
 
 def write_aggregate_csv(path, aggregates: list[dict],
                         omit_timings: bool = False) -> None:
-    cols = ["N", "M", "L", "r", "snr_db", "trials", "n_ok",
-            "phi_mean_deg", "phi_std_deg", "K_mean", "t_total_mean"]
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(cols)
-        for row in aggregates:
-            out = []
-            for c in cols:
-                v = row[c]
-                if c == "t_total_mean" and omit_timings:
-                    v = 0.0
-                if isinstance(v, float):
-                    if math.isinf(v):
-                        out.append("inf")
-                    elif math.isnan(v):
-                        out.append("nan")
-                    else:
-                        out.append(_fmt(v))
-                else:
-                    out.append(v)
-            writer.writerow(out)
+    _write_csv(path, _AGGREGATE_COLUMNS, (
+        [0.0 if omit_timings and c == "t_total_mean" else row[c]
+         for c in _AGGREGATE_COLUMNS]
+        for row in aggregates))
 
 
 def cmd_bench(args) -> int:
-    import os
     spec = BenchSpec(
         Ns=tuple(args.N), rs=tuple(args.r), snrs=tuple(args.snr),
         trials=args.trials, base_seed=args.seed, M=args.M, L=args.L,
@@ -325,10 +308,6 @@ def cmd_bench(args) -> int:
 
 # -- argument parsing ----------------------------------------------------------
 
-def _snr_arg(text: str) -> float:
-    return math.inf if text.lower() in ("inf", "+inf", "infinity") else float(text)
-
-
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="mviefact",
@@ -341,7 +320,7 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--M", type=int, required=True)
     ps.add_argument("--L", type=int, required=True)
     ps.add_argument("--purity", type=float, required=True)
-    ps.add_argument("--snr", type=_snr_arg, default=math.inf,
+    ps.add_argument("--snr", type=float, default=math.inf,
                     help="SNR in dB, or 'inf' for noiseless (default)")
     ps.add_argument("--seed", type=int, default=0)
     ps.add_argument("--library", default=None,
@@ -362,7 +341,7 @@ def build_parser() -> argparse.ArgumentParser:
     pb = sub.add_parser("bench", help="run a recovery benchmark grid")
     pb.add_argument("--N", type=int, nargs="+", required=True)
     pb.add_argument("--r", type=float, nargs="+", required=True)
-    pb.add_argument("--snr", type=_snr_arg, nargs="+", default=[math.inf])
+    pb.add_argument("--snr", type=float, nargs="+", default=[math.inf])
     pb.add_argument("--trials", type=int, default=20)
     pb.add_argument("--seed", type=int, default=0)
     pb.add_argument("--M", type=int, default=50)

@@ -22,13 +22,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BadDims, DimMismatch, RankDeficientData
-from .numerics import as_matrix, as_vector
+from .numerics import as_matrix
 
 __all__ = [
     "AffineChart",
     "affine_fit",
     "reduce_points",
-    "lift_point",
     "lift_points",
     "fit_residual",
 ]
@@ -51,6 +50,12 @@ def affine_fit(x: np.ndarray, n: int) -> AffineChart:
     centered data does not carry N-1 directions (relative singular
     value below 1e-10). The chart carries the fit's residual, the
     largest distance of a column from the fitted affine set.
+
+    It warns when the residual exceeds 1e-8 relative and the first
+    discarded singular value s_N stands out from all k = min(M, L-1) -
+    (N-1) discarded ones: s_N^2 > 1.5 sigma^2 (sqrt(L) + sqrt(k))^2 for
+    sigma^2 = sum_{j>=N} s_j^2 / (L k), 1.5 times the Marchenko-Pastur
+    edge of isotropic noise (notes/decisions.md). With k = 1 it cannot.
     """
     x = as_matrix(x, "data")
     m, l = x.shape
@@ -64,16 +69,20 @@ def affine_fit(x: np.ndarray, n: int) -> AffineChart:
     centered = x - b[:, None]
     tri = np.linalg.qr(centered.T, mode="r")
     u, s, _ = np.linalg.svd(tri.T, full_matrices=False)
-    phi, s = u[:, :n - 1], s[:n - 1]
+    phi, tail, s = u[:, :n - 1], s[n - 1:min(m, l - 1)], s[:n - 1]
     if s[0] <= 0.0 or s[-1] < 1e-10 * s[0]:
         raise RankDeficientData(
             f"centered data is rank deficient: singular values {s}")
     res = _largest_offset(centered, phi)
     scale = float(np.linalg.norm(centered, axis=0).max())
-    if res > 1e-8 * max(scale, 1e-300):
+    k = tail.size
+    if (res > 1e-8 * max(scale, 1e-300) and k > 0
+            and tail[0] ** 2 > 1.5 * float(tail @ tail) / (l * k)
+            * (math.sqrt(l) + math.sqrt(k)) ** 2):
         warnings.warn(
-            f"affine fit residual {res:.3e} exceeds 1e-8 relative; "
-            "data is inconsistent with the noiseless model",
+            f"affine fit residual {res:.3e} exceeds 1e-8 relative and the "
+            "first discarded direction stands above the noise; the data "
+            f"may hold more than N={n} signatures",
             stacklevel=2)
     return AffineChart(Phi=phi, b=b, residual=res)
 
@@ -96,15 +105,6 @@ def reduce_points(x: np.ndarray, chart: AffineChart) -> np.ndarray:
         raise DimMismatch(
             f"data has {x.shape[0]} rows, chart expects {chart.Phi.shape[0]}")
     return chart.Phi.T @ (x - chart.b[:, None])
-
-
-def lift_point(q: np.ndarray, chart: AffineChart) -> np.ndarray:
-    """Map one reduced point back to ambient space: Phi q + b."""
-    q = as_vector(q, "reduced point")
-    if q.shape[0] != chart.Phi.shape[1]:
-        raise DimMismatch(
-            f"point has dim {q.shape[0]}, chart expects {chart.Phi.shape[1]}")
-    return chart.Phi @ q + chart.b
 
 
 def lift_points(q: np.ndarray, chart: AffineChart) -> np.ndarray:

@@ -20,10 +20,10 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.spatial import ConvexHull, QhullError
 
-from .errors import DegenerateInput, DimMismatch, TooFewPoints
+from .errors import DegenerateInput, TooFewPoints
 from .numerics import as_matrix
 
-__all__ = ["HPolytope", "enumerate_facets", "contains"]
+__all__ = ["HPolytope", "enumerate_facets"]
 
 
 @dataclass(frozen=True)
@@ -124,10 +124,3 @@ def _merge_duplicates(normals: np.ndarray, offsets: np.ndarray,
             dropped[fi] = True  # angle < ~1e-7 rad
     return normals[~dropped], offsets[~dropped]
 
-
-def contains(poly: HPolytope, p, slack: float) -> bool:
-    """True iff g_i . p <= h_i + slack for every facet."""
-    p = np.asarray(p, dtype=float).ravel()
-    if p.shape[0] != poly.dim:
-        raise DimMismatch(f"point has dim {p.shape[0]}, polytope {poly.dim}")
-    return bool(np.all(poly.normals @ p <= poly.offsets + slack))

@@ -30,7 +30,7 @@ from .errors import (
     TooFewContacts,
     WrongCount,
 )
-from .numerics import as_matrix, eig_sym
+from .numerics import as_matrix
 
 __all__ = [
     "RecoveryReport",
@@ -50,9 +50,7 @@ _MULTIPLIER_RTOL = 1e-12
 # Safety bound on active-set rounds; random data need 2-12 at
 # N = 3..10 and at most 38 at N <= 24.
 _MAX_ROUNDS = 1000
-# A facet touches the solved ellipsoid when its slack is at most
-# _CONTACT_TAU times its distance from the centre.
-_CONTACT_TAU = 1e-5
+_CONTACT_TAU = 1e-5     # relative contact slack, see find_contacts
 
 
 @dataclass
@@ -71,29 +69,27 @@ class RecoveryReport:
     max_violation: float = 0.0            # mvie.max_violation of the solve
 
 
-def find_contacts(f: np.ndarray, c: np.ndarray, poly: hull.HPolytope,
-                  tau: float) -> np.ndarray:
+def find_contacts(f: np.ndarray, c: np.ndarray,
+                  poly: hull.HPolytope) -> np.ndarray:
     """Tangency points of the ellipsoid (f, c) on near-active facets.
 
     A facet qualifies when its slack h_i - (||f g_i|| + g_i . c) is at
-    most tau times its distance h_i - g_i . c from the centre, a rule
-    free of the data's units; each qualifying facet yields the boundary
+    most _CONTACT_TAU times its distance h_i - g_i . c from the centre,
+    a rule free of the data's units; each such facet yields the boundary
     point f (f g_i / ||f g_i||) + c. Returns one row per contact.
     """
     f = as_matrix(f, "F")
-    if tau <= 0:
-        raise ValueError("tau must be positive")
     g = poly.normals
     h = poly.offsets
     fg = g @ f.T                     # row i = (f g_i)^T for symmetric f
     norms = np.linalg.norm(fg, axis=1)
     depth = h - g @ c
     slack = depth - norms
-    active = slack <= tau * depth
+    active = slack <= _CONTACT_TAU * depth
     if not active.any():
         raise NoContacts(
-            f"no facet within relative slack {tau:g} of the ellipsoid "
-            f"(smallest slack {slack.min():.3e}); the solve is "
+            f"no facet within relative slack {_CONTACT_TAU:g} of the "
+            f"ellipsoid (smallest slack {slack.min():.3e}); the solve is "
             "under-converged")
     dirs = fg[active] / norms[active, None]
     return dirs @ f.T + c
@@ -176,14 +172,14 @@ def recover_abundances(x: np.ndarray, a_hat: np.ndarray) -> np.ndarray:
             f"A_hat has {a.shape[0]} rows, X has {x.shape[0]}")
     n, l = a.shape[1], x.shape[1]
     gram = a.T @ a
-    lam = eig_sym(gram).eigenvalues
-    if not lam[-1] > 1e-10 * lam[0]:
+    lam = np.linalg.eigvalsh(gram)           # ascending
+    if not lam[0] > 1e-10 * lam[-1]:
         raise RankDeficientA(
             f"estimated signatures are rank deficient (eigs {lam})")
     b = a.T @ x
     # A bound multiplier is a difference of entries of G s - b, so its
     # rounding error scales with lambda_max(G) and |b|, as its value does.
-    floor = _MULTIPLIER_RTOL * (lam[0] + np.abs(b).max(axis=0))
+    floor = _MULTIPLIER_RTOL * (lam[-1] + np.abs(b).max(axis=0))
 
     s = np.full((n, l), 1.0 / n)
     free = np.ones((n, l), dtype=bool)
@@ -277,7 +273,7 @@ def run_pipeline(x: np.ndarray, n: int,
         ell, diag = mvie.solve_mvie_high_accuracy(poly)
 
     with _stage("recover", timings):
-        raw = find_contacts(ell.F, ell.c, poly, _CONTACT_TAU)
+        raw = find_contacts(ell.F, ell.c, poly)
         merged = consolidate_contacts(raw, n)
         ambient = dimred.lift_points(merged.T, chart).T
         a_hat = reconstruct_endmembers(ambient)
@@ -288,7 +284,7 @@ def run_pipeline(x: np.ndarray, n: int,
         contacts_reduced=merged,
         contacts_ambient=ambient,
         raw_contact_count=raw.shape[0],
-        center_ambient=dimred.lift_point(ell.c, chart),
+        center_ambient=dimred.lift_points(ell.c[:, None], chart)[:, 0],
         ellipsoid=ell,
         S_hat=s_hat,
         n_facets=poly.n_facets,

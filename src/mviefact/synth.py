@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -26,6 +26,7 @@ from .numerics import as_matrix, rng_from_seed
 __all__ = [
     "GroundTruth",
     "sample_endmembers",
+    "check_purity",
     "sample_abundances",
     "assemble_dataset",
     "make_instance",
@@ -113,18 +114,20 @@ def sample_endmembers(m: int, n: int, seed: int,
     raise BadDims("could not generate sufficiently distinct signatures")
 
 
-def sample_abundances(n: int, l: int, r: float, seed: int) -> np.ndarray:
-    """Dirichlet(1/N) columns rejected to Euclidean norm <= r.
-
-    Any simplex point has norm >= 1/sqrt(N), so r must exceed that;
-    r = 1 accepts every draw.
-    """
-    if n < 1 or l < 1:
-        raise BadDims("need N >= 1 and L >= 1")
+def check_purity(n: int, r: float) -> None:
+    """Raise InfeasiblePurity unless 1/sqrt(N) < r <= 1: any simplex
+    point has norm >= 1/sqrt(N), and r = 1 accepts every draw."""
     lo = 1.0 / math.sqrt(n)
     if not (lo < r <= 1.0):
         raise InfeasiblePurity(
             f"purity r={r} outside ({lo:.6f}, 1] for N={n}")
+
+
+def sample_abundances(n: int, l: int, r: float, seed: int) -> np.ndarray:
+    """Dirichlet(1/N) columns rejected to Euclidean norm <= r."""
+    if n < 1 or l < 1:
+        raise BadDims("need N >= 1 and L >= 1")
+    check_purity(n, r)
     rng = rng_from_seed(seed)
     alpha = np.full(n, 1.0 / n)
 
@@ -192,8 +195,7 @@ def make_instance(m: int, n: int, l: int, r: float, snr_db: float, seed: int,
     else:  # pragma: no cover - essentially impossible for L >= N
         raise RejectionStall("could not draw a full-row-rank abundance matrix")
     gt = assemble_dataset(a, s, snr_db, int(sub[2]), purity_r=r)
-    return GroundTruth(A=gt.A, S=gt.S, X=gt.X, purity_r=r,
-                       snr_db=snr_db, seed=seed)
+    return replace(gt, seed=seed)
 
 
 def load_signature_library(path) -> tuple[list[str], np.ndarray]:

@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import math
 
 import numpy as np
 import pytest
@@ -50,6 +51,31 @@ class TestSynthCommand:
         for name in ("X.csv", "truth.json"):
             assert ((tmp_path / "a" / name).read_bytes()
                     == (tmp_path / "b" / name).read_bytes())
+
+    @pytest.mark.parametrize("text,snr", [("INF", math.inf),
+                                          ("Infinity", math.inf),
+                                          ("+inf", math.inf), ("25", 25.0)])
+    def test_snr_spellings(self, tmp_path, text, snr):
+        code = run_cli("synth", "--N", "3", "--M", "20", "--L", "50",
+                       "--purity", "0.9", "--snr", text,
+                       "--out", str(tmp_path / "d"))
+        assert code == 0
+        _, _, params = read_truth_json(tmp_path / "d" / "truth.json")
+        assert params["snr_db"] == snr
+
+
+@pytest.mark.parametrize("params,snr", [({}, math.inf),
+                                        ({"snr_db": None}, math.inf),
+                                        ({"snr_db": "inf"}, math.inf),
+                                        ({"snr_db": 0}, 0.0)],
+                         ids=["missing", "null", "inf", "zero"])
+def test_truth_json_snr(tmp_path, params, snr):
+    # a truth JSON without an SNR describes noiseless data; 0 dB is not that
+    path = tmp_path / "truth.json"
+    path.write_text(json.dumps({"A": [[1.0]], "S": [[1.0]],
+                                "params": {"N": 1, **params}}))
+    _, _, got = read_truth_json(path)
+    assert got["snr_db"] == snr
 
 
 class TestRunCommand:
@@ -195,6 +221,16 @@ class TestBenchCommand:
         for name in ("trials.csv", "aggregate.csv"):
             assert ((tmp_path / "a" / name).read_bytes()
                     == (tmp_path / "b" / name).read_bytes())
+
+    def test_infinite_snr_written_as_inf(self, tmp_path):
+        out = tmp_path / "bench"
+        code = run_cli("bench", "--N", "3", "--r", "0.9", "--snr", "inf",
+                       "--trials", "1", "--M", "20", "--L", "150",
+                       "--out", str(out))
+        assert code == 0
+        for name in ("trials.csv", "aggregate.csv"):
+            rows = list(csv.DictReader(io.StringIO((out / name).read_text())))
+            assert [row["snr_db"] for row in rows] == ["inf"]
 
     def test_zero_trials_rejected(self, tmp_path, capsys):
         code = run_cli("bench", "--N", "3", "--r", "0.9", "--trials", "0",

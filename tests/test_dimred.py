@@ -37,9 +37,22 @@ class TestAffineFit:
         chart = dimred.affine_fit(gt.X, 4)
         assert np.linalg.norm(chart.Phi.T @ chart.Phi - np.eye(3)) <= 1e-10
 
-    def test_noisy_data_warns(self):
+    @pytest.mark.filterwarnings("error")
+    def test_noise_alone_does_not_warn(self):
+        # the residual is far above 1e-8 relative, but isotropic noise
+        # spreads over the discarded singular values
         gt = synth.make_instance(25, 3, 200, 0.9, 20.0, seed=4)
-        with pytest.warns(UserWarning, match="residual"):
+        chart = dimred.affine_fit(gt.X, 3)
+        scale = np.linalg.norm(gt.X - gt.X.mean(axis=1)[:, None],
+                               axis=0).max()
+        assert chart.residual > 1e-3 * scale
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_too_small_n_warns(self, seed):
+        # four signatures fit at N=3: the missed one puts a dominant
+        # first singular value among the discarded ones
+        gt = synth.make_instance(50, 4, 1000, 0.7, 30.0, seed)
+        with pytest.warns(UserWarning, match="affine fit residual"):
             dimred.affine_fit(gt.X, 3)
 
     def test_preconditions(self, rng):
@@ -93,9 +106,11 @@ class TestTransforms:
         phi = np.linalg.qr(rng.standard_normal((5, 2)))[0]
         b = rng.standard_normal(5)
         chart = dimred.AffineChart(Phi=phi, b=b)
-        assert np.allclose(dimred.lift_point(np.zeros(2), chart), b)
-        assert np.allclose(dimred.lift_point(np.array([1.0, 0.0]), chart),
-                           b + phi[:, 0])
+        assert np.allclose(dimred.lift_points(np.zeros((2, 1)), chart)[:, 0],
+                           b)
+        assert np.allclose(
+            dimred.lift_points(np.array([[1.0], [0.0]]), chart)[:, 0],
+            b + phi[:, 0])
 
     def test_round_trip_on_instance(self):
         gt = synth.make_instance(40, 4, 300, 0.85, math.inf, seed=3)
@@ -109,7 +124,7 @@ class TestTransforms:
             Phi=np.linalg.qr(rng.standard_normal((5, 2)))[0],
             b=np.zeros(5))
         with pytest.raises(DimMismatch):
-            dimred.lift_point(np.zeros(3), chart)
+            dimred.lift_points(np.zeros((3, 1)), chart)
         with pytest.raises(DimMismatch):
             dimred.reduce_points(np.zeros((4, 2)), chart)
 
@@ -145,7 +160,7 @@ class TestVolumeAndContainment:
             g_lift = (chart.Phi @ poly.normals.T).T
             h_lift = poly.offsets + g_lift @ chart.b
             f_lift = chart.Phi @ f
-            c_lift = dimred.lift_point(c, chart)
+            c_lift = dimred.lift_points(c[:, None], chart)[:, 0]
             lifted_support = (np.linalg.norm(f_lift.T @ g_lift.T, axis=0)
                               + g_lift @ c_lift)
             assert np.allclose(reduced_support + poly.offsets * 0,

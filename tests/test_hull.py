@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from mviefact import dimred, hull, synth
-from mviefact.errors import DegenerateInput, DimMismatch, TooFewPoints
-from mviefact.hull import contains, enumerate_facets
+from mviefact.errors import DegenerateInput, TooFewPoints
+from mviefact.hull import enumerate_facets
 
 
 # -- independent 2-D oracle: Andrew's monotone chain ------------------------
@@ -138,8 +138,8 @@ class TestKnownShapes:
         pts = np.array([[0.3], [2.0], [-1.0], [0.7]])
         poly = enumerate_facets(pts)
         assert poly.n_facets == 2
-        assert contains(poly, [0.0], 0.0)
-        assert not contains(poly, [2.5], 1e-9)
+        assert np.all(poly.normals @ [0.0] <= poly.offsets)
+        assert not np.all(poly.normals @ [2.5] <= poly.offsets + 1e-9)
 
 
 class TestAgainstOracles:
@@ -256,16 +256,3 @@ class TestInvariants:
         with pytest.raises(DegenerateInput):
             enumerate_facets(np.ones((5, 2)))
 
-
-class TestContains:
-    def test_boundary_and_outside(self):
-        pts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
-        poly = enumerate_facets(pts)
-        assert contains(poly, poly.interior, 0.0)
-        assert contains(poly, [1.0, 1.0], 0.0)   # vertex, boundary included
-        assert not contains(poly, [2.0, 2.0], 1e-9)
-
-    def test_dim_mismatch(self):
-        poly = enumerate_facets(np.array([[0.0], [1.0], [0.5]]))
-        with pytest.raises(DimMismatch):
-            contains(poly, [0.0, 0.0], 0.0)

@@ -31,7 +31,7 @@ from conftest import pure_pixel_instance, square_polytope
 class TestFindContacts:
     def test_disk_in_square(self):
         poly = square_polytope()
-        pts = find_contacts(np.eye(2), np.zeros(2), poly, 1e-6)
+        pts = find_contacts(np.eye(2), np.zeros(2), poly)
         assert pts.shape == (4, 2)
         expect = {(1, 0), (-1, 0), (0, 1), (0, -1)}
         assert {tuple(np.round(p, 9)) for p in pts} == expect
@@ -42,7 +42,7 @@ class TestFindContacts:
         tri = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
         poly = hull.enumerate_facets(tri)
         ell, _ = solve_mvie_high_accuracy(poly)
-        pts = find_contacts(ell.F, ell.c, poly, 1e-5)
+        pts = find_contacts(ell.F, ell.c, poly)
         assert pts.shape == (3, 2)
         mids = {(0.5, 0.0), (0.0, 0.5), (0.5, 0.5)}
         got = {tuple(np.round(p, 4)) for p in pts}
@@ -52,7 +52,7 @@ class TestFindContacts:
         pts_cloud = rng.standard_normal((80, 3))
         poly = hull.enumerate_facets(pts_cloud)
         ell, _ = solve_mvie_high_accuracy(poly)
-        pts = find_contacts(ell.F, ell.c, poly, 1e-5)
+        pts = find_contacts(ell.F, ell.c, poly)
         radii = np.linalg.norm(
             np.linalg.solve(ell.F, (pts - ell.c).T), axis=0)
         assert np.abs(radii - 1.0).max() <= 1e-8
@@ -60,7 +60,7 @@ class TestFindContacts:
     def test_no_contacts_for_tiny_tau(self):
         poly = square_polytope()
         with pytest.raises(NoContacts):
-            find_contacts(0.5 * np.eye(2), np.zeros(2), poly, 1e-9)
+            find_contacts(0.5 * np.eye(2), np.zeros(2), poly)
 
 
 class TestConsolidate:
@@ -229,7 +229,7 @@ class TestPipeline:
         chart = dimred.affine_fit(gt.X, 4)
         poly = hull.enumerate_facets(dimred.reduce_points(gt.X, chart).T)
         ell, _ = solve_mvie_high_accuracy(poly)
-        raw = find_contacts(ell.F, ell.c, poly, 1e-5)
+        raw = find_contacts(ell.F, ell.c, poly)
         cents = consolidate_contacts(raw, 4)
         labels = np.linalg.norm(raw[:, None] - cents[None], axis=2).argmin(1)
         intra = max(np.linalg.norm(raw[labels == j] - cents[j], axis=1).max()
