@@ -228,7 +228,9 @@ def cmd_run(args) -> int:
 def run_bench(spec: BenchSpec) -> tuple[list[metrics.TrialResult], list[dict]]:
     """Execute every (cell, trial) pair; failures become status rows."""
     results: list[metrics.TrialResult] = []
+    aggregates = []
     for n, r, snr in spec.cells:
+        cell = []
         for trial in range(spec.trials):
             seed = spec.base_seed + trial
             res = metrics.TrialResult(seed=seed, N=n, M=spec.M, L=spec.L,
@@ -247,12 +249,8 @@ def run_bench(spec: BenchSpec) -> tuple[list[metrics.TrialResult], list[dict]]:
             except MviefactError as exc:
                 res.status = f"error:{type(exc).__name__}"
             res.runtimes_sec["total"] = time.perf_counter() - t0
-            results.append(res)
-
-    aggregates = []
-    for n, r, snr in spec.cells:
-        cell = [t for t in results
-                if t.N == n and t.r == r and t.snr_db == snr]
+            cell.append(res)
+        results += cell
         ok = [t for t in cell if t.status == "ok"]
         phis = np.array([t.rms_angle_deg for t in ok])
         aggregates.append({

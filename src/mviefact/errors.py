@@ -97,9 +97,5 @@ class Divergence(NumericalError):
     pass
 
 
-class NoContacts(NumericalError):
-    pass
-
-
 class TooFewContacts(NumericalError):
     pass

@@ -15,8 +15,8 @@ units of the data and every iterate is strictly inscribed. It generates
 its constraints: it solves on a subset of the facets, adds the facets
 its iterate meets as it goes, and ends with an ellipsoid that is optimal
 for the subset and inside every facet, hence the MVIE of the whole
-polytope (Zhang & Gao, SIAM J. Optim. 14(1), 2003). The solution
-touches a few dozen of the thousands of facets of a data hull.
+polytope (Zhang & Gao, SIAM J. Optim. 14(1), 2003). It keeps a few
+dozen of the thousands of facets of a data hull and names the touched ones.
 
 ``solve_mvie`` is the paper's first-order method (FPGM). The pipeline
 does not call it; it is kept as the paper's reference, against which
@@ -106,6 +106,7 @@ class SolveDiagnostics:
     stage_iterations: list[int] | None = None
     kept_facets: int = 0      # facets the solve kept, of the polytope's K
     rounds: int = 1           # kept sets solved on
+    touching: np.ndarray | None = None   # facets the ellipsoid touches
 
 
 def huber(z):
@@ -468,6 +469,11 @@ def solve_mvie_high_accuracy(poly: HPolytope
     step length, ``objective_trace`` -log det F after every step,
     ``kept_facets`` the number of facets kept at the end and ``rounds``
     the number of kept sets solved on (1 when no facet had to be added).
+    ``touching`` lists, ascending, the facets the ellipsoid touches: the
+    last stage's multiplier w_i = 2 ||E g_i||^2 / (t (s_i^2 - ||E g_i||^2))
+    is facet i's John weight (8.4.2, 11.2.2), about d/N if it touches and
+    1/(t s_i) if not, so they are those above the largest ratio of
+    consecutive weights sorted down, from position d+1 on.
     """
     return _barrier_solve(poly, None)
 
@@ -622,6 +628,11 @@ def _barrier_solve(poly: HPolytope, seed: np.ndarray | None
         if 2.0 * kept.size / t <= 1e-10:
             break
         t *= 20.0
+    _, ut, delta = slacks(e, cc)
+    w = 2.0 * np.einsum("ij,ij->j", ut, ut) / (t * delta)
+    order = np.argsort(-w, kind="stable")
+    drop = w[order[d:-1]] / w[order[d + 1:]]
+    n_touch = d + 1 + (int(drop.argmax()) if drop.size else 0)
     diag = SolveDiagnostics(
         iterations=sum(stage_iters),
         final_objective=trace[-1],
@@ -632,6 +643,7 @@ def _barrier_solve(poly: HPolytope, seed: np.ndarray | None
         stage_iterations=stage_iters,
         kept_facets=int(kept.size),
         rounds=rounds,
+        touching=np.sort(kept[order[:n_touch]]),
     )
     return Ellipsoid(F=r0 * e, c=c0 + r0 * cc), diag
 
@@ -652,7 +664,6 @@ def max_violation(ellipsoid: Ellipsoid, poly: HPolytope) -> float:
 class JohnCertificate:
     residual: float
     weights: np.ndarray
-    fitted: bool
 
 
 def check_john(ellipsoid: Ellipsoid, contacts,
@@ -685,9 +696,9 @@ def check_john(ellipsoid: Ellipsoid, contacts,
     if weights is None:
         from scipy.optimize import nnls   # on use, as in metrics
         lam, rnorm = nnls(design, target)
-        return JohnCertificate(residual=float(rnorm), weights=lam, fitted=True)
+        return JohnCertificate(residual=float(rnorm), weights=lam)
     lam = as_vector(weights, "weights")
     if lam.shape[0] != r:
         raise DimMismatch("one weight per contact point required")
     resid = float(np.linalg.norm(design @ lam - target))
-    return JohnCertificate(residual=resid, weights=lam, fitted=False)
+    return JohnCertificate(residual=resid, weights=lam)

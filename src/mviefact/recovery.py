@@ -1,8 +1,8 @@
 """From the solved ellipsoid back to the factors.
 
-The inscribed ellipsoid touches the data hull on the facets with zero
-slack; each such facet contributes the tangency point
-q = F (F g / ||F g||) + c. Under the recovery condition the touched
+The solve names the facets the inscribed ellipsoid touches, read off
+its barrier's multipliers; each such facet contributes the tangency
+point q = F (F g / ||F g||) + c. Under the recovery condition the touched
 points are the N facet midpoints of the latent simplex, each possibly
 reached through several hull facets, so the tangency points fall into
 N tight groups; a farthest-first traversal finds the groups without a
@@ -25,7 +25,6 @@ from . import dimred, hull, mvie
 from .errors import (
     ConvergenceFailure,
     MviefactError,
-    NoContacts,
     RankDeficientA,
     TooFewContacts,
     WrongCount,
@@ -50,7 +49,6 @@ _MULTIPLIER_RTOL = 1e-12
 # Safety bound on active-set rounds; random data need 2-12 at
 # N = 3..10 and at most 38 at N <= 24.
 _MAX_ROUNDS = 1000
-_CONTACT_TAU = 1e-5     # relative contact slack, see find_contacts
 
 
 @dataclass
@@ -70,29 +68,12 @@ class RecoveryReport:
 
 
 def find_contacts(f: np.ndarray, c: np.ndarray,
-                  poly: hull.HPolytope) -> np.ndarray:
-    """Tangency points of the ellipsoid (f, c) on near-active facets.
-
-    A facet qualifies when its slack h_i - (||f g_i|| + g_i . c) is at
-    most _CONTACT_TAU times its distance h_i - g_i . c from the centre,
-    a rule free of the data's units; each such facet yields the boundary
-    point f (f g_i / ||f g_i||) + c. Returns one row per contact.
-    """
+                  normals: np.ndarray) -> np.ndarray:
+    """Tangency points f (f g / ||f g||) + c of the ellipsoid (f, c), its
+    farthest points along the given facet normals g, one row each."""
     f = as_matrix(f, "F")
-    g = poly.normals
-    h = poly.offsets
-    fg = g @ f.T                     # row i = (f g_i)^T for symmetric f
-    norms = np.linalg.norm(fg, axis=1)
-    depth = h - g @ c
-    slack = depth - norms
-    active = slack <= _CONTACT_TAU * depth
-    if not active.any():
-        raise NoContacts(
-            f"no facet within relative slack {_CONTACT_TAU:g} of the "
-            f"ellipsoid (smallest slack {slack.min():.3e}); the solve is "
-            "under-converged")
-    dirs = fg[active] / norms[active, None]
-    return dirs @ f.T + c
+    fg = normals @ f.T              # row i = (f g_i)^T, f symmetric
+    return fg / np.linalg.norm(fg, axis=1, keepdims=True) @ f.T + c
 
 
 def consolidate_contacts(candidates, n: int) -> np.ndarray:
@@ -273,7 +254,7 @@ def run_pipeline(x: np.ndarray, n: int,
         ell, diag = mvie.solve_mvie_high_accuracy(poly)
 
     with _stage("recover", timings):
-        raw = find_contacts(ell.F, ell.c, poly)
+        raw = find_contacts(ell.F, ell.c, poly.normals[diag.touching])
         merged = consolidate_contacts(raw, n)
         ambient = dimred.lift_points(merged.T, chart).T
         a_hat = reconstruct_endmembers(ambient)

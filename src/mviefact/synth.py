@@ -115,8 +115,10 @@ def sample_endmembers(m: int, n: int, seed: int,
 
 
 def check_purity(n: int, r: float) -> None:
-    """Raise InfeasiblePurity unless 1/sqrt(N) < r <= 1: any simplex
-    point has norm >= 1/sqrt(N), and r = 1 accepts every draw."""
+    """Raise BadDims unless N >= 1 and InfeasiblePurity unless 1/sqrt(N)
+    < r <= 1: any simplex point has norm >= 1/sqrt(N), r = 1 any draw."""
+    if n < 1:
+        raise BadDims(f"need N >= 1, got N={n}")
     lo = 1.0 / math.sqrt(n)
     if not (lo < r <= 1.0):
         raise InfeasiblePurity(
@@ -125,8 +127,8 @@ def check_purity(n: int, r: float) -> None:
 
 def sample_abundances(n: int, l: int, r: float, seed: int) -> np.ndarray:
     """Dirichlet(1/N) columns rejected to Euclidean norm <= r."""
-    if n < 1 or l < 1:
-        raise BadDims("need N >= 1 and L >= 1")
+    if l < 1:
+        raise BadDims(f"need L >= 1, got L={l}")
     check_purity(n, r)
     rng = rng_from_seed(seed)
     alpha = np.full(n, 1.0 / n)

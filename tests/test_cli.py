@@ -2,6 +2,9 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -17,6 +20,10 @@ from mviefact.cli import (
     write_results_csv,
 )
 from mviefact.errors import ConvergenceFailure, ParameterError
+
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(
+    os.path.abspath(__file__))), "src")
 
 
 def run_cli(*argv):
@@ -243,6 +250,35 @@ class TestBenchCommand:
             BenchSpec(Ns=(3,), rs=(0.5,), snrs=(float("inf"),),
                       trials=1, base_seed=0, M=10, L=50)
 
+    def test_repeated_grid_value_counts_each_trial_once(self, tmp_path):
+        # --r 0.9 0.9 makes two cells of one trial each; each aggregate
+        # row counts its own cell's trial, not both
+        out = tmp_path / "bench"
+        code = run_cli("bench", "--N", "3", "--r", "0.9", "0.9",
+                       "--trials", "1", "--M", "20", "--L", "100",
+                       "--omit-timings", "--out", str(out))
+        assert code == 0
+        rows = list(csv.DictReader(io.StringIO(
+            (out / "aggregate.csv").read_text())))
+        assert [(row["trials"], row["n_ok"]) for row in rows] == [
+            ("1", "1"), ("1", "1")]
+
+    @pytest.mark.parametrize("n", ["0", "-1"])
+    def test_nonpositive_n_exit_2(self, n, tmp_path):
+        # the purity bound takes 1/sqrt(N); N is checked before it
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [SRC, env.get("PYTHONPATH")]))
+        code = "import sys, mviefact.cli as c; sys.exit(c.main(sys.argv[1:]))"
+        proc = subprocess.run(
+            [sys.executable, "-c", code, "bench", "--N", n, "--r", "0.9",
+             "--trials", "1", "--M", "20", "--L", "100",
+             "--out", str(tmp_path / "bench")],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("error [params]: ")
+
     def test_failed_trial_recorded(self, tmp_path):
         # M < N-1 makes the affine fit impossible: rows carry error status
         spec = BenchSpec(Ns=(3,), rs=(0.9,), snrs=(float("inf"),),
@@ -260,8 +296,8 @@ class TestBenchCommand:
                          ids=["fast", "config", "tau"])
 @pytest.mark.parametrize("command", ["run", "bench"])
 def test_solver_options_are_usage_errors(command, knob, tmp_path, capsys):
-    # the MVIE has one solver and a fixed contact slack: no option selects
-    # or tunes either, and argparse rejects the old ones before any work
+    # the MVIE has one solver and one contact rule: no option selects or
+    # tunes either, and argparse rejects the old ones before any work
     args = {"run": ["--input", str(tmp_path / "X.csv"), "--N", "3",
                     "--out", str(tmp_path / "report.json")],
             "bench": ["--N", "3", "--r", "0.9", "--trials", "1",
