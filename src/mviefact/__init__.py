@@ -1,7 +1,9 @@
 """Blind simplex-structured matrix factorization via the maximum-volume
 inscribed ellipsoid of the data convex hull."""
 
-from . import cli, dimred, errors, hull, metrics, mvie, numerics, recovery, synth
+import importlib
+
+from . import dimred, errors, hull, metrics, mvie, numerics, recovery, synth
 from .dimred import AffineChart, affine_fit, reduce_points
 from .hull import HPolytope, enumerate_facets
 from .metrics import rms_angle_error, snr_of
@@ -45,3 +47,11 @@ __all__ = [
     "solve_mvie_high_accuracy",
     "synth",
 ]
+
+
+def __getattr__(name):
+    # cli loads on first use: imported here, it would already be in
+    # sys.modules when `python -m mviefact.cli` runs it as __main__
+    if name == "cli":
+        return importlib.import_module(".cli", __name__)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

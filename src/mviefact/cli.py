@@ -199,6 +199,7 @@ def cmd_run(args) -> int:
             "final_objective": report.solver.final_objective,
             "termination": report.solver.termination,
             "stage_iterations": report.solver.stage_iterations,
+            "evaluations": report.solver.evaluations,
             "kept_facets": report.solver.kept_facets,
             "rounds": report.solver.rounds,
             "max_violation": report.max_violation,

@@ -36,7 +36,11 @@ def rms_angle_error(a, a_hat) -> tuple[float, tuple[int, ...]]:
     """Permutation-minimized RMS of the column angles, in degrees.
 
     phi = min over permutations pi of
-          sqrt( (1/N) sum_i arccos^2( <a_i, ahat_{pi(i)}> / norms ) ).
+          sqrt( (1/N) sum_i angle^2(a_i, ahat_{pi(i)}) ),
+
+    each angle taken as 2 arcsin(||u - v|| / 2) between the unit columns:
+    arccos of their inner product cannot resolve angles below about 1e-8
+    rad, where the cosine rounds to 1.
 
     The minimizing permutation solves a linear assignment problem on
     the squared angles. Returns (phi_deg, permutation), where
@@ -51,8 +55,9 @@ def rms_angle_error(a, a_hat) -> tuple[float, tuple[int, ...]]:
     nb = np.linalg.norm(b, axis=0)
     if na.min() <= 0.0 or nb.min() <= 0.0:
         raise ZeroColumn("angle error undefined for zero columns")
-    cos = np.clip((a / na).T @ (b / nb), -1.0, 1.0)
-    ang2 = np.arccos(cos) ** 2  # ang2[i, j]: angle^2 between a_i, ahat_j
+    # ang2[i, j]: squared angle between a_i and ahat_j
+    chord = np.linalg.norm((a / na)[:, :, None] - (b / nb)[:, None, :], axis=0)
+    ang2 = (2.0 * np.arcsin(np.minimum(chord / 2.0, 1.0))) ** 2
 
     # imported on use: scipy.optimize adds about 0.15 s to the package import
     from scipy.optimize import linear_sum_assignment

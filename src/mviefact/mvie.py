@@ -106,6 +106,7 @@ class SolveDiagnostics:
     stage_iterations: list[int] | None = None
     kept_facets: int = 0      # facets the solve kept, of the polytope's K
     rounds: int = 1           # kept sets solved on
+    evaluations: int = 0      # barrier objective evaluations
     touching: np.ndarray | None = None   # facets the ellipsoid touches
 
 
@@ -362,6 +363,8 @@ def _sym_basis(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 # have a direction of recession, and so does the polytope unless one of
 # its other facets cuts the iterate off.
 _UNBOUNDED_TRACE = 1.0 / np.finfo(float).eps
+# Factor on t from one barrier stage to the next.
+_T_GROWTH = 100.0
 # Fixed seed rays per dimension, besides the 2 d coordinate rays.
 _SEED_RAYS_PER_DIM = 16
 # Largest number of elements in one K x (block of rays) temporary (1 MB).
@@ -423,6 +426,31 @@ def _spanning(g: np.ndarray, h: np.ndarray, kept: np.ndarray) -> np.ndarray:
         kept = np.union1d(kept, hit)
 
 
+def _step_bound(gt: np.ndarray, s: np.ndarray, ut: np.ndarray,
+                delta: np.ndarray, de: np.ndarray, dc: np.ndarray) -> float:
+    """First alpha > 0 where some cone constraint s_i > ||E g_i|| fails
+    along (E + alpha dE, c' + alpha dc), inf if none does.
+
+    s_i - alpha sigma_i and E g_i + alpha v_i move linearly (sigma_i =
+    g_i . dc, v_i = dE g_i), so Delta_i(alpha) = Delta_i - 2 b_i alpha +
+    a_i alpha^2 with b_i = s_i sigma_i + (E g_i) . v_i and a_i = sigma_i^2
+    - ||v_i||^2. The feasible part of the line is an interval, so its end
+    is the smallest positive root, taken in the form without cancellation.
+    gt holds the normals as columns; s, ut (E g_i as columns) and delta
+    are the ``slacks`` of the current iterate.
+    """
+    sigma = dc @ gt
+    vt = de @ gt
+    b = s * sigma + np.einsum("ij,ij->j", ut, vt)
+    a = sigma * sigma - np.einsum("ij,ij->j", vt, vt)
+    root = np.sqrt(np.maximum(b * b - a * delta, 0.0))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # b > 0: Delta_i / (b_i + root) if real; b <= 0: a root iff a < 0
+        alpha = np.where(b > 0.0, delta / (b + root), (b - root) / a)
+    fails = np.where(b > 0.0, b * b >= a * delta, a < 0.0)
+    return float(alpha[fails].min()) if fails.any() else math.inf
+
+
 def solve_mvie_high_accuracy(poly: HPolytope
                              ) -> tuple[Ellipsoid, SolveDiagnostics]:
     """Log-barrier Newton method for the constrained program itself,
@@ -438,13 +466,18 @@ def solve_mvie_high_accuracy(poly: HPolytope
         -log det E - (1/t) sum_i log(s_i^2 - ||E g_i||^2),
         s_i = h'_i - g_i . c',
 
-    from E = I/2, c' = 0, t = 1, multiplying t by 20 per stage until the
-    barrier's log-det gap bound 2 K_kept / t is at most 1e-10. Each stage
-    runs damped Newton steps with a backtracking line search that accepts
-    strictly feasible points only, until t lambda^2 / 2 <= 1e-2 for the
-    Newton decrement lambda: t times the stage objective is
-    self-concordant, so the stage ends about where Newton's quadratic
-    phase begins.
+    from E = I/2, c' = 0, t = 1, multiplying t by 100 per stage until the
+    barrier's log-det gap bound 2 K_kept / t is at most 1e-11. Each stage
+    runs damped Newton steps until t lambda^2 / 2 <= 1e-2 for the Newton
+    decrement lambda: t times the stage objective is self-concordant, so
+    the stage ends about where Newton's quadratic phase begins. The line
+    search halves from the first power of two below the step's distance
+    to the cones' edge, found in closed form (``_step_bound``), and
+    accepts strictly feasible points only. A stage that ends on the
+    decrement predicts the next stage's start along the central path's
+    tangent in 1/t, (1 - 1/100) H^-1 b for the stage's Hessian H and
+    barrier gradient b, kept (1 - 1/100) of the way to the cones' edge
+    (Boyd & Vandenberghe 11.3; notes/decisions.md).
 
     The kept facets start as those where the rays from c0 along 16 d
     fixed directions and +-e_i leave the polytope, grown until their
@@ -465,8 +498,12 @@ def solve_mvie_high_accuracy(poly: HPolytope
     Diagnostics: ``iterations`` counts Newton steps over all rounds,
     ``stage_iterations`` the steps of every stage run (a stage run again
     after facets were added has one entry per run), ``backtracks`` the
-    step halvings per Newton step, ``inv_step_trace`` the inverse accepted
-    step length, ``objective_trace`` -log det F after every step,
+    step halvings per Newton step (levels skipped by the bound included),
+    ``inv_step_trace`` the inverse accepted step length,
+    ``evaluations`` the barrier objective's evaluations (line-search and
+    predictor trials, and the start of each round and of a stage run
+    without a prediction), ``objective_trace`` -log det F after every
+    step, ``final_objective`` -log det F of the returned ellipsoid,
     ``kept_facets`` the number of facets kept at the end and ``rounds``
     the number of kept sets solved on (1 when no facet had to be added).
     ``touching`` lists, ascending, the facets the ellipsoid touches: the
@@ -512,17 +549,17 @@ def _barrier_solve(poly: HPolytope, seed: np.ndarray | None
         return s, ut, s * s - np.einsum("ij,ij->j", ut, ut)
 
     def objective(e, cc, t):
-        """Barrier objective and log det E; inf outside the strict
-        interior."""
+        """Barrier objective, log det E and the slacks; inf outside the
+        strict interior."""
         try:
             chol = np.linalg.cholesky(e)
         except np.linalg.LinAlgError:
-            return math.inf, 0.0
-        s, _, delta = slacks(e, cc)
-        if s.min() <= 0.0 or delta.min() <= 0.0:
-            return math.inf, 0.0
+            return math.inf, 0.0, None
+        sl = slacks(e, cc)
+        if sl[0].min() <= 0.0 or sl[2].min() <= 0.0:
+            return math.inf, 0.0, None
         logdet = 2.0 * float(np.log(np.diag(chol)).sum())
-        return -logdet - float(np.log(delta).sum()) / t, logdet
+        return -logdet - float(np.log(sl[2]).sum()) / t, logdet, sl
 
     x = np.concatenate([np.full(d, 0.5), np.zeros(m_e)])   # E = I/2, c' = 0
     t = 1.0
@@ -532,16 +569,21 @@ def _barrier_solve(poly: HPolytope, seed: np.ndarray | None
     inv_step: list[float] = []
     stage_iters: list[int] = []
     rounds = 1
+    evaluations = 0
+    sl = None         # slacks of x on the kept facets, once evaluated at t
     while True:
         gt = np.ascontiguousarray(g[kept].T)
         hk = h[kept]
         e, cc = unpack(x)
-        f = objective(e, cc, t)[0]
+        if sl is None:
+            f, logdet, sl = objective(e, cc, t)
+            evaluations += 1
         steps = 0
         unbounded = False
+        tangent = None
         while True:
             e_inv = np.linalg.inv(e)
-            s, ut, delta = slacks(e, cc)
+            s, ut, delta = sl
             w = 1.0 / (t * delta)
             # column i of vt = -(1/2) grad of Delta_i in (B_k, c')
             vt = np.empty((m_e + d, kept.size))
@@ -569,18 +611,24 @@ def _barrier_solve(poly: HPolytope, seed: np.ndarray | None
             # t times the objective is self-concordant; its decrement
             # at 0.14 is about where Newton's quadratic phase begins
             if -slope * t / 2.0 <= 1e-2:
+                tangent = np.linalg.solve(hess, 2.0 * (vt @ w))
                 break
-            alpha, halvings = 1.0, 0
+            # halve from 1, skipping the levels beyond the cones' edge
+            cap = (1.0 + 1e-9) * _step_bound(gt, s, ut, delta, *unpack(step))
+            alpha, halvings, f_new = 1.0, 0, math.inf
             while halvings <= 60:
-                trial = x + alpha * step
-                f_new, logdet = objective(*unpack(trial), t)
-                if f_new <= f + 0.25 * alpha * slope:
-                    break
+                if alpha <= cap:
+                    trial = x + alpha * step
+                    f_new, new_logdet, new_sl = objective(*unpack(trial), t)
+                    evaluations += 1
+                    if f_new <= f + 0.25 * alpha * slope:
+                        break
                 alpha *= 0.5
                 halvings += 1
             if not f_new < f:
                 break
-            x, gain, f = trial, f - f_new, f_new
+            x, gain, f, sl = trial, f - f_new, f_new, new_sl
+            logdet = new_logdet
             e, cc = unpack(x)
             steps += 1
             backtracks.append(halvings)
@@ -618,6 +666,7 @@ def _barrier_solve(poly: HPolytope, seed: np.ndarray | None
                 s = hk - gk @ x[m_e:]
             fit = float((s / reach[kept]).min())
             x[:m_e] *= min(1.0, (1.0 - 1e-6) * fit)
+            sl = None
             continue
         if unbounded:
             raise Divergence(
@@ -625,17 +674,32 @@ def _barrier_solve(poly: HPolytope, seed: np.ndarray | None
                 "times the centre's facet distance after "
                 f"{sum(stage_iters)} Newton steps, and no facet cuts it "
                 "off; the polytope is unbounded")
-        if 2.0 * kept.size / t <= 1e-10:
+        if 2.0 * kept.size / t <= 1e-11:
             break
-        t *= 20.0
-    _, ut, delta = slacks(e, cc)
+        t *= _T_GROWTH
+        last, sl = sl, None
+        if tangent is not None:
+            # Predict the next centre. Along the central path
+            # dx/d(1/t) = -t H^-1 b, so 1/t falling by (1 - 1/mu)/t moves
+            # x by about (1 - 1/mu) H^-1 b. Where that leaves the cones,
+            # go (1 - 1/mu) of the way to their edge: about the share of
+            # its Delta_i a facet that stays active gives up.
+            pred = (1.0 - 1.0 / _T_GROWTH) * tangent
+            alpha = min(1.0, (1.0 - 1.0 / _T_GROWTH)
+                        * _step_bound(gt, *last, *unpack(pred)))
+            trial = x + alpha * pred
+            f_new, new_logdet, new_sl = objective(*unpack(trial), t)
+            evaluations += 1
+            if new_sl is not None:           # else E lost definiteness
+                x, f, sl, logdet = trial, f_new, new_sl, new_logdet
+    _, ut, delta = sl
     w = 2.0 * np.einsum("ij,ij->j", ut, ut) / (t * delta)
     order = np.argsort(-w, kind="stable")
     drop = w[order[d:-1]] / w[order[d + 1:]]
     n_touch = d + 1 + (int(drop.argmax()) if drop.size else 0)
     diag = SolveDiagnostics(
         iterations=sum(stage_iters),
-        final_objective=trace[-1],
+        final_objective=-(logdet + logdet_shift),
         objective_trace=trace,
         backtracks=backtracks,
         inv_step_trace=inv_step,
@@ -643,6 +707,7 @@ def _barrier_solve(poly: HPolytope, seed: np.ndarray | None
         stage_iterations=stage_iters,
         kept_facets=int(kept.size),
         rounds=rounds,
+        evaluations=evaluations,
         touching=np.sort(kept[order[:n_touch]]),
     )
     return Ellipsoid(F=r0 * e, c=c0 + r0 * cc), diag

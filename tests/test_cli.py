@@ -104,6 +104,7 @@ class TestRunCommand:
         assert payload["K"] >= 4
         assert len(payload["A_hat"]) == 30
         assert payload["diagnostics"]["iterations"] > 0
+        assert payload["diagnostics"]["evaluations"] > 0
         viol = payload["diagnostics"]["max_violation"]
         john = payload["diagnostics"]["john_residual"]
         assert np.isfinite(viol) and np.isfinite(john)
@@ -307,3 +308,18 @@ def test_solver_options_are_usage_errors(command, knob, tmp_path, capsys):
         run_cli(command, *args, *knob)
     assert exc.value.code == 2
     assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_module_runs_without_runpy_warning():
+    # the package loads cli on first use, so running it as __main__ does
+    # not find it imported already, and mviefact.cli still resolves
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [SRC, env.get("PYTHONPATH")]))
+    for args in (["-m", "mviefact.cli", "--help"],
+                 ["-c", "import mviefact; mviefact.cli.main(['--help'])"]):
+        proc = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning", *args], env=env,
+            capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.startswith("usage: mviefact")

@@ -59,6 +59,19 @@ class TestRmsAngleError:
         phi, _ = rms_angle_error(a, b)
         assert abs(phi - 1.0) <= 1e-9  # sqrt(2^2 / 4)
 
+    @pytest.mark.parametrize("theta", [1e-9, 1e-8, 1e-7])
+    def test_small_rotation_is_resolved(self, rng, theta):
+        # arccos of the inner product read 6.0e-7 deg for a true 2.9e-8 deg
+        a = rng.random((50, 4)) + 0.5
+        u = a[:, 0] / np.linalg.norm(a[:, 0])
+        w = rng.standard_normal(50)
+        w -= (w @ u) * u
+        w /= np.linalg.norm(w)
+        b = a.copy()
+        b[:, 0] = math.cos(theta) * u + math.sin(theta) * w
+        phi, _ = rms_angle_error(a, b)
+        assert phi == pytest.approx(math.degrees(theta) / 2.0, rel=1e-6)
+
     def test_matches_brute_force(self, rng):
         for _ in range(100):
             n = int(rng.integers(2, 7))

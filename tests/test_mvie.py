@@ -340,6 +340,41 @@ class TestConstraintGeneration:
         assert len(diag.objective_trace) == diag.iterations + 1
 
 
+class TestStepBound:
+    def test_cones_fail_at_the_bound(self, rng):
+        # along (E + a dE, c' + a dc) from a strictly feasible point, every
+        # s_i > ||E g_i|| must hold just short of the bound and one must
+        # fail just past it
+        def feasible(gt, h, e, c):
+            return bool(np.all(h - c @ gt > np.linalg.norm(e @ gt, axis=0)))
+
+        for _ in range(200):
+            d = int(rng.integers(2, 7))
+            gt = rng.standard_normal((d, 40))
+            gt /= np.linalg.norm(gt, axis=0)
+            e = random_symmetric(rng, d) + 2.0 * d * np.eye(d)
+            c = rng.standard_normal(d)
+            reach = np.linalg.norm(e @ gt, axis=0)
+            h = c @ gt + reach * (1.0 + rng.random(40))
+            de = random_symmetric(rng, d, scale=rng.choice([0.1, 1.0, 10.0]))
+            dc = rng.standard_normal(d) * rng.choice([0.1, 1.0, 10.0])
+            s = h - c @ gt
+            ut = e @ gt
+            bound = mvie._step_bound(gt, s, ut, s * s - (ut * ut).sum(axis=0),
+                                     de, dc)
+            assert 0.0 < bound < math.inf
+            inside, past = 0.999 * bound, 1.001 * bound
+            assert feasible(gt, h, e + inside * de, c + inside * dc)
+            assert not feasible(gt, h, e + past * de, c + past * dc)
+
+    def test_evaluations_stay_near_newton_steps(self):
+        # every line search opens inside the cones, so few trials are
+        # rejected; halving from the full step took 2.7-3.3 per step
+        for n, r, l in [(4, 0.7, 1000), (6, 0.6, 200)]:
+            _, diag = solve_mvie_high_accuracy(synth_polytope(n, r, l, 0))
+            assert diag.evaluations < 1.5 * diag.iterations
+
+
 class TestPaperReference:
     @pytest.mark.parametrize("seed", range(4))
     @pytest.mark.parametrize("n,r", [(3, 0.85), (4, 0.7)])
