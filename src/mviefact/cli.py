@@ -69,7 +69,6 @@ class BenchSpec:
     base_seed: int
     M: int
     L: int
-    omit_timings: bool = False
 
     def __post_init__(self):
         if self.trials < 1:
@@ -289,14 +288,13 @@ def write_aggregate_csv(path, aggregates: list[dict],
 def cmd_bench(args) -> int:
     spec = BenchSpec(
         Ns=tuple(args.N), rs=tuple(args.r), snrs=tuple(args.snr),
-        trials=args.trials, base_seed=args.seed, M=args.M, L=args.L,
-        omit_timings=args.omit_timings)
+        trials=args.trials, base_seed=args.seed, M=args.M, L=args.L)
     results, aggregates = run_bench(spec)
     os.makedirs(args.out, exist_ok=True)
     trials_path = os.path.join(args.out, "trials.csv")
     agg_path = os.path.join(args.out, "aggregate.csv")
-    write_results_csv(trials_path, results, spec.omit_timings)
-    write_aggregate_csv(agg_path, aggregates, spec.omit_timings)
+    write_results_csv(trials_path, results, args.omit_timings)
+    write_aggregate_csv(agg_path, aggregates, args.omit_timings)
     for row in aggregates:
         print(f"N={row['N']} r={row['r']} snr={_snr_json(row['snr_db'])}: "
               f"phi = {row['phi_mean_deg']:.4f} +- {row['phi_std_deg']:.4f} deg "

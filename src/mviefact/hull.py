@@ -15,7 +15,7 @@ instead of comparing all K^2 pairs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.spatial import ConvexHull, QhullError
@@ -33,7 +33,7 @@ class HPolytope:
     dim: int
     normals: np.ndarray              # K x dim, unit rows
     offsets: np.ndarray              # K
-    interior: np.ndarray | None = field(default=None)  # strictly feasible point
+    interior: np.ndarray             # strictly feasible point
     eps_hull: float = 0.0            # tolerance used during enumeration
 
     @property

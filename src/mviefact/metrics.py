@@ -51,12 +51,18 @@ def rms_angle_error(a, a_hat) -> tuple[float, tuple[int, ...]]:
     if a.shape != b.shape:
         raise DimMismatch(f"shape mismatch: {a.shape} vs {b.shape}")
     n = a.shape[1]
-    na = np.linalg.norm(a, axis=0)
-    nb = np.linalg.norm(b, axis=0)
-    if na.min() <= 0.0 or nb.min() <= 0.0:
+    # each column is divided by its largest entry before its norm is
+    # taken, so the norm neither overflows nor underflows at any scale
+    peak_a = np.abs(a).max(axis=0)
+    peak_b = np.abs(b).max(axis=0)
+    if peak_a.min() <= 0.0 or peak_b.min() <= 0.0:
         raise ZeroColumn("angle error undefined for zero columns")
+    ua = a / peak_a
+    ub = b / peak_b
+    ua /= np.linalg.norm(ua, axis=0)
+    ub /= np.linalg.norm(ub, axis=0)
     # ang2[i, j]: squared angle between a_i and ahat_j
-    chord = np.linalg.norm((a / na)[:, :, None] - (b / nb)[:, None, :], axis=0)
+    chord = np.linalg.norm(ua[:, :, None] - ub[:, None, :], axis=0)
     ang2 = (2.0 * np.arcsin(np.minimum(chord / 2.0, 1.0))) ** 2
 
     # imported on use: scipy.optimize adds about 0.15 s to the package import

@@ -200,13 +200,10 @@ def composite_objective(w, y, poly: HPolytope, cfg: FpgmConfig) -> float:
 
 
 def _chebyshev_style_center(poly: HPolytope, steps: int = 200) -> np.ndarray:
-    """Maximize the minimum facet slack by projected subgradient ascent.
-
-    Started from the hull-vertex centroid when the polytope carries one.
-    """
+    """Maximize the minimum facet slack by projected subgradient ascent,
+    started from the polytope's interior point."""
     g, h = poly.normals, poly.offsets
-    y = (poly.interior.astype(float).copy() if poly.interior is not None
-         else np.zeros(poly.dim))
+    y = poly.interior.astype(float).copy()
     best_y = y.copy()
     best_slack = float((h - g @ y).min())
     step0 = max(float(np.abs(h).max()), 1e-6)
@@ -437,7 +434,7 @@ def _step_bound(gt: np.ndarray, s: np.ndarray, ut: np.ndarray,
     - ||v_i||^2. The feasible part of the line is an interval, so its end
     is the smallest positive root, taken in the form without cancellation.
     gt holds the normals as columns; s, ut (E g_i as columns) and delta
-    are the ``slacks`` of the current iterate.
+    are the ``slacks`` of the point (E, c') the line starts from.
     """
     sigma = dc @ gt
     vt = de @ gt
@@ -456,9 +453,8 @@ def solve_mvie_high_accuracy(poly: HPolytope
     """Log-barrier Newton method for the constrained program itself,
     on a generated subset of the facets.
 
-    The polytope is first moved to the interior point c0 (the hull-vertex
-    centroid, or the Chebyshev-style centre when none is attached) and
-    scaled by r0 = min_i (h_i - g_i . c0), so the solve sees offsets
+    The polytope is first moved to its interior point c0 and scaled by
+    r0 = min_i (h_i - g_i . c0), so the solve sees offsets
     h' = (h - G c0) / r0 whatever the units of the data; the result maps
     back as F = r0 E, c = c0 + r0 c'. In those coordinates it minimizes,
     over the kept facets,
@@ -484,8 +480,9 @@ def solve_mvie_high_accuracy(poly: HPolytope
     normals span R^d. After every stage the iterate is tested against all
     K facets. Of the facets it meets or crosses (||E g_i|| >= s_i), the
     d(d+3)/2 most crossed (s_i <= 0 first, then by ||E g_i|| / s_i) are
-    kept from then on, the iterate is pulled strictly inside them and the
-    stage is run again at the same t; the facets left out are tested
+    kept from then on and the stage is run again at the same t, from
+    t/(t+1) of the way to the kept facets' cones' edge along the segment
+    from E = 0, c' = 0 to the iterate; the facets left out are tested
     again after that stage. The returned ellipsoid is optimal for the
     kept facets, whose polytope contains the full one, and lies inside
     all K facets, so it is the maximum-volume ellipsoid inscribed in the
@@ -520,8 +517,7 @@ def _barrier_solve(poly: HPolytope, seed: np.ndarray | None
     """solve_mvie_high_accuracy from the kept facets seed (indices into
     poly's facets), or from the ray-exit facets when seed is None."""
     g = poly.normals
-    c0 = (poly.interior.astype(float) if poly.interior is not None
-          else _chebyshev_style_center(poly))
+    c0 = poly.interior.astype(float)
     depth = poly.offsets - g @ c0
     r0 = float(depth.min())
     if not r0 > 0.0:
@@ -648,9 +644,11 @@ def _barrier_solve(poly: HPolytope, seed: np.ndarray | None
         if met.any():
             # Keep the most-crossed facets the iterate meets, at most as
             # many as the program has unknowns: those whose s_i <= 0
-            # first, then by ||E g_i|| / s_i. Pull the iterate strictly
-            # inside them: back c' off toward 0, where every s_i = h'_i
-            # >= 1, if it lies outside one, then shrink E to fit.
+            # first, then by ||E g_i|| / s_i. Re-enter along the segment
+            # from E = 0, c' = 0, where every s_i = h'_i >= 1, to the
+            # iterate, t/(t+1) of the way to the cones' edge: the facet
+            # that sets the bound keeps about 1/t of its Delta_i, as an
+            # active facet does on the central path at this t.
             new = np.flatnonzero(met)
             crossing = np.full(new.size, np.inf)
             inside = s[new] > 0.0
@@ -658,14 +656,10 @@ def _barrier_solve(poly: HPolytope, seed: np.ndarray | None
             new = new[np.argsort(-crossing, kind="stable")[:m_e + d]]
             kept = np.union1d(kept, new)
             rounds += 1
-            gk, hk = g[kept], h[kept]
-            s = hk - gk @ cc
-            if s.min() <= 0.0:
-                out = s <= 0.0
-                x[m_e:] *= 0.5 * float((hk[out] / (gk[out] @ cc)).min())
-                s = hk - gk @ x[m_e:]
-            fit = float((s / reach[kept]).min())
-            x[:m_e] *= min(1.0, (1.0 - 1e-6) * fit)
+            hk = h[kept]
+            bound = _step_bound(g[kept].T, hk, np.zeros((d, kept.size)),
+                                hk * hk, e, cc)
+            x *= min(1.0, t / (t + 1.0) * bound)
             sl = None
             continue
         if unbounded:

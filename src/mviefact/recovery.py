@@ -15,6 +15,7 @@ like A_hat, they follow the units of the data.
 
 from __future__ import annotations
 
+import math
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -239,11 +240,21 @@ def run_pipeline(x: np.ndarray, n: int,
     abundances). Each stage's wall time goes into ``timings``, and a
     package error raised in a stage carries its name in ``exc.stage``.
     No step draws random numbers.
+
+    The stages work on X / 2^k, k the binary exponent of max|X|, so they
+    see entries below 1 in magnitude and never overflow or underflow.
+    Scaling by a power of two is exact: A_hat, the ambient contacts and
+    centre and the affine residual are scaled back by 2^k, and the
+    answer for 2^j X is 2^j times the answer for X, bit for bit. The
+    reduced-space results, the contacts and the ellipsoid, stay in the
+    reduced coordinates of X / 2^k, where the hull was enumerated.
     """
     timings: dict[str, float] = {}
 
     with _stage("dimred", timings):
         x = as_matrix(x, "X")
+        k = int(np.frexp(np.abs(x).max(initial=0.0))[1])
+        x = np.ldexp(x, -k)
         chart = dimred.affine_fit(x, n)
         reduced = dimred.reduce_points(x, chart)
 
@@ -261,16 +272,17 @@ def run_pipeline(x: np.ndarray, n: int,
         s_hat = recover_abundances(x, a_hat) if want_abundances else None
 
     return RecoveryReport(
-        A_hat=a_hat,
+        A_hat=np.ldexp(a_hat, k),
         contacts_reduced=merged,
-        contacts_ambient=ambient,
+        contacts_ambient=np.ldexp(ambient, k),
         raw_contact_count=raw.shape[0],
-        center_ambient=dimred.lift_points(ell.c[:, None], chart)[:, 0],
+        center_ambient=np.ldexp(
+            dimred.lift_points(ell.c[:, None], chart)[:, 0], k),
         ellipsoid=ell,
         S_hat=s_hat,
         n_facets=poly.n_facets,
         solver=diag,
         timings=timings,
-        affine_residual=chart.residual,
+        affine_residual=math.ldexp(chart.residual, k),
         max_violation=mvie.max_violation(ell, poly),
     )

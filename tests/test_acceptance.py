@@ -180,7 +180,8 @@ def test_8_gradient_matches_finite_differences():
         k = int(gen.integers(d + 1, 14))
         g = gen.standard_normal((k, d))
         g /= np.linalg.norm(g, axis=1)[:, None]
-        poly = hull.HPolytope(d, g, gen.uniform(0.2, 1.5, k), None, 0.0)
+        poly = hull.HPolytope(d, g, gen.uniform(0.2, 1.5, k), np.zeros(d),
+                              0.0)
         w0 = gen.standard_normal((d, d)) * 0.6
         w = 0.5 * (w0 + w0.T)
         y = gen.standard_normal(d) * 0.4
@@ -249,7 +250,7 @@ def test_10_angle_metric_matches_brute_force():
 
 def test_11_bench_determinism(tmp_path):
     spec = BenchSpec(Ns=(3,), rs=(0.85,), snrs=(math.inf,), trials=3,
-                     base_seed=42, M=30, L=300, omit_timings=True)
+                     base_seed=42, M=30, L=300)
     outs = []
     for tag in ("a", "b"):
         results, _ = run_bench(spec)

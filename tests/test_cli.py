@@ -138,6 +138,21 @@ class TestRunCommand:
             s_hat.append(np.asarray(json.loads(report.read_text())["S_hat"]))
         assert np.abs(s_hat[1] - s_hat[0]).max() <= 1e-9
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("scale", [1e-300, 1e-150, 1e150, 1e300])
+    def test_recovers_at_extreme_units(self, instance_dir, tmp_path, capsys,
+                                       scale):
+        x = read_matrix_csv(instance_dir / "X.csv")
+        scaled = tmp_path / "X_scaled.csv"
+        write_matrix_csv(scaled, scale * x)
+        report = tmp_path / "report.json"
+        code = run_cli("run", "--input", str(scaled), "--N", "3",
+                       "--truth", str(instance_dir / "truth.json"),
+                       "--out", str(report))
+        assert code == 0
+        assert capsys.readouterr().err == ""
+        assert json.loads(report.read_text())["phi_deg"] <= 0.05
+
     def test_abundance_failure_names_recover_stage(self, instance_dir,
                                                    tmp_path, monkeypatch,
                                                    capsys):

@@ -59,6 +59,16 @@ class TestRmsAngleError:
         phi, _ = rms_angle_error(a, b)
         assert abs(phi - 1.0) <= 1e-9  # sqrt(2^2 / 4)
 
+    @pytest.mark.parametrize("s", [1e-300, 1e300])
+    def test_free_of_the_units_of_the_columns(self, rng, s):
+        # column norms taken directly overflow or underflow at this scale
+        a = rng.random((12, 4)) + 0.5
+        b = a + 0.05 * rng.standard_normal((12, 4))
+        phi, perm = rms_angle_error(a, b)
+        phi_s, perm_s = rms_angle_error(s * a, s * b)
+        assert phi_s == pytest.approx(phi, rel=1e-12)
+        assert perm_s == perm
+
     @pytest.mark.parametrize("theta", [1e-9, 1e-8, 1e-7])
     def test_small_rotation_is_resolved(self, rng, theta):
         # arccos of the inner product read 6.0e-7 deg for a true 2.9e-8 deg

@@ -54,7 +54,7 @@ class TestObjectiveAndGrad:
 
     def test_single_facet_hand_value(self):
         poly = hull.HPolytope(2, np.array([[1.0, 0.0]]), np.zeros(1),
-                              None, 0.0)
+                              np.array([-1.0, 0.0]), 0.0)
         cfg = FpgmConfig(eps=1e-30)
         f, _, _ = objective_and_grad(np.eye(2), np.zeros(2), poly, cfg)
         assert abs(f - 0.5) <= 1e-8
@@ -69,7 +69,8 @@ class TestObjectiveAndGrad:
             k = int(gen.integers(d + 1, 12))
             g = gen.standard_normal((k, d))
             g /= np.linalg.norm(g, axis=1)[:, None]
-            poly = hull.HPolytope(d, g, gen.uniform(0.2, 1.5, k), None, 0.0)
+            poly = hull.HPolytope(d, g, gen.uniform(0.2, 1.5, k),
+                                  np.zeros(d), 0.0)
             w = random_symmetric(gen, d, scale=0.7)
             y = gen.standard_normal(d) * 0.4
             f, gw, gy = objective_and_grad(w, y, poly, cfg)
@@ -243,14 +244,14 @@ class TestSolve:
     def test_empty_interior(self):
         g = np.array([[1.0, 0.0], [-1.0, 0.0]])
         h = np.array([1.0, -2.0])  # x <= 1 and x >= 2: empty
-        poly = hull.HPolytope(2, g, h, None, 0.0)
+        poly = hull.HPolytope(2, g, h, np.zeros(2), 0.0)
         with pytest.raises(EmptyInterior):
             solve_mvie(poly)
 
     @pytest.mark.filterwarnings("error")
     def test_unbounded_polytope_diverges(self):
         # a quadrant and a slab contain inscribed ellipses of any area
-        quadrant = hull.HPolytope(2, np.eye(2), np.ones(2), None, 0.0)
+        quadrant = hull.HPolytope(2, np.eye(2), np.ones(2), np.zeros(2), 0.0)
         slab = hull.HPolytope(2, np.array([[1.0, 0.0], [-1.0, 0.0]]),
                               np.ones(2), np.zeros(2), 0.0)
         for poly in (quadrant, slab):
@@ -338,6 +339,16 @@ class TestConstraintGeneration:
         assert diag.iterations == sum(diag.stage_iterations)
         assert diag.iterations == len(diag.backtracks)
         assert len(diag.objective_trace) == diag.iterations + 1
+
+    @pytest.mark.parametrize("n,r,l,seed", [(4, 0.7, 1000, 7),
+                                            (6, 0.6, 400, 1)])
+    def test_rerun_does_not_crawl_from_the_edge(self, n, r, l, seed):
+        # Re-entered at a fixed 1 - 1e-6 of the new facets' fit, the rerun
+        # stage took 12, 11, ..., 0 (here 13, 12, ..., 0) halvings per
+        # step to move off that edge
+        _, diag = solve_mvie_high_accuracy(synth_polytope(n, r, l, seed, 50))
+        assert diag.rounds > 1
+        assert max(diag.backtracks) <= 8
 
 
 class TestStepBound:
