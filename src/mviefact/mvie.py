@@ -36,10 +36,12 @@ search) applies. ``FpgmConfig`` holds its settings.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg.lapack import dgesv, dgetrs, dpotrf
 
 from .errors import (
     DimMismatch,
@@ -334,13 +336,16 @@ def solve_mvie(poly: HPolytope, cfg: FpgmConfig | None = None
     return Ellipsoid(F=w_cur, c=y_cur), diag
 
 
+@functools.lru_cache(maxsize=None)
 def _sym_basis(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Basis B_k of the symmetric d x d matrices: the d diagonal pairs
     (i, i) first, then the pairs i < j.
 
     B_k = e_i e_i^T on the diagonal and e_i e_j^T + e_j e_i^T off it, so
     the coordinates of E are its upper-triangle entries. Returns the
-    basis and the off-diagonal index pairs.
+    basis, the same with each B_k flattened to a row, and the matrix whose
+    row (k, l) is B_k B_l flattened, so that row . vec(G) = tr(B_k B_l G)
+    for a symmetric G. Built once per d and shared, hence read-only.
     """
     upper, lower = np.triu_indices(d, 1)
     rows = np.concatenate([np.arange(d), upper])
@@ -349,7 +354,11 @@ def _sym_basis(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     k = np.arange(rows.size)
     basis[k, rows, cols] = 1.0
     basis[k, cols, rows] = 1.0
-    return basis, upper, lower
+    flat = basis.reshape(rows.size, d * d)
+    pairs = np.einsum("kab,lbc->klac", basis, basis).reshape(rows.size ** 2, -1)
+    for a in (basis, flat, pairs):
+        a.flags.writeable = False
+    return basis, flat, pairs
 
 
 # In the solver's scaled coordinates the centre's nearest facet lies at
@@ -423,29 +432,80 @@ def _spanning(g: np.ndarray, h: np.ndarray, kept: np.ndarray) -> np.ndarray:
         kept = np.union1d(kept, hit)
 
 
-def _step_bound(gt: np.ndarray, s: np.ndarray, ut: np.ndarray,
-                delta: np.ndarray, de: np.ndarray, dc: np.ndarray) -> float:
+def _step_bound(gt: np.ndarray, gg: np.ndarray, delta: np.ndarray,
+                b: np.ndarray, de: np.ndarray, dc: np.ndarray) -> float:
     """First alpha > 0 where some cone constraint s_i > ||E g_i|| fails
     along (E + alpha dE, c' + alpha dc), inf if none does.
 
     s_i - alpha sigma_i and E g_i + alpha v_i move linearly (sigma_i =
     g_i . dc, v_i = dE g_i), so Delta_i(alpha) = Delta_i - 2 b_i alpha +
     a_i alpha^2 with b_i = s_i sigma_i + (E g_i) . v_i and a_i = sigma_i^2
-    - ||v_i||^2. The feasible part of the line is an interval, so its end
-    is the smallest positive root, taken in the form without cancellation.
-    gt holds the normals as columns; s, ut (E g_i as columns) and delta
-    are the ``slacks`` of the point (E, c') the line starts from.
+    - ||v_i||^2, where ||v_i||^2 = vec(dE^2) . vec(g_i g_i^T). The feasible
+    part of the line is an interval, so its end is the smallest positive
+    root, taken in the form without cancellation. gt holds the normals as
+    columns and gg their outer products g_i g_i^T flattened as columns;
+    delta holds the Delta_i of the point (E, c') the line starts from and
+    b the b_i, -1/2 the rates of Delta_i along the line, which the caller
+    already holds (the direction dotted with the Newton system's ``vt``).
     """
-    sigma = dc @ gt
-    vt = de @ gt
-    b = s * sigma + np.einsum("ij,ij->j", ut, vt)
-    a = sigma * sigma - np.einsum("ij,ij->j", vt, vt)
-    root = np.sqrt(np.maximum(b * b - a * delta, 0.0))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        # b > 0: Delta_i / (b_i + root) if real; b <= 0: a root iff a < 0
-        alpha = np.where(b > 0.0, delta / (b + root), (b - root) / a)
-    fails = np.where(b > 0.0, b * b >= a * delta, a < 0.0)
-    return float(alpha[fails].min()) if fails.any() else math.inf
+    sigma = dc.dot(gt)
+    a = sigma * sigma - de.dot(de).ravel().dot(gg)
+    disc = b * b - a * delta
+    # a positive root: if real where b > 0; where b <= 0, iff a < 0
+    fails = (disc >= 0.0) & ((b > 0.0) | (a < 0.0))
+    if not fails.any():
+        return math.inf
+    b, a, delta = b[fails], a[fails], delta[fails]
+    p = np.abs(b) + np.sqrt(disc[fails])
+    # b > 0: Delta_i / (b_i + root); b <= 0: (b_i - root) / a_i = p / -a_i
+    alpha = delta / p
+    np.divide(p, -a, out=alpha, where=b <= 0.0)
+    return float(alpha.min())
+
+
+def _newton_system(e: np.ndarray, e_inv: np.ndarray, s: np.ndarray,
+                   delta: np.ndarray, t: float, gt: np.ndarray,
+                   gg: np.ndarray
+                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Hessian and gradient of the barrier objective
+
+        -log det E - (1/t) sum_i log Delta_i,  Delta_i = s_i^2 - ||E g_i||^2,
+
+    in the coordinates (x_k of E = sum_k x_k B_k, c') at E (inverse
+    e_inv) with slacks s and Delta, and the matrix vt whose column i is
+    -1/2 the gradient of Delta_i. gt holds the normals as columns and gg
+    their outer products g_i g_i^T flattened as columns, so every sum over
+    the facets is one product with gg: for u_i = E g_i, the rows of vt
+    for E are u_i . B_k g_i = vec(E B_k) . vec(g_i g_i^T), those for c'
+    are s_i g_i, and the weighted Gram matrix sum_i 2 w_i g_i g_i^T,
+    w_i = 1/(t Delta_i), is gg times 2 w. The Hessian is the Gram terms of
+    the second derivatives of Delta_i, tr(B_k B_l Gram) for E and -Gram
+    for c', plus tr(E^-1 B_k E^-1 B_l) for E and 4 vt diag(1/(t
+    Delta^2)) vt^T.
+
+    The solve's hot code calls ndarray.dot for plain matrix products: at
+    these sizes (a few dozen facets, 9-27 unknowns) it costs about half
+    the call overhead of the @ operator.
+    """
+    d = gt.shape[0]
+    basis, flat, pairs = _sym_basis(d)
+    m_e = flat.shape[0]
+    w2 = 2.0 / (t * delta)
+    vt = np.empty((m_e + d, delta.size))
+    np.dot(np.matmul(e, basis).reshape(m_e, d * d), gg, out=vt[:m_e])
+    np.multiply(gt, s, out=vt[m_e:])
+    gram = gg.dot(w2)
+    sv = vt * (math.sqrt(t) * w2)
+    hess = sv.dot(sv.T)
+    ei_b = np.matmul(e_inv, basis)
+    hess[:m_e, :m_e] += (
+        pairs.dot(gram).reshape(m_e, m_e)
+        + ei_b.reshape(m_e, -1).dot(
+            ei_b.transpose(0, 2, 1).reshape(m_e, -1).T))
+    hess[m_e:, m_e:] -= gram.reshape(d, d)
+    grad = vt.dot(w2)
+    grad[:m_e] -= flat.dot(e_inv.ravel())
+    return hess, grad, vt
 
 
 def solve_mvie_high_accuracy(poly: HPolytope
@@ -528,34 +588,32 @@ def _barrier_solve(poly: HPolytope, seed: np.ndarray | None
     if seed is None:
         seed = _exit_facets(g, h, _seed_rays(d))
     kept = _spanning(g, h, np.unique(seed[seed >= 0]))
-    basis, upper, lower = _sym_basis(d)
-    m_e = basis.shape[0]
-    flat = basis.reshape(m_e, d * d)
-    # row (k, l) holds B_k B_l: sum_ac (B_k B_l)_ac G_ac = tr(B_k B_l G)
-    pairs = np.einsum("kab,lbc->klac", basis, basis).reshape(m_e * m_e, -1)
+    _, flat, _ = _sym_basis(d)
+    m_e = flat.shape[0]
+    eye = np.eye(d)
 
     def unpack(x):
-        return (x[:m_e] @ flat).reshape(d, d), x[m_e:]
+        return x[:m_e].dot(flat).reshape(d, d), x[m_e:]
 
-    # gt and hk are the kept facets' normals (transposed) and offsets,
-    # rebound below whenever facets join.
-    def slacks(e, cc):
-        s = hk - cc @ gt
-        ut = e @ gt                            # column i = E g_i
-        return s, ut, s * s - np.einsum("ij,ij->j", ut, ut)
+    def facets(kept):
+        """The kept facets' normals as columns, their outer products
+        g_i g_i^T flattened as columns, and their offsets."""
+        gt = np.ascontiguousarray(g[kept].T)
+        return gt, (gt[:, None] * gt).reshape(d * d, -1), h[kept]
 
     def objective(e, cc, t):
-        """Barrier objective, log det E and the slacks; inf outside the
-        strict interior."""
-        try:
-            chol = np.linalg.cholesky(e)
-        except np.linalg.LinAlgError:
+        """Barrier objective, log det E and the slacks s_i, ||E g_i||^2
+        and Delta_i; inf outside the strict interior."""
+        chol, info = dpotrf(e)
+        if info:
             return math.inf, 0.0, None
-        sl = slacks(e, cc)
-        if sl[0].min() <= 0.0 or sl[2].min() <= 0.0:
+        s = hk - cc.dot(gt)
+        q = e.dot(e).ravel().dot(gg)          # ||E g_i||^2 = vec(E^2) . gg_i
+        delta = s * s - q
+        if s.min() <= 0.0 or delta.min() <= 0.0:
             return math.inf, 0.0, None
-        logdet = 2.0 * float(np.log(np.diag(chol)).sum())
-        return -logdet - float(np.log(sl[2]).sum()) / t, logdet, sl
+        logdet = 2.0 * float(np.log(chol.diagonal()).sum())
+        return -logdet - float(np.log(delta).sum()) / t, logdet, (s, q, delta)
 
     x = np.concatenate([np.full(d, 0.5), np.zeros(m_e)])   # E = I/2, c' = 0
     t = 1.0
@@ -567,9 +625,8 @@ def _barrier_solve(poly: HPolytope, seed: np.ndarray | None
     rounds = 1
     evaluations = 0
     sl = None         # slacks of x on the kept facets, once evaluated at t
+    gt, gg, hk = facets(kept)
     while True:
-        gt = np.ascontiguousarray(g[kept].T)
-        hk = h[kept]
         e, cc = unpack(x)
         if sl is None:
             f, logdet, sl = objective(e, cc, t)
@@ -578,44 +635,31 @@ def _barrier_solve(poly: HPolytope, seed: np.ndarray | None
         unbounded = False
         tangent = None
         while True:
-            e_inv = np.linalg.inv(e)
-            s, ut, delta = sl
-            w = 1.0 / (t * delta)
-            # column i of vt = -(1/2) grad of Delta_i in (B_k, c')
-            vt = np.empty((m_e + d, kept.size))
-            np.multiply(ut, gt, out=vt[:d])
-            np.multiply(ut[upper], gt[lower], out=vt[d:m_e])
-            vt[d:m_e] += ut[lower] * gt[upper]
-            np.multiply(gt, s, out=vt[m_e:])
-            gram = (gt * (2.0 * w)) @ gt.T
-            hess = (vt * (4.0 / (t * delta * delta))) @ vt.T
-            ei_b = e_inv @ basis
-            hess[:m_e, :m_e] += (
-                (pairs @ gram.ravel()).reshape(m_e, m_e)
-                + ei_b.reshape(m_e, -1)
-                @ ei_b.transpose(0, 2, 1).reshape(m_e, -1).T)
-            hess[m_e:, m_e:] -= gram
-            grad = 2.0 * (vt @ w)
-            grad[:m_e] -= np.einsum("kaa->k", ei_b)
-            try:
-                step = -np.linalg.solve(hess, grad)
-            except np.linalg.LinAlgError:
+            s, _, delta = sl
+            _, _, e_inv, info = dgesv(e, eye)
+            if info:          # E has a Cholesky factor: singular by rounding
+                break
+            hess, grad, vt = _newton_system(e, e_inv, s, delta, t, gt, gg)
+            lu, piv, step, info = dgesv(hess, -grad)
+            if info:
                 # positive definite while the kept normals span R^d, so
                 # singular only by rounding: the stage can go no further
                 break
-            slope = float(grad @ step)         # -(Newton decrement)^2
+            slope = float(grad.dot(step))      # -(Newton decrement)^2
             # t times the objective is self-concordant; its decrement
             # at 0.14 is about where Newton's quadratic phase begins
             if -slope * t / 2.0 <= 1e-2:
-                tangent = np.linalg.solve(hess, 2.0 * (vt @ w))
+                tangent, _ = dgetrs(lu, piv, vt.dot(2.0 / (t * delta)))
                 break
             # halve from 1, skipping the levels beyond the cones' edge
-            cap = (1.0 + 1e-9) * _step_bound(gt, s, ut, delta, *unpack(step))
+            cap = (1.0 + 1e-9) * _step_bound(gt, gg, delta, step.dot(vt),
+                                             *unpack(step))
             alpha, halvings, f_new = 1.0, 0, math.inf
             while halvings <= 60:
                 if alpha <= cap:
                     trial = x + alpha * step
-                    f_new, new_logdet, new_sl = objective(*unpack(trial), t)
+                    new_e, new_cc = unpack(trial)
+                    f_new, new_logdet, new_sl = objective(new_e, new_cc, t)
                     evaluations += 1
                     if f_new <= f + 0.25 * alpha * slope:
                         break
@@ -624,13 +668,12 @@ def _barrier_solve(poly: HPolytope, seed: np.ndarray | None
             if not f_new < f:
                 break
             x, gain, f, sl = trial, f - f_new, f_new, new_sl
-            logdet = new_logdet
-            e, cc = unpack(x)
+            logdet, e, cc = new_logdet, new_e, new_cc
             steps += 1
             backtracks.append(halvings)
             inv_step.append(1.0 / alpha)
             trace.append(-(logdet + logdet_shift))
-            if np.trace(e) > _UNBOUNDED_TRACE:
+            if e.trace() > _UNBOUNDED_TRACE:
                 unbounded = True
                 break
             if gain <= 1e-15 * abs(f):
@@ -645,10 +688,10 @@ def _barrier_solve(poly: HPolytope, seed: np.ndarray | None
             # Keep the most-crossed facets the iterate meets, at most as
             # many as the program has unknowns: those whose s_i <= 0
             # first, then by ||E g_i|| / s_i. Re-enter along the segment
-            # from E = 0, c' = 0, where every s_i = h'_i >= 1, to the
-            # iterate, t/(t+1) of the way to the cones' edge: the facet
-            # that sets the bound keeps about 1/t of its Delta_i, as an
-            # active facet does on the central path at this t.
+            # from E = 0, c' = 0, where every s_i = h'_i >= 1 and
+            # E g_i = 0, to the iterate, t/(t+1) of the way to the cones'
+            # edge: the facet that sets the bound keeps about 1/t of its
+            # Delta_i, as an active facet does on the central path at t.
             new = np.flatnonzero(met)
             crossing = np.full(new.size, np.inf)
             inside = s[new] > 0.0
@@ -656,9 +699,8 @@ def _barrier_solve(poly: HPolytope, seed: np.ndarray | None
             new = new[np.argsort(-crossing, kind="stable")[:m_e + d]]
             kept = np.union1d(kept, new)
             rounds += 1
-            hk = h[kept]
-            bound = _step_bound(g[kept].T, hk, np.zeros((d, kept.size)),
-                                hk * hk, e, cc)
+            gt, gg, hk = facets(kept)
+            bound = _step_bound(gt, gg, hk * hk, hk * cc.dot(gt), e, cc)
             x *= min(1.0, t / (t + 1.0) * bound)
             sl = None
             continue
@@ -679,15 +721,15 @@ def _barrier_solve(poly: HPolytope, seed: np.ndarray | None
             # go (1 - 1/mu) of the way to their edge: about the share of
             # its Delta_i a facet that stays active gives up.
             pred = (1.0 - 1.0 / _T_GROWTH) * tangent
-            alpha = min(1.0, (1.0 - 1.0 / _T_GROWTH)
-                        * _step_bound(gt, *last, *unpack(pred)))
+            alpha = min(1.0, (1.0 - 1.0 / _T_GROWTH) * _step_bound(
+                gt, gg, last[2], pred.dot(vt), *unpack(pred)))
             trial = x + alpha * pred
             f_new, new_logdet, new_sl = objective(*unpack(trial), t)
             evaluations += 1
             if new_sl is not None:           # else E lost definiteness
                 x, f, sl, logdet = trial, f_new, new_sl, new_logdet
-    _, ut, delta = sl
-    w = 2.0 * np.einsum("ij,ij->j", ut, ut) / (t * delta)
+    _, q, delta = sl
+    w = 2.0 * q / (t * delta)
     order = np.argsort(-w, kind="stable")
     drop = w[order[d:-1]] / w[order[d + 1:]]
     n_touch = d + 1 + (int(drop.argmax()) if drop.size else 0)

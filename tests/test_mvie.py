@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -371,8 +374,10 @@ class TestStepBound:
             dc = rng.standard_normal(d) * rng.choice([0.1, 1.0, 10.0])
             s = h - c @ gt
             ut = e @ gt
-            bound = mvie._step_bound(gt, s, ut, s * s - (ut * ut).sum(axis=0),
-                                     de, dc)
+            gg = (gt[:, None] * gt).reshape(d * d, -1)
+            b = s * (dc @ gt) + (ut * (de @ gt)).sum(axis=0)
+            bound = mvie._step_bound(gt, gg, s * s - (ut * ut).sum(axis=0),
+                                     b, de, dc)
             assert 0.0 < bound < math.inf
             inside, past = 0.999 * bound, 1.001 * bound
             assert feasible(gt, h, e + inside * de, c + inside * dc)
@@ -384,6 +389,109 @@ class TestStepBound:
         for n, r, l in [(4, 0.7, 1000), (6, 0.6, 200)]:
             _, diag = solve_mvie_high_accuracy(synth_polytope(n, r, l, 0))
             assert diag.evaluations < 1.5 * diag.iterations
+
+
+def sym_basis(d):
+    """e_i e_i^T for i < d, then e_i e_j^T + e_j e_i^T for the pairs i < j
+    in np.triu_indices order: the solve's coordinates of E."""
+    out = [np.outer(np.eye(d)[i], np.eye(d)[i]) for i in range(d)]
+    for i, j in zip(*np.triu_indices(d, 1)):
+        b = np.zeros((d, d))
+        b[i, j] = b[j, i] = 1.0
+        out.append(b)
+    return np.array(out)
+
+
+def barrier_point(x, gt, h):
+    """E, s and Delta_i = s_i^2 - ||E g_i||^2 at x = (coordinates of E,
+    c'), s = h - G c'."""
+    d = gt.shape[0]
+    e = np.tensordot(x[:-d], sym_basis(d), axes=1)
+    s = h - x[-d:] @ gt
+    return e, s, s * s - ((e @ gt) ** 2).sum(axis=0)
+
+
+def barrier(x, t, gt, h):
+    """-log det E - (1/t) sum_i log Delta_i at x."""
+    e, _, delta = barrier_point(x, gt, h)
+    return -np.linalg.slogdet(e)[1] - np.log(delta).sum() / t
+
+
+def einsum_newton_system(e, s, delta, t, gt):
+    """Hessian, gradient and vt of the barrier from the vectors E g_i of
+    each facet, summed by einsum: the reference for mvie._newton_system."""
+    d = gt.shape[0]
+    basis = sym_basis(d)
+    m_e = basis.shape[0]
+    upper, lower = np.triu_indices(d, 1)
+    pairs = np.einsum("kab,lbc->klac", basis, basis).reshape(m_e * m_e, -1)
+    ut = e @ gt
+    w = 1.0 / (t * delta)
+    vt = np.empty((m_e + d, gt.shape[1]))
+    np.multiply(ut, gt, out=vt[:d])
+    np.multiply(ut[upper], gt[lower], out=vt[d:m_e])
+    vt[d:m_e] += ut[lower] * gt[upper]
+    np.multiply(gt, s, out=vt[m_e:])
+    gram = (gt * (2.0 * w)) @ gt.T
+    hess = (vt * (4.0 / (t * delta * delta))) @ vt.T
+    ei_b = np.linalg.inv(e) @ basis
+    hess[:m_e, :m_e] += (
+        (pairs @ gram.ravel()).reshape(m_e, m_e)
+        + ei_b.reshape(m_e, -1) @ ei_b.transpose(0, 2, 1).reshape(m_e, -1).T)
+    hess[m_e:, m_e:] -= gram
+    grad = 2.0 * (vt @ w)
+    grad[:m_e] -= np.einsum("kaa->k", ei_b)
+    return hess, grad, vt
+
+
+class TestNewtonSystem:
+    @pytest.mark.parametrize("t", [1.0, 1e6])
+    @pytest.mark.parametrize("d", range(2, 7))
+    def test_matches_differences_and_einsum_formulas(self, rng, d, t):
+        e = random_symmetric(rng, d) + 2.0 * d * np.eye(d)
+        c = rng.standard_normal(d)
+        gt = rng.standard_normal((d, 40))
+        gt /= np.linalg.norm(gt, axis=0)
+        h = c @ gt + np.linalg.norm(e @ gt, axis=0) * (1.1 + rng.random(40))
+        gg = (gt[:, None] * gt).reshape(d * d, -1)
+
+        def system(x):
+            e, s, delta = barrier_point(x, gt, h)
+            return mvie._newton_system(e, np.linalg.inv(e), s, delta, t,
+                                       gt, gg)
+
+        x = np.concatenate([np.diag(e), e[np.triu_indices(d, 1)], c])
+        hess, grad, vt = system(x)
+        fd_grad = np.empty(x.size)
+        fd_hess = np.empty((x.size, x.size))
+        for k, dx in enumerate(1e-5 * np.eye(x.size)):
+            fd_grad[k] = (barrier(x + dx, t, gt, h)
+                          - barrier(x - dx, t, gt, h)) / 2e-5
+            fd_hess[:, k] = (system(x + dx)[1] - system(x - dx)[1]) / 2e-5
+        assert np.abs(grad - fd_grad).max() <= 1e-6 * np.abs(grad).max()
+        assert np.abs(hess - fd_hess).max() <= 1e-5 * np.abs(hess).max()
+
+        ref = einsum_newton_system(*barrier_point(x, gt, h), t, gt)
+        for got, want in zip((hess, grad, vt), ref):
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def test_lapack_comes_with_scipy_spatial_and_optimize_stays_out():
+    # the solve's LAPACK routines are loaded by the hull's scipy.spatial,
+    # so they add nothing to the import; scipy.optimize (0.16 s) is
+    # imported on use by metrics and check_john
+    src = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "src")
+    code = ("import sys; import scipy.spatial; "
+            "print('scipy.linalg.lapack' in sys.modules); import mviefact; "
+            "print('scipy.optimize' in sys.modules)")
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["True", "False"]
 
 
 class TestPaperReference:
