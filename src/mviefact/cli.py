@@ -22,7 +22,10 @@ File formats (owned here):
   truth JSON     {"A": rows, "S": rows, "params": {N,M,L,r,snr_db,seed}};
                  snr_db is dB or "inf", and noiseless if missing or null
   trials CSV     N,M,L,r,snr_db,seed,status,phi_deg,K,kept_facets,rounds,
-                 t_dimred,t_hull,t_solve,t_recover,t_total
+                 termination,gap,t_dimred,t_hull,t_solve,t_recover,t_total;
+                 termination is "simplex" when the MVIE solve ended on the
+                 certified simplex finish, "tol" otherwise, and gap its
+                 certified log-det gap bound
   aggregate CSV  N,M,L,r,snr_db,trials,n_ok,phi_mean_deg,phi_std_deg,
                  K_mean,t_total_mean
   CSV cells are formatted as in the matrix CSV, with "inf" for an
@@ -55,7 +58,8 @@ EXIT_NUMERICAL = 3
 
 _TIMINGS = ["dimred", "hull", "solve", "recover", "total"]
 _RESULT_COLUMNS = ["N", "M", "L", "r", "snr_db", "seed", "status", "phi_deg",
-                   "K", "kept_facets", "rounds", *(f"t_{k}" for k in _TIMINGS)]
+                   "K", "kept_facets", "rounds", "termination", "gap",
+                   *(f"t_{k}" for k in _TIMINGS)]
 _AGGREGATE_COLUMNS = ["N", "M", "L", "r", "snr_db", "trials", "n_ok",
                       "phi_mean_deg", "phi_std_deg", "K_mean", "t_total_mean"]
 
@@ -201,6 +205,7 @@ def cmd_run(args) -> int:
             "evaluations": report.solver.evaluations,
             "kept_facets": report.solver.kept_facets,
             "rounds": report.solver.rounds,
+            "gap": report.solver.gap,
             "max_violation": report.max_violation,
             "john_residual": mvie.check_john(
                 report.ellipsoid, report.contacts_reduced).residual,
@@ -245,6 +250,8 @@ def run_bench(spec: BenchSpec) -> tuple[list[metrics.TrialResult], list[dict]]:
                 res.K_facets = report.n_facets
                 res.kept_facets = report.solver.kept_facets
                 res.rounds = report.solver.rounds
+                res.termination = report.solver.termination
+                res.gap = report.solver.gap
                 res.runtimes_sec = dict(report.timings)
             except MviefactError as exc:
                 res.status = f"error:{type(exc).__name__}"
@@ -271,7 +278,7 @@ def write_results_csv(path, results: list[metrics.TrialResult],
                       omit_timings: bool = False) -> None:
     _write_csv(path, _RESULT_COLUMNS, (
         [t.N, t.M, t.L, t.r, t.snr_db, t.seed, t.status, t.rms_angle_deg,
-         t.K_facets, t.kept_facets, t.rounds,
+         t.K_facets, t.kept_facets, t.rounds, t.termination, t.gap,
          *(0.0 if omit_timings else t.runtimes_sec.get(k, 0.0)
            for k in _TIMINGS)]
         for t in results))

@@ -29,6 +29,8 @@ class TrialResult:
     K_facets: int = 0
     kept_facets: int = 0        # facets the MVIE solve kept
     rounds: int = 0             # kept sets the MVIE solve went through
+    termination: str = ""       # how the MVIE solve ended
+    gap: float = math.nan       # its certified log-det gap bound
     runtimes_sec: dict[str, float] = field(default_factory=dict)
 
 

@@ -17,6 +17,11 @@ its iterate meets as it goes, and ends with an ellipsoid that is optimal
 for the subset and inside every facet, hence the MVIE of the whole
 polytope (Zhang & Gao, SIAM J. Optim. 14(1), 2003). It keeps a few
 dozen of the thousands of facets of a data hull and names the touched ones.
+When d+1 of the facets its multipliers name bound a simplex whose
+inscribed ellipsoid, known in closed form, is certified to lie inside
+the polytope, it ends on that ellipsoid: on noiseless data the MVIE
+touches the hull at exactly N = d+1 points (the paper's recovery
+theorem), so most solves end there after a few barrier stages.
 
 ``solve_mvie`` is the paper's first-order method (FPGM). The pipeline
 does not call it; it is kept as the paper's reference, against which
@@ -41,7 +46,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dgesv, dgetrs, dpotrf
+from scipy.linalg.lapack import dgesv, dgetrs, dpotrf, dsyevd
 
 from .errors import (
     DimMismatch,
@@ -110,6 +115,7 @@ class SolveDiagnostics:
     rounds: int = 1           # kept sets solved on
     evaluations: int = 0      # barrier objective evaluations
     touching: np.ndarray | None = None   # facets the ellipsoid touches
+    gap: float = math.inf     # certified bound on the log-det gap
 
 
 def huber(z):
@@ -371,6 +377,8 @@ def _sym_basis(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 _UNBOUNDED_TRACE = 1.0 / np.finfo(float).eps
 # Factor on t from one barrier stage to the next.
 _T_GROWTH = 100.0
+# Bound on the log-det gap of the solve's answer to the optimum.
+_GAP = 1e-11
 # Fixed seed rays per dimension, besides the 2 d coordinate rays.
 _SEED_RAYS_PER_DIM = 16
 # Largest number of elements in one K x (block of rays) temporary (1 MB).
@@ -508,6 +516,109 @@ def _newton_system(e: np.ndarray, e_inv: np.ndarray, s: np.ndarray,
     return hess, grad, vt
 
 
+def _touching(q: np.ndarray, delta: np.ndarray, t: float, d: int
+              ) -> np.ndarray:
+    """Positions of the kept facets the iterate touches, by descending
+    John weight w_i = 2 q_i / (t Delta_i), q_i = ||E g_i||^2: those above
+    the largest ratio of consecutive weights sorted down, from position
+    d+1 on."""
+    w = 2.0 * q / (t * delta)
+    order = np.argsort(-w, kind="stable")
+    drop = w[order[d:-1]] / w[order[d + 1:]]
+    return order[:d + 1 + (int(drop.argmax()) if drop.size else 0)]
+
+
+def _simplex_candidate(e: np.ndarray, gt: np.ndarray, top: np.ndarray
+                       ) -> np.ndarray | None:
+    """Of the positions top (columns of gt, by descending weight), the
+    first d+1 whose ball directions u_i = E g_i / ||E g_i|| meet every
+    one taken before at a negative inner product, ascending, or None
+    when fewer qualify. The contact directions of a simplex's inscribed
+    ellipsoid meet pairwise at -1/d; neighbouring hull facets at one
+    contact, at about +1. u_i . u_j has the sign of (E g_i) . (E g_j)."""
+    d = e.shape[0]
+    ut = e.dot(gt.take(top, axis=1))
+    neg = ut.T.dot(ut) < 0.0
+    ok = np.ones(top.size, dtype=bool)
+    pick = []
+    while len(pick) <= d:
+        j = int(ok.argmax())              # the first left, by weight
+        if not ok[j]:
+            return None
+        pick.append(j)
+        ok &= neg[j]
+    return np.sort(top[pick])
+
+
+def _simplex_finish(g: np.ndarray, h: np.ndarray, idx: np.ndarray,
+                    gt: np.ndarray, gg: np.ndarray, hk: np.ndarray,
+                    e: np.ndarray, cc: np.ndarray, s: np.ndarray,
+                    reach: np.ndarray, cut: np.ndarray):
+    """The certified end of a solve on the simplex S of the d+1 facets
+    idx of {x : g_i . x <= h_i}: ((E, c', log det E, gap bound) or None,
+    the facets known to cut a rejected candidate).
+
+    Column j of B^-1, B = [g_idx | -h_idx], is y_j (v_j, 1) for the
+    vertex v_j off facet j, with g_j . v_j - h_j = 1/y_j, so S is bounded
+    iff every y_j < 0. Its maximum-volume inscribed ellipsoid is the
+    affine image of the regular simplex's insphere: c* the vertex mean,
+    F* the symmetric square root of sum_j (v_j - c*)(v_j - c*)^T /
+    (d (d+1)).
+
+    S contains the polytope, so no ellipsoid inside the polytope has a
+    larger log det than F*; theta F* about c* lies inside it for theta =
+    min_i (h_i - g_i . c*) / ||F* g_i||, so its log-det gap is at most
+    -d log theta. The finish is taken when that is at most half of _GAP,
+    and the returned E is theta exp(-_GAP/(2d)) F*: the whole gap stays
+    within _GAP, and the margin keeps E inside under rounding.
+
+    theta is taken over the kept facets (normals gt, outer products gg,
+    offsets hk) first, then over cut, the facets that cut the last
+    candidate rejected on the others (they cut the next one as a rule),
+    and last over the facets whose margin s_i - ||E g_i|| at the iterate
+    (E, c') is at most ||c* - c'|| + ||F* - E||_F (s and reach hold s_i
+    and ||E g_i|| of all facets): for unit normals no other facet can be
+    crossed by F*.
+    """
+    d = g.shape[1]
+    b = np.empty((d + 1, d + 1))
+    b[:, :d] = g.take(idx, axis=0)
+    b[:, d] = -h.take(idx)
+    _, _, b_inv, info = dgesv(b, np.eye(d + 1))
+    y = b_inv[d]
+    if info or not y.max() < 0.0:
+        return None, cut
+    v = b_inv[:d] / y
+    c = v.sum(axis=1) / (d + 1)
+    v -= c[:, None]
+    f2 = v.dot(v.T) / (d * (d + 1))       # F*^2
+    floor = math.exp(-0.5 * _GAP / d)
+
+    def theta(facets):
+        """(h_i - g_i . c*) / ||F* g_i||, ||F* g_i||^2 = ||V^T g_i||^2 /
+        (d (d+1)) for the centred vertices V."""
+        gn = g.take(facets, axis=0)
+        w = gn.dot(v)
+        return (h.take(facets) - gn.dot(c)) / np.sqrt(
+            np.einsum("ij,ij->i", w, w) / (d * (d + 1)))
+
+    low = float(((hk - c.dot(gt)) / np.sqrt(f2.ravel().dot(gg))).min())
+    if not low >= floor or cut.size and not theta(cut).min() >= floor:
+        return None, cut
+    lam, vec, info = dsyevd(f2)
+    if info or not lam[0] > 0.0:
+        return None, cut
+    f = (vec * np.sqrt(lam)).dot(vec.T)
+    near = np.flatnonzero(s - reach <= np.linalg.norm(c - cc)
+                          + np.linalg.norm(f - e))
+    ratio = theta(near)
+    low = min(low, float(ratio.min(initial=low)))
+    if not low >= floor:
+        return None, near[ratio < floor]
+    logdet = d * math.log(low * floor) + 0.5 * float(np.log(lam).sum())
+    return (low * floor * f, c, logdet, 0.5 * _GAP - d * math.log(low)), cut
+
+
 def solve_mvie_high_accuracy(poly: HPolytope
                              ) -> tuple[Ellipsoid, SolveDiagnostics]:
     """Log-barrier Newton method for the constrained program itself,
@@ -523,17 +634,20 @@ def solve_mvie_high_accuracy(poly: HPolytope
         s_i = h'_i - g_i . c',
 
     from E = I/2, c' = 0, t = 1, multiplying t by 100 per stage until the
-    barrier's log-det gap bound 2 K_kept / t is at most 1e-11. Each stage
-    runs damped Newton steps until t lambda^2 / 2 <= 1e-2 for the Newton
-    decrement lambda: t times the stage objective is self-concordant, so
-    the stage ends about where Newton's quadratic phase begins. The line
-    search halves from the first power of two below the step's distance
-    to the cones' edge, found in closed form (``_step_bound``), and
-    accepts strictly feasible points only. A stage that ends on the
-    decrement predicts the next stage's start along the central path's
-    tangent in 1/t, (1 - 1/100) H^-1 b for the stage's Hessian H and
-    barrier gradient b, kept (1 - 1/100) of the way to the cones' edge
-    (Boyd & Vandenberghe 11.3; notes/decisions.md).
+    barrier's log-det gap bound 2 K_kept / t is at most 1e-11, or until
+    the simplex finish below ends the solve. Each stage runs damped
+    Newton steps until t lambda^2 / 2 <= 1e-2 for the Newton decrement
+    lambda: t times the stage objective is self-concordant, so the stage
+    ends about where Newton's quadratic phase begins. It also ends when a
+    full step's Armijo decrease lambda^2 / 4 is at most one unit in the
+    last place of the objective, below which the line search would pass
+    or fail by rounding alone. The line search halves from the first
+    power of two below the step's distance to the cones' edge, found in
+    closed form (``_step_bound``), and accepts strictly feasible points
+    only. A stage that ends on the decrement predicts the next stage's
+    start along the central path's tangent in 1/t, (1 - 1/100) H^-1 b for
+    the stage's Hessian H and barrier gradient b, kept (1 - 1/100) of the
+    way to the cones' edge (Boyd & Vandenberghe 11.3; notes/decisions.md).
 
     The kept facets start as those where the rays from c0 along 16 d
     fixed directions and +-e_i leave the polytope, grown until their
@@ -546,11 +660,22 @@ def solve_mvie_high_accuracy(poly: HPolytope
     again after that stage. The returned ellipsoid is optimal for the
     kept facets, whose polytope contains the full one, and lies inside
     all K facets, so it is the maximum-volume ellipsoid inscribed in the
-    full polytope (notes/decisions.md). Raises Divergence when the
-    polytope is unbounded: when a ray from c0 leaves through no facet, or
-    when the iterates grow without bound and no facet cuts them off.
-    ``solve_mvie`` is the paper's first-order method, kept as the
-    reference the tests check this solve against.
+    full polytope (notes/decisions.md).
+
+    The simplex finish: at the end of each stage run whose iterate meets
+    no facet outside the kept set, of the facets the multipliers name as
+    touching (``touching`` below), by descending weight, the first d+1
+    whose directions E g_i meet every one taken before at a negative
+    inner product are a candidate, tried once per solve. When they bound
+    a simplex whose inscribed ellipsoid, scaled to fit the polytope, is
+    certified within 1e-11 / 2 of the optimum in log det, the solve ends
+    on it (``_simplex_finish``; notes/decisions.md, "A certified simplex
+    finish").
+
+    Raises Divergence when the polytope is unbounded: when a ray from c0
+    leaves through no facet, or when the iterates grow without bound and
+    no facet cuts them off. ``solve_mvie`` is the paper's first-order
+    method, kept as the reference the tests check this solve against.
 
     Diagnostics: ``iterations`` counts Newton steps over all rounds,
     ``stage_iterations`` the steps of every stage run (a stage run again
@@ -561,13 +686,19 @@ def solve_mvie_high_accuracy(poly: HPolytope
     predictor trials, and the start of each round and of a stage run
     without a prediction), ``objective_trace`` -log det F after every
     step, ``final_objective`` -log det F of the returned ellipsoid,
+    ``termination`` "simplex" when the finish ended the solve and "tol"
+    when the barrier's gap bound did, ``gap`` the certified bound on the
+    log-det gap (2 K_kept / t, or -d log theta + 1e-11 / 2 on the finish),
     ``kept_facets`` the number of facets kept at the end and ``rounds``
     the number of kept sets solved on (1 when no facet had to be added).
     ``touching`` lists, ascending, the facets the ellipsoid touches: the
     last stage's multiplier w_i = 2 ||E g_i||^2 / (t (s_i^2 - ||E g_i||^2))
     is facet i's John weight (8.4.2, 11.2.2), about d/N if it touches and
     1/(t s_i) if not, so they are those above the largest ratio of
-    consecutive weights sorted down, from position d+1 on.
+    consecutive weights sorted down, from position d+1 on. After the
+    finish they are the d+1 facets of the simplex; more facets may touch
+    the ellipsoid, as every side of a regular hexagon touches its
+    incircle, the inscribed ellipse of the triangle of every other side.
     """
     return _barrier_solve(poly, None)
 
@@ -625,6 +756,9 @@ def _barrier_solve(poly: HPolytope, seed: np.ndarray | None
     rounds = 1
     evaluations = 0
     sl = None         # slacks of x on the kept facets, once evaluated at t
+    tried = set()     # simplex candidates whose finish failed
+    cut = np.zeros(0, dtype=int)   # facets that cut a rejected candidate
+    finish = None
     gt, gg, hk = facets(kept)
     while True:
         e, cc = unpack(x)
@@ -647,8 +781,10 @@ def _barrier_solve(poly: HPolytope, seed: np.ndarray | None
                 break
             slope = float(grad.dot(step))      # -(Newton decrement)^2
             # t times the objective is self-concordant; its decrement
-            # at 0.14 is about where Newton's quadratic phase begins
-            if -slope * t / 2.0 <= 1e-2:
+            # at 0.14 is about where Newton's quadratic phase begins.
+            # Past a full step's Armijo decrease below f's last place,
+            # the line search can only pass or fail by rounding.
+            if -slope * t / 2.0 <= 1e-2 or -0.25 * slope <= math.ulp(f):
                 tangent, _ = dgetrs(lu, piv, vt.dot(2.0 / (t * delta)))
                 break
             # halve from 1, skipping the levels beyond the cones' edge
@@ -710,8 +846,18 @@ def _barrier_solve(poly: HPolytope, seed: np.ndarray | None
                 "times the centre's facet distance after "
                 f"{sum(stage_iters)} Newton steps, and no facet cuts it "
                 "off; the polytope is unbounded")
-        if 2.0 * kept.size / t <= 1e-11:
+        gap = 2.0 * kept.size / t
+        if gap <= _GAP:
             break
+        # End on the simplex of d+1 touched facets when its inscribed
+        # ellipsoid is certified inside the polytope (_simplex_finish)
+        pick = _simplex_candidate(e, gt, _touching(*sl[1:], t, d))
+        if pick is not None and tuple(kept[pick]) not in tried:
+            tried.add(tuple(kept[pick]))
+            finish, cut = _simplex_finish(g, h, kept[pick], gt, gg, hk, e,
+                                          cc, s, reach, cut)
+            if finish is not None:
+                break
         t *= _T_GROWTH
         last, sl = sl, None
         if tangent is not None:
@@ -728,23 +874,24 @@ def _barrier_solve(poly: HPolytope, seed: np.ndarray | None
             evaluations += 1
             if new_sl is not None:           # else E lost definiteness
                 x, f, sl, logdet = trial, f_new, new_sl, new_logdet
-    _, q, delta = sl
-    w = 2.0 * q / (t * delta)
-    order = np.argsort(-w, kind="stable")
-    drop = w[order[d:-1]] / w[order[d + 1:]]
-    n_touch = d + 1 + (int(drop.argmax()) if drop.size else 0)
+    if finish is None:
+        touching = np.sort(kept[_touching(*sl[1:], t, d)])
+    else:
+        touching = kept[pick]
+        e, cc, logdet, gap = finish
     diag = SolveDiagnostics(
         iterations=sum(stage_iters),
         final_objective=-(logdet + logdet_shift),
         objective_trace=trace,
         backtracks=backtracks,
         inv_step_trace=inv_step,
-        termination="tol",
+        termination="tol" if finish is None else "simplex",
         stage_iterations=stage_iters,
         kept_facets=int(kept.size),
         rounds=rounds,
         evaluations=evaluations,
-        touching=np.sort(kept[order[:n_touch]]),
+        touching=touching,
+        gap=gap,
     )
     return Ellipsoid(F=r0 * e, c=c0 + r0 * cc), diag
 

@@ -109,6 +109,7 @@ class TestRunCommand:
         john = payload["diagnostics"]["john_residual"]
         assert np.isfinite(viol) and np.isfinite(john)
         assert viol <= 0.0
+        assert payload["diagnostics"]["gap"] <= 1e-11
         assert set(payload["timings"]) == {"dimred", "hull", "solve",
                                            "recover"}
 
@@ -235,6 +236,21 @@ class TestBenchCommand:
         assert len(agg) == 1 + 2
         for line in rows[1:]:
             assert ",ok," in line
+
+    def test_trials_report_how_each_solve_ended(self, tmp_path):
+        out = tmp_path / "bench"
+        code = run_cli("bench", "--N", "3", "--r", "0.9", "--snr", "inf",
+                       "20", "--trials", "2", "--M", "20", "--L", "150",
+                       "--out", str(out))
+        assert code == 0
+        rows = list(csv.DictReader(io.StringIO(
+            (out / "trials.csv").read_text())))
+        assert len(rows) == 4
+        for row in rows:
+            assert row["termination"] in ("simplex", "tol")
+            assert float(row["gap"]) <= 1e-11
+        header = (out / "trials.csv").read_text().splitlines()[0]
+        assert ",rounds,termination,gap,t_dimred," in header
 
     def test_deterministic_rerun_without_timings(self, tmp_path):
         args = ["bench", "--N", "3", "--r", "0.9", "--trials", "2",

@@ -269,9 +269,10 @@ class TestSolve:
         assert np.isfinite(diag.objective_trace).all()
 
 
-def synth_polytope(n, r, l, seed, m=30):
-    """Facets of the reduced data hull of a noiseless synth instance."""
-    gt = synth.make_instance(m, n, l, r, math.inf, seed)
+def synth_polytope(n, r, l, seed, m=30, snr=math.inf):
+    """Facets of the reduced data hull of a synth instance, noiseless
+    unless snr (dB) is given."""
+    gt = synth.make_instance(m, n, l, r, snr, seed)
     chart = dimred.affine_fit(gt.X, n)
     return hull.enumerate_facets(dimred.reduce_points(gt.X, chart).T)
 
@@ -389,6 +390,152 @@ class TestStepBound:
         for n, r, l in [(4, 0.7, 1000), (6, 0.6, 200)]:
             _, diag = solve_mvie_high_accuracy(synth_polytope(n, r, l, 0))
             assert diag.evaluations < 1.5 * diag.iterations
+
+
+@pytest.fixture
+def finish_calls(monkeypatch):
+    """The arguments of every simplex finish the solves of a test attempt,
+    each with its result: (E, c', log det E, gap) when it ended the solve,
+    else None."""
+    calls = []
+    finish = mvie._simplex_finish
+
+    def recorded(*args):
+        out = finish(*args)
+        calls.append((args, out[0]))
+        return out
+
+    monkeypatch.setattr(mvie, "_simplex_finish", recorded)
+    return calls
+
+
+def polygon(k):
+    """The regular k-gon with unit inradius, centred at the origin."""
+    ang = 2.0 * np.pi * np.arange(k) / k
+    return hull.HPolytope(2, np.column_stack([np.cos(ang), np.sin(ang)]),
+                          np.ones(k), np.zeros(2), 0.0)
+
+
+class TestSimplexFinish:
+    @pytest.mark.parametrize("d", range(1, 7))
+    def test_random_simplex_ends_on_the_closed_form(self, rng, d):
+        # x = A u + b maps the regular simplex, whose inscribed ball has
+        # radius 1/sqrt((d+1) d), to a simplex whose MVIE is the image of
+        # that ball: F = (A A^T / ((d+1) d))^(1/2), c = b. A has singular
+        # values 1 to 3 in random orthogonal frames.
+        q1, _ = np.linalg.qr(rng.standard_normal((d, d)))
+        q2, _ = np.linalg.qr(rng.standard_normal((d, d)))
+        a = (q1 * np.linspace(1.0, 3.0, d)) @ q2
+        b = rng.standard_normal(d)
+        pts, _ = regular_simplex_points(d + 1)
+        poly = hull.enumerate_facets(pts @ a.T + b)
+        ell, diag = solve_mvie_high_accuracy(poly)
+        lam, u = np.linalg.eigh(a @ a.T / ((d + 1) * d))
+        f_star = (u * np.sqrt(lam)) @ u.T
+        assert diag.termination == "simplex"
+        assert np.linalg.norm(ell.F - f_star) <= 1e-9 * np.linalg.norm(f_star)
+        assert np.linalg.norm(ell.c - b) <= 1e-9 * np.linalg.norm(f_star)
+        assert mvie.max_violation(ell, poly) <= 0.0
+        assert diag.gap <= 1e-11
+        assert np.array_equal(diag.touching, np.arange(d + 1))
+        assert abs(diag.final_objective
+                   + np.linalg.slogdet(ell.F)[1]) <= 1e-12 * d
+
+    @pytest.mark.parametrize("d,cut", [(2, 0.5), (3, 0.6)])
+    def test_cut_corner_rejects_the_candidate(self, finish_calls, d, cut):
+        # The MVIE of conv(0, e_1, ..., e_d) reaches x_1 + ... + x_d = 1/3
+        # (d = 2) and 1/2 (d = 3), so cutting the corner at 0 by
+        # x_1 + ... + x_d >= cut clips it: no simplex of the polytope's
+        # facets has an inscribed ellipsoid inside it
+        poly = hull.enumerate_facets(np.vstack([cut * np.eye(d), np.eye(d)]))
+        ell, diag = solve_mvie_high_accuracy(poly)
+        assert finish_calls
+        assert all(end is None for _, end in finish_calls)
+        assert diag.termination == "tol"
+        assert diag.gap <= 1e-11
+        assert_same_ellipsoid(ell, full_set_solve(poly)[0], 1e-6)
+        assert mvie.max_violation(ell, poly) <= 0.0
+
+    def test_margin_screen_misses_no_facet_that_lowers_theta(
+            self, finish_calls):
+        # Every facet whose margin s_i - ||E g_i|| at the iterate exceeds
+        # ||c* - c'|| + ||F* - E||_F lies strictly outside F*, so theta
+        # over the screened facets is theta over all K, and the finish
+        # ends the solve exactly when theta over all K passes
+        poly = synth_polytope(6, 0.6, 200, 0)
+        _, diag = solve_mvie_high_accuracy(poly)
+        assert diag.termination == "simplex"
+        screened = 0
+        for (g, h, idx, _, _, _, e, cc, s, reach, _), end in finish_calls:
+            d = g.shape[1]
+            b_inv = np.linalg.inv(np.column_stack([g[idx], -h[idx]]))
+            if b_inv[d].max() >= 0.0:
+                continue                       # an unbounded candidate
+            v = b_inv[:d] / b_inv[d]
+            c = v.mean(axis=1)
+            v -= c[:, None]
+            lam, u = np.linalg.eigh(v @ v.T / (d * (d + 1)))
+            f = (u * np.sqrt(lam)) @ u.T
+            ratio = (h - g @ c) / np.linalg.norm(g @ f, axis=1)
+            bound = np.linalg.norm(c - cc) + np.linalg.norm(f - e)
+            near = s - reach <= bound
+            assert ratio[~near].min(initial=np.inf) > 1.0
+            assert ratio.min() <= 1.0 + 1e-12
+            assert ratio[near].min() == ratio.min()
+            assert (end is not None) == (ratio.min()
+                                         >= math.exp(-0.5e-11 / d))
+            screened += int(near.sum() < 0.1 * near.size)
+        assert screened > 0          # the screen left out most facets
+
+    def test_a_failed_candidate_is_not_tried_again(self, monkeypatch,
+                                                    finish_calls):
+        # Under noise the MVIE touches more than d+1 facets, and the stages
+        # name the same candidate again and again
+        picks = []
+        candidate = mvie._simplex_candidate
+
+        def recorded(e, gt, top):
+            pick = candidate(e, gt, top)
+            if pick is not None:
+                picks.append(frozenset(map(tuple, gt[:, pick].T)))
+            return pick
+
+        monkeypatch.setattr(mvie, "_simplex_candidate", recorded)
+        poly = synth_polytope(4, 0.7, 1000, 0, m=50, snr=30.0)
+        _, diag = solve_mvie_high_accuracy(poly)
+        tried = [frozenset(args[2].tolist()) for args, _ in finish_calls]
+        assert diag.termination == "tol"
+        assert len(set(tried)) == len(tried) == len(set(picks))
+        assert len(picks) > len(tried)
+
+    def test_polygons_keep_the_path(self):
+        # Their MVIE, the unit incircle, touches every side, and no three
+        # sides bound a triangle whose inscribed ellipse it is: that
+        # triangle would be equilateral. Every third side of the hexagon
+        # does bound one, and the finish ends on it.
+        for k, end in [(4, "tol"), (5, "tol"), (6, "simplex"), (7, "tol"),
+                       (8, "tol")]:
+            poly = polygon(k)
+            ell, diag = solve_mvie_high_accuracy(poly)
+            assert diag.termination == end
+            assert diag.gap <= 1e-11
+            assert np.abs(ell.F - np.eye(2)).max() <= 1e-5
+            assert mvie.max_violation(ell, poly) <= 0.0
+
+    def test_stage_ends_below_the_last_place_of_f(self, monkeypatch):
+        # With the finish off this instance takes the full path. At
+        # t = 1e14 a step passes the decrement test whose Armijo decrease,
+        # about 1.8e-16, lies below one unit in the last place of f;
+        # stopped on the decrement alone, its line search rejected 18
+        # trials (45 evaluations for 19 steps). Trials beyond one per
+        # Newton step and one per stage run are rejected ones.
+        monkeypatch.setattr(mvie, "_simplex_candidate", lambda *args: None)
+        poly = synth_polytope(4, 0.7, 1000, 7, m=50, snr=30.0)
+        _, diag = solve_mvie_high_accuracy(poly)
+        rejected = (diag.evaluations - diag.iterations
+                    - len(diag.stage_iterations))
+        assert diag.termination == "tol"
+        assert rejected < 10
 
 
 def sym_basis(d):
