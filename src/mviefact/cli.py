@@ -206,6 +206,7 @@ def cmd_run(args) -> int:
             "kept_facets": report.solver.kept_facets,
             "rounds": report.solver.rounds,
             "gap": report.solver.gap,
+            "pivots": report.solver.pivots,
             "max_violation": report.max_violation,
             "john_residual": mvie.check_john(
                 report.ellipsoid, report.contacts_reduced).residual,

@@ -20,6 +20,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg.lapack import dgeqrf, dgesdd
 
 from .errors import BadDims, DimMismatch, RankDeficientData
 from .numerics import as_matrix
@@ -57,6 +58,15 @@ def affine_fit(x: np.ndarray, n: int) -> AffineChart:
     sigma^2 = sum_{j>=N} s_j^2 / (L k), 1.5 times the Marchenko-Pastur
     edge of isotropic noise (notes/decisions.md). With k = 1 it cannot.
     """
+    return _fit(x, n)[0]
+
+
+def _fit(x: np.ndarray, n: int) -> tuple[AffineChart, np.ndarray]:
+    """affine_fit, and the data in the chart's reduced coordinates,
+    Phi^T C for the centered data C: the residual needs that product, so
+    reduce_points need not center the data again. R comes from LAPACK's
+    dgeqrf on C^T, a Fortran-ordered view of C, and the SVD of R^T from
+    dgesdd."""
     x = as_matrix(x, "data")
     m, l = x.shape
     if l < n:
@@ -67,35 +77,45 @@ def affine_fit(x: np.ndarray, n: int) -> AffineChart:
         raise BadDims("need N >= 2 for a nontrivial affine fit")
     b = x.mean(axis=1)
     centered = x - b[:, None]
-    tri = np.linalg.qr(centered.T, mode="r")
-    u, s, _ = np.linalg.svd(tri.T, full_matrices=False)
+    qr, _, _, _ = dgeqrf(centered.T)
+    u, s, _, info = dgesdd(np.triu(qr[:min(m, l)]).T, full_matrices=0)
+    if info:
+        raise np.linalg.LinAlgError("SVD did not converge")
     phi, tail, s = u[:, :n - 1], s[n - 1:min(m, l - 1)], s[:n - 1]
     if s[0] <= 0.0 or s[-1] < 1e-10 * s[0]:
         raise RankDeficientData(
             f"centered data is rank deficient: singular values {s}")
-    res = _largest_offset(centered, phi)
-    scale = float(np.linalg.norm(centered, axis=0).max())
+    reduced = phi.T @ centered
+    res = _largest_offset(centered, phi, reduced)
     k = tail.size
-    if (res > 1e-8 * max(scale, 1e-300) and k > 0
-            and tail[0] ** 2 > 1.5 * float(tail @ tail) / (l * k)
-            * (math.sqrt(l) + math.sqrt(k)) ** 2):
+    if (k > 0 and tail[0] ** 2 > 1.5 * float(tail @ tail) / (l * k)
+            * (math.sqrt(l) + math.sqrt(k)) ** 2
+            and res > 1e-8 * max(
+                float(np.linalg.norm(centered, axis=0).max()), 1e-300)):
         warnings.warn(
             f"affine fit residual {res:.3e} exceeds 1e-8 relative and the "
             "first discarded direction stands above the noise; the data "
             f"may hold more than N={n} signatures",
-            stacklevel=2)
-    return AffineChart(Phi=phi, b=b, residual=res)
+            stacklevel=3)
+    return AffineChart(Phi=phi, b=b, residual=res), reduced
 
 
 def fit_residual(chart: AffineChart, x: np.ndarray) -> float:
     """Largest distance of any column from the chart's affine set."""
     x = as_matrix(x, "data")
-    return _largest_offset(x - chart.b[:, None], chart.Phi)
+    centered = x - chart.b[:, None]
+    return _largest_offset(centered, chart.Phi, chart.Phi.T @ centered)
 
 
-def _largest_offset(centered: np.ndarray, phi: np.ndarray) -> float:
-    off = centered - phi @ (phi.T @ centered)
-    return float(np.linalg.norm(off, axis=0).max())
+def _largest_offset(centered: np.ndarray, phi: np.ndarray,
+                    reduced: np.ndarray) -> float:
+    """max_j ||c_j - Phi u_j|| for the columns c_j of centered and u_j of
+    reduced = Phi^T centered, computed in one buffer: a fresh array of
+    the data's size costs more than the arithmetic on it."""
+    off = phi @ reduced
+    np.subtract(centered, off, out=off)
+    np.multiply(off, off, out=off)
+    return math.sqrt(float(np.add.reduce(off, axis=0).max()))
 
 
 def reduce_points(x: np.ndarray, chart: AffineChart) -> np.ndarray:

@@ -21,7 +21,10 @@ When d+1 of the facets its multipliers name bound a simplex whose
 inscribed ellipsoid, known in closed form, is certified to lie inside
 the polytope, it ends on that ellipsoid: on noiseless data the MVIE
 touches the hull at exactly N = d+1 points (the paper's recovery
-theorem), so most solves end there after a few barrier stages.
+theorem), so most solves end there after a few barrier stages. A
+candidate simplex whose ellipsoid some facet cuts is pivoted onto that
+facet, one facet at a time, so a candidate that lacks one facet of the
+MVIE's simplex reaches it without waiting for more stages.
 
 ``solve_mvie`` is the paper's first-order method (FPGM). The pipeline
 does not call it; it is kept as the paper's reference, against which
@@ -116,6 +119,7 @@ class SolveDiagnostics:
     evaluations: int = 0      # barrier objective evaluations
     touching: np.ndarray | None = None   # facets the ellipsoid touches
     gap: float = math.inf     # certified bound on the log-det gap
+    pivots: int = 0           # simplex candidates a rejected one named
 
 
 def huber(z):
@@ -385,6 +389,7 @@ _SEED_RAYS_PER_DIM = 16
 _RAY_BLOCK = 1 << 17
 
 
+@functools.lru_cache(maxsize=None)
 def _seed_rays(d: int) -> np.ndarray:
     """16 d fixed unit directions in R^d, then +-e_1 ... +-e_d.
 
@@ -392,6 +397,7 @@ def _seed_rays(d: int) -> np.ndarray:
     of the Kronecker sequence with alpha_k = phi_d^-k, phi_d the root of
     x^(d+1) = x + 1 (Roberts' R_d sequence, low-discrepancy in [0, 1)^d),
     mapped to [-1, 1)^d and normalized. No random numbers are drawn.
+    Built once per d and shared, hence read-only.
     """
     phi = 2.0
     for _ in range(64):                    # contraction to phi_d
@@ -400,7 +406,9 @@ def _seed_rays(d: int) -> np.ndarray:
     j = np.arange(1.0, _SEED_RAYS_PER_DIM * d + 1)[:, None]
     u = 2.0 * np.mod(0.5 + j * alpha, 1.0) - 1.0
     u /= np.linalg.norm(u, axis=1, keepdims=True)
-    return np.vstack([u, np.eye(d), -np.eye(d)])
+    rays = np.vstack([u, np.eye(d), -np.eye(d)])
+    rays.flags.writeable = False
+    return rays
 
 
 def _exit_facets(g: np.ndarray, h: np.ndarray, rays: np.ndarray
@@ -551,12 +559,13 @@ def _simplex_candidate(e: np.ndarray, gt: np.ndarray, top: np.ndarray
 
 
 def _simplex_finish(g: np.ndarray, h: np.ndarray, idx: np.ndarray,
-                    gt: np.ndarray, gg: np.ndarray, hk: np.ndarray,
+                    gt: np.ndarray, gg: np.ndarray, kept: np.ndarray,
                     e: np.ndarray, cc: np.ndarray, s: np.ndarray,
                     reach: np.ndarray, cut: np.ndarray):
     """The certified end of a solve on the simplex S of the d+1 facets
     idx of {x : g_i . x <= h_i}: ((E, c', log det E, gap bound) or None,
-    the facets known to cut a rejected candidate).
+    the facets known to cut a rejected candidate, the candidate to try
+    next or None).
 
     Column j of B^-1, B = [g_idx | -h_idx], is y_j (v_j, 1) for the
     vertex v_j off facet j, with g_j . v_j - h_j = 1/y_j, so S is bounded
@@ -572,13 +581,18 @@ def _simplex_finish(g: np.ndarray, h: np.ndarray, idx: np.ndarray,
     and the returned E is theta exp(-_GAP/(2d)) F*: the whole gap stays
     within _GAP, and the margin keeps E inside under rounding.
 
-    theta is taken over the kept facets (normals gt, outer products gg,
-    offsets hk) first, then over cut, the facets that cut the last
-    candidate rejected on the others (they cut the next one as a rule),
-    and last over the facets whose margin s_i - ||E g_i|| at the iterate
-    (E, c') is at most ||c* - c'|| + ||F* - E||_F (s and reach hold s_i
-    and ||E g_i|| of all facets): for unit normals no other facet can be
-    crossed by F*.
+    theta is taken over the kept facets (normals gt, outer products gg)
+    first, then over cut, the facets that cut the last candidate rejected
+    on the others (they cut the next one as a rule), and last over the
+    facets whose margin s_i - ||E g_i|| at the iterate (E, c') is at most
+    ||c* - c'|| + ||F* - E||_F (s and reach hold s_i and ||E g_i|| of all
+    facets): for unit normals no other facet can be crossed by F*.
+
+    A bounded candidate rejected on one of these sets names the next: the
+    most cutting facet j of that set (smallest ratio) comes in for the
+    facet i of idx whose contact direction F* g_i / ||F* g_i|| in the
+    ball of F* lies nearest j's, argmax_i g_i . F*^2 g_j / ||F* g_i||
+    (notes/decisions.md, "Pivoting a rejected simplex candidate").
     """
     d = g.shape[1]
     b = np.empty((d + 1, d + 1))
@@ -587,7 +601,7 @@ def _simplex_finish(g: np.ndarray, h: np.ndarray, idx: np.ndarray,
     _, _, b_inv, info = dgesv(b, np.eye(d + 1))
     y = b_inv[d]
     if info or not y.max() < 0.0:
-        return None, cut
+        return None, cut, None
     v = b_inv[:d] / y
     c = v.sum(axis=1) / (d + 1)
     v -= c[:, None]
@@ -602,21 +616,37 @@ def _simplex_finish(g: np.ndarray, h: np.ndarray, idx: np.ndarray,
         return (h.take(facets) - gn.dot(c)) / np.sqrt(
             np.einsum("ij,ij->i", w, w) / (d * (d + 1)))
 
-    low = float(((hk - c.dot(gt)) / np.sqrt(f2.ravel().dot(gg))).min())
-    if not low >= floor or cut.size and not theta(cut).min() >= floor:
-        return None, cut
+    def pivot(facets, ratio):
+        """idx with the most cutting of facets, j, in. F* touches its own
+        facets: ||F* g_i|| = h_i - g_i . c* = -1 / ((d+1) y_i). Should j
+        be one of them, below the floor by rounding alone, the nearest is
+        j itself, and idx comes back."""
+        j = facets[ratio.argmin()]
+        nxt = idx.copy()
+        nxt[(b[:, :d].dot(f2.dot(g[j])) * -y).argmax()] = j
+        return np.sort(nxt)
+
+    ratio = (h.take(kept) - c.dot(gt)) / np.sqrt(f2.ravel().dot(gg))
+    low = float(ratio.min())
+    if not low >= floor:
+        return None, cut, pivot(kept, ratio)
+    if cut.size:
+        ratio = theta(cut)
+        if not ratio.min() >= floor:
+            return None, cut, pivot(cut, ratio)
     lam, vec, info = dsyevd(f2)
     if info or not lam[0] > 0.0:
-        return None, cut
+        return None, cut, None
     f = (vec * np.sqrt(lam)).dot(vec.T)
     near = np.flatnonzero(s - reach <= np.linalg.norm(c - cc)
                           + np.linalg.norm(f - e))
     ratio = theta(near)
     low = min(low, float(ratio.min(initial=low)))
     if not low >= floor:
-        return None, near[ratio < floor]
+        return None, near[ratio < floor], pivot(near, ratio)
     logdet = d * math.log(low * floor) + 0.5 * float(np.log(lam).sum())
-    return (low * floor * f, c, logdet, 0.5 * _GAP - d * math.log(low)), cut
+    return ((low * floor * f, c, logdet, 0.5 * _GAP - d * math.log(low)),
+            cut, None)
 
 
 def solve_mvie_high_accuracy(poly: HPolytope
@@ -634,8 +664,8 @@ def solve_mvie_high_accuracy(poly: HPolytope
         s_i = h'_i - g_i . c',
 
     from E = I/2, c' = 0, t = 1, multiplying t by 100 per stage until the
-    barrier's log-det gap bound 2 K_kept / t is at most 1e-11, or until
-    the simplex finish below ends the solve. Each stage runs damped
+    barrier's log-det gap bound 2 K_kept / t is at most 1e-11 / 2, or
+    until the simplex finish below ends the solve. Each stage runs damped
     Newton steps until t lambda^2 / 2 <= 1e-2 for the Newton decrement
     lambda: t times the stage objective is self-concordant, so the stage
     ends about where Newton's quadratic phase begins. It also ends when a
@@ -657,20 +687,29 @@ def solve_mvie_high_accuracy(poly: HPolytope
     kept from then on and the stage is run again at the same t, from
     t/(t+1) of the way to the kept facets' cones' edge along the segment
     from E = 0, c' = 0 to the iterate; the facets left out are tested
-    again after that stage. The returned ellipsoid is optimal for the
-    kept facets, whose polytope contains the full one, and lies inside
-    all K facets, so it is the maximum-volume ellipsoid inscribed in the
-    full polytope (notes/decisions.md).
+    again after that stage. The last iterate is optimal for the kept
+    facets, whose polytope contains the full one, and lies inside all K
+    facets, so it is the maximum-volume ellipsoid inscribed in the full
+    polytope (notes/decisions.md). Its E is returned scaled by theta
+    exp(-1e-11 / (2 d)), theta = min(1, min_i s_i / ||E g_i||) over all K
+    facets from the last scan, so rounding cannot leave it outside; the
+    scaling costs -d log theta + 1e-11 / 2 in log det.
 
     The simplex finish: at the end of each stage run whose iterate meets
     no facet outside the kept set, of the facets the multipliers name as
     touching (``touching`` below), by descending weight, the first d+1
     whose directions E g_i meet every one taken before at a negative
-    inner product are a candidate, tried once per solve. When they bound
-    a simplex whose inscribed ellipsoid, scaled to fit the polytope, is
-    certified within 1e-11 / 2 of the optimum in log det, the solve ends
-    on it (``_simplex_finish``; notes/decisions.md, "A certified simplex
-    finish").
+    inner product are a candidate. When they bound a simplex whose
+    inscribed ellipsoid, scaled to fit the polytope, is certified within
+    1e-11 / 2 of the optimum in log det, the solve ends on it
+    (``_simplex_finish``; notes/decisions.md, "A certified simplex
+    finish"). A bounded candidate rejected because a facet cuts its
+    inscribed ellipsoid names the next: the most cutting facet in place
+    of the candidate's facet whose contact lies nearest it. The walk
+    stops on a certified set, a set tried before in the solve (each set
+    is tried once), a candidate that names none, or after d+1 pivots at
+    one stage end (notes/decisions.md, "Pivoting a rejected simplex
+    candidate").
 
     Raises Divergence when the polytope is unbounded: when a ray from c0
     leaves through no facet, or when the iterates grow without bound and
@@ -688,15 +727,18 @@ def solve_mvie_high_accuracy(poly: HPolytope
     step, ``final_objective`` -log det F of the returned ellipsoid,
     ``termination`` "simplex" when the finish ended the solve and "tol"
     when the barrier's gap bound did, ``gap`` the certified bound on the
-    log-det gap (2 K_kept / t, or -d log theta + 1e-11 / 2 on the finish),
-    ``kept_facets`` the number of facets kept at the end and ``rounds``
-    the number of kept sets solved on (1 when no facet had to be added).
+    log-det gap (2 K_kept / t plus the scaling's cost on the path, -d log
+    theta + 1e-11 / 2 on the finish), ``kept_facets`` the number of facets
+    kept at the end, ``rounds`` the number of kept sets solved on (1 when
+    no facet had to be added) and ``pivots`` the number of candidates the
+    walk tried, the greedy picks not counted.
     ``touching`` lists, ascending, the facets the ellipsoid touches: the
     last stage's multiplier w_i = 2 ||E g_i||^2 / (t (s_i^2 - ||E g_i||^2))
     is facet i's John weight (8.4.2, 11.2.2), about d/N if it touches and
     1/(t s_i) if not, so they are those above the largest ratio of
     consecutive weights sorted down, from position d+1 on. After the
-    finish they are the d+1 facets of the simplex; more facets may touch
+    finish they are the d+1 facets of the simplex it ended on, picked or
+    pivoted to; more facets may touch
     the ellipsoid, as every side of a regular hexagon touches its
     incircle, the inscribed ellipse of the triangle of every other side.
     """
@@ -757,6 +799,7 @@ def _barrier_solve(poly: HPolytope, seed: np.ndarray | None
     evaluations = 0
     sl = None         # slacks of x on the kept facets, once evaluated at t
     tried = set()     # simplex candidates whose finish failed
+    pivots = 0        # of them, those a rejected candidate named
     cut = np.zeros(0, dtype=int)   # facets that cut a rejected candidate
     finish = None
     gt, gg, hk = facets(kept)
@@ -846,18 +889,28 @@ def _barrier_solve(poly: HPolytope, seed: np.ndarray | None
                 "times the centre's facet distance after "
                 f"{sum(stage_iters)} Newton steps, and no facet cuts it "
                 "off; the polytope is unbounded")
+        # half of _GAP for the path, half for the margin it ends with
         gap = 2.0 * kept.size / t
-        if gap <= _GAP:
+        if gap <= 0.5 * _GAP:
             break
         # End on the simplex of d+1 touched facets when its inscribed
-        # ellipsoid is certified inside the polytope (_simplex_finish)
+        # ellipsoid is certified inside the polytope (_simplex_finish);
+        # a rejected candidate names the next, one facet swapped, at most
+        # d+1 times: a simplex has d+1 facets to replace
         pick = _simplex_candidate(e, gt, _touching(*sl[1:], t, d))
-        if pick is not None and tuple(kept[pick]) not in tried:
-            tried.add(tuple(kept[pick]))
-            finish, cut = _simplex_finish(g, h, kept[pick], gt, gg, hk, e,
-                                          cc, s, reach, cut)
+        simplex = None if pick is None else kept[pick]
+        for walk in range(d + 2):
+            if simplex is None or tuple(simplex) in tried:
+                break
+            tried.add(tuple(simplex))
+            pivots += walk > 0
+            finish, cut, nxt = _simplex_finish(g, h, simplex, gt, gg, kept,
+                                               e, cc, s, reach, cut)
             if finish is not None:
                 break
+            simplex = nxt
+        if finish is not None:
+            break
         t *= _T_GROWTH
         last, sl = sl, None
         if tangent is not None:
@@ -876,8 +929,14 @@ def _barrier_solve(poly: HPolytope, seed: np.ndarray | None
                 x, f, sl, logdet = trial, f_new, new_sl, new_logdet
     if finish is None:
         touching = np.sort(kept[_touching(*sl[1:], t, d)])
+        # Inside all K facets by the last scan's s_i and ||E g_i||, with
+        # the finish's margin against rounding; gap pays for both
+        fit = min(1.0, float((s / reach).min())) * math.exp(-0.5 * _GAP / d)
+        e = fit * e
+        logdet += d * math.log(fit)
+        gap -= d * math.log(fit)
     else:
-        touching = kept[pick]
+        touching = simplex
         e, cc, logdet, gap = finish
     diag = SolveDiagnostics(
         iterations=sum(stage_iters),
@@ -892,6 +951,7 @@ def _barrier_solve(poly: HPolytope, seed: np.ndarray | None
         evaluations=evaluations,
         touching=touching,
         gap=gap,
+        pivots=pivots,
     )
     return Ellipsoid(F=r0 * e, c=c0 + r0 * cc), diag
 

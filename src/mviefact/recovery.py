@@ -255,8 +255,7 @@ def run_pipeline(x: np.ndarray, n: int,
         x = as_matrix(x, "X")
         k = int(np.frexp(np.abs(x).max(initial=0.0))[1])
         x = np.ldexp(x, -k)
-        chart = dimred.affine_fit(x, n)
-        reduced = dimred.reduce_points(x, chart)
+        chart, reduced = dimred._fit(x, n)
 
     with _stage("hull", timings):
         poly = hull.enumerate_facets(reduced.T)

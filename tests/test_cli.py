@@ -110,6 +110,11 @@ class TestRunCommand:
         assert np.isfinite(viol) and np.isfinite(john)
         assert viol <= 0.0
         assert payload["diagnostics"]["gap"] <= 1e-11
+        # at most d+1 = 3 pivots at each stage end
+        pivots = payload["diagnostics"]["pivots"]
+        assert isinstance(pivots, int)
+        stages = len(payload["diagnostics"]["stage_iterations"])
+        assert 0 <= pivots <= 3 * stages
         assert set(payload["timings"]) == {"dimred", "hull", "solve",
                                            "recover"}
 

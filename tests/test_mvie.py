@@ -346,10 +346,13 @@ class TestConstraintGeneration:
 
     @pytest.mark.parametrize("n,r,l,seed", [(4, 0.7, 1000, 7),
                                             (6, 0.6, 400, 1)])
-    def test_rerun_does_not_crawl_from_the_edge(self, n, r, l, seed):
+    def test_rerun_does_not_crawl_from_the_edge(self, monkeypatch, n, r, l,
+                                                seed):
         # Re-entered at a fixed 1 - 1e-6 of the new facets' fit, the rerun
         # stage took 12, 11, ..., 0 (here 13, 12, ..., 0) halvings per
-        # step to move off that edge
+        # step to move off that edge. The simplex finish is off: with its
+        # pivots the N = 4 solve ends in the first stage, before any rerun
+        monkeypatch.setattr(mvie, "_simplex_candidate", lambda *args: None)
         _, diag = solve_mvie_high_accuracy(synth_polytope(n, r, l, seed, 50))
         assert diag.rounds > 1
         assert max(diag.backtracks) <= 8
@@ -407,6 +410,45 @@ def finish_calls(monkeypatch):
 
     monkeypatch.setattr(mvie, "_simplex_finish", recorded)
     return calls
+
+
+@pytest.fixture
+def stage_walks(monkeypatch, finish_calls):
+    """A function giving, for each stage end of the solves of a test, the
+    candidate the greedy rule picked (None when it found none) and the
+    sets the finish was given there, in order; every set is a frozenset
+    of facet normals (tuples)."""
+    ends = []
+    candidate = mvie._simplex_candidate
+
+    def recorded(e, gt, top):
+        pick = candidate(e, gt, top)
+        ends.append((len(finish_calls), None if pick is None
+                     else frozenset(map(tuple, gt[:, pick].T))))
+        return pick
+
+    monkeypatch.setattr(mvie, "_simplex_candidate", recorded)
+
+    def walks():
+        stops = [start for start, _ in ends[1:]] + [len(finish_calls)]
+        return [(pick, [frozenset(map(tuple, args[0][args[2]]))
+                        for args, _ in finish_calls[start:stop]])
+                for (start, pick), stop in zip(ends, stops)]
+
+    return walks
+
+
+def walk_steps(walks):
+    """(set before, set, stage end) for every set of walks (from the
+    stage_walks fixture) the finish was given that was not its stage
+    end's greedy pick, in order; the set before is the last one given."""
+    steps, before = [], None
+    for k, (pick, sets) in enumerate(walks):
+        for i, key in enumerate(sets):
+            if not (i == 0 and key == pick):
+                steps.append((before, key, k))
+            before = key
+    return steps
 
 
 def polygon(k):
@@ -487,26 +529,84 @@ class TestSimplexFinish:
             screened += int(near.sum() < 0.1 * near.size)
         assert screened > 0          # the screen left out most facets
 
-    def test_a_failed_candidate_is_not_tried_again(self, monkeypatch,
-                                                    finish_calls):
+    def test_a_failed_candidate_is_not_tried_again(self, stage_walks):
         # Under noise the MVIE touches more than d+1 facets, and the stages
-        # name the same candidate again and again
-        picks = []
-        candidate = mvie._simplex_candidate
-
-        def recorded(e, gt, top):
-            pick = candidate(e, gt, top)
-            if pick is not None:
-                picks.append(frozenset(map(tuple, gt[:, pick].T)))
-            return pick
-
-        monkeypatch.setattr(mvie, "_simplex_candidate", recorded)
+        # name the same candidate again and again. The attempts are the
+        # distinct picks, each once, and one-facet pivots.
         poly = synth_polytope(4, 0.7, 1000, 0, m=50, snr=30.0)
         _, diag = solve_mvie_high_accuracy(poly)
-        tried = [frozenset(args[2].tolist()) for args, _ in finish_calls]
+        walks = stage_walks()
+        picks = [pick for pick, _ in walks if pick is not None]
+        tried = [key for _, sets in walks for key in sets]
+        steps = walk_steps(walks)
         assert diag.termination == "tol"
-        assert len(set(tried)) == len(tried) == len(set(picks))
+        assert len(set(tried)) == len(tried)
+        assert set(picks) <= set(tried)
+        assert all(len(a & b) == poly.dim for a, b, _ in steps)
         assert len(picks) > len(tried)
+
+    def test_a_rejected_candidate_pivots_to_the_simplex(self, monkeypatch):
+        # The greedy candidate of the first stage end lacks one facet of
+        # the simplex; its inscribed ellipsoid crosses that facet deepest,
+        # and the pivots reach the simplex without another stage. With the
+        # walk off the solve runs 7 stages to name it.
+        poly = synth_polytope(4, 0.7, 1000, 7)
+        ell, diag = solve_mvie_high_accuracy(poly)
+        finish = mvie._simplex_finish
+        monkeypatch.setattr(mvie, "_simplex_finish",
+                            lambda *args: finish(*args)[:2] + (None,))
+        ref, ref_diag = solve_mvie_high_accuracy(poly)
+        assert diag.termination == ref_diag.termination == "simplex"
+        assert len(diag.stage_iterations) == 1
+        assert diag.pivots >= 1
+        assert ref_diag.pivots == 0
+        assert len(ref_diag.stage_iterations) > 1
+        assert_same_ellipsoid(ell, ref, 1e-12)
+        assert np.array_equal(diag.touching, ref_diag.touching)
+
+    @pytest.mark.parametrize("n,r,l,seed,snr", [
+        (4, 0.7, 1000, 7, math.inf), (4, 0.7, 1000, 0, 30.0),
+        (5, 0.7, 400, 2, 30.0), (6, 0.6, 400, 1, math.inf)])
+    def test_the_walk_swaps_one_facet_at_a_time(self, stage_walks, n, r, l,
+                                                seed, snr):
+        # At each stage end the finish is given the greedy pick, unless it
+        # was tried before, and at most d+1 pivots, each one facet away
+        # from the set given before it; no set is given twice
+        poly = synth_polytope(n, r, l, seed, m=50, snr=snr)
+        _, diag = solve_mvie_high_accuracy(poly)
+        walks = stage_walks()
+        tried = [key for _, sets in walks for key in sets]
+        steps = walk_steps(walks)
+        assert len(set(tried)) == len(tried)
+        seen = set()
+        for pick, sets in walks:
+            if pick is not None and pick not in seen:
+                assert sets[0] == pick
+            seen.update(sets)
+        assert all(len(a & b) == poly.dim for a, b, _ in steps)
+        per_end = [k for _, _, k in steps]
+        assert max(per_end.count(k) for k in per_end) <= poly.dim + 1
+        assert diag.pivots == len(steps) > 0
+
+    def test_affine_simplices_in_r5_end_inscribed(self, monkeypatch):
+        # A badly conditioned simplex (k = 34, cond(A) = 1472) defeats the
+        # finish's certificate by rounding, and the path alone left 9 of
+        # these 40 slightly outside (4e-16 to 2.6e-13): the path's answer
+        # is scaled inside all K facets with the finish's margin
+        pts, _ = regular_simplex_points(6)
+        polys = []
+        for k in range(40):
+            rng = np.random.default_rng(k)
+            a = rng.standard_normal((5, 5))
+            polys.append(hull.enumerate_facets(pts @ a.T
+                                               + rng.standard_normal(5)))
+        for finish in (True, False):
+            if not finish:
+                monkeypatch.setattr(mvie, "_simplex_candidate",
+                                    lambda *args: None)
+            for poly in polys:
+                ell, _ = solve_mvie_high_accuracy(poly)
+                assert mvie.max_violation(ell, poly) <= 0.0
 
     def test_polygons_keep_the_path(self):
         # Their MVIE, the unit incircle, touches every side, and no three
