@@ -197,6 +197,10 @@ def cmd_run(args) -> int:
         "center_ambient": report.center_ambient.tolist(),
         "K": report.n_facets,
         "affine_residual": report.affine_residual,
+        # null, not NaN, when no singular value was discarded (L = N or
+        # M = N-1): a strict JSON reader rejects NaN
+        "noise_sigma": (None if math.isnan(report.noise_sigma)
+                        else report.noise_sigma),
         "diagnostics": {
             "iterations": report.solver.iterations,
             "final_objective": report.solver.final_objective,

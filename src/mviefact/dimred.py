@@ -40,6 +40,8 @@ class AffineChart:
     b: np.ndarray    # M
     residual: float = math.nan   # fit_residual of the fitted data; nan
                                  # for a chart not made by affine_fit
+    noise_sigma: float = math.nan    # the fit's noise estimate sigma; nan
+                                     # likewise, or with no discarded value
 
 
 def affine_fit(x: np.ndarray, n: int) -> AffineChart:
@@ -50,12 +52,15 @@ def affine_fit(x: np.ndarray, n: int) -> AffineChart:
     triangular factor R of C^T. Raises RankDeficientData when the
     centered data does not carry N-1 directions (relative singular
     value below 1e-10). The chart carries the fit's residual, the
-    largest distance of a column from the fitted affine set.
+    largest distance of a column from the fitted affine set, and its
+    noise estimate sigma, whose square is the mean square per pixel of
+    the k = min(M, L-1) - (N-1) discarded singular values: sigma^2 =
+    sum_{j>=N} s_j^2 / (L k), as in HySime (Bioucas-Dias & Nascimento,
+    IEEE TGRS 46(8), 2008); nan when k = 0.
 
     It warns when the residual exceeds 1e-8 relative and the first
-    discarded singular value s_N stands out from all k = min(M, L-1) -
-    (N-1) discarded ones: s_N^2 > 1.5 sigma^2 (sqrt(L) + sqrt(k))^2 for
-    sigma^2 = sum_{j>=N} s_j^2 / (L k), 1.5 times the Marchenko-Pastur
+    discarded singular value s_N stands out from the others: s_N^2 >
+    1.5 sigma^2 (sqrt(L) + sqrt(k))^2, 1.5 times the Marchenko-Pastur
     edge of isotropic noise (notes/decisions.md). With k = 1 it cannot.
     """
     return _fit(x, n)[0]
@@ -88,7 +93,8 @@ def _fit(x: np.ndarray, n: int) -> tuple[AffineChart, np.ndarray]:
     reduced = phi.T @ centered
     res = _largest_offset(centered, phi, reduced)
     k = tail.size
-    if (k > 0 and tail[0] ** 2 > 1.5 * float(tail @ tail) / (l * k)
+    sigma2 = float(tail @ tail) / (l * k) if k else math.nan
+    if (k > 0 and tail[0] ** 2 > 1.5 * sigma2
             * (math.sqrt(l) + math.sqrt(k)) ** 2
             and res > 1e-8 * max(
                 float(np.linalg.norm(centered, axis=0).max()), 1e-300)):
@@ -97,7 +103,8 @@ def _fit(x: np.ndarray, n: int) -> tuple[AffineChart, np.ndarray]:
             "first discarded direction stands above the noise; the data "
             f"may hold more than N={n} signatures",
             stacklevel=3)
-    return AffineChart(Phi=phi, b=b, residual=res), reduced
+    return (AffineChart(Phi=phi, b=b, residual=res,
+                        noise_sigma=math.sqrt(sigma2)), reduced)
 
 
 def fit_residual(chart: AffineChart, x: np.ndarray) -> float:

@@ -9,7 +9,8 @@ N tight groups; a farthest-first traversal finds the groups without a
 seed, and each group's mean is one contact. The signature columns
 follow from a_i = sum_j q_j - (N-1) q_i. The abundances are the exact
 simplex-constrained least-squares fit (FCLS) of every pixel to those
-columns, found in finitely many rounds by a primal active-set method;
+columns, found in finitely many rounds by a primal active-set method
+that groups the pixels by their free sets with one sort per round;
 like A_hat, they follow the units of the data.
 """
 
@@ -65,6 +66,7 @@ class RecoveryReport:
     solver: mvie.SolveDiagnostics | None = None
     timings: dict[str, float] = field(default_factory=dict)
     affine_residual: float = 0.0
+    noise_sigma: float = math.nan         # dimred.AffineChart.noise_sigma
     max_violation: float = 0.0            # mvie.max_violation of the solve
 
 
@@ -136,10 +138,12 @@ def recover_abundances(x: np.ndarray, a_hat: np.ndarray) -> np.ndarray:
     Gram system G = A_hat^T A_hat, b = A_hat^T x. Every pixel starts at
     s = 1/N with all N entries free. Each round solves the sum-to-one
     KKT system on each pixel's free set, one solve per distinct free
-    set; a pixel whose solution is nonnegative moves there and frees the
-    fixed entry with the most negative bound multiplier, or stops when
-    there is none; a pixel whose solution has a negative entry steps
-    until the first entry reaches 0 and fixes it there.
+    set: one stable sort of the pixels' free-set columns puts the pixels
+    of each set in a run. A pixel whose solution is nonnegative moves
+    there and frees the fixed entry with the most negative bound
+    multiplier, or stops when there is none; a pixel whose solution has
+    a negative entry steps until the first entry reaches 0 and fixes it
+    there.
 
     The multiplier test is relative to lambda_max(G) and |b|, so
     recover_abundances(k x, k A_hat) is recover_abundances(x, A_hat)
@@ -170,11 +174,13 @@ def recover_abundances(x: np.ndarray, a_hat: np.ndarray) -> np.ndarray:
         todo = np.flatnonzero(~done)
         if todo.size == 0:
             return s
-        sets, group = np.unique(free[:, todo], axis=1, return_inverse=True)
-        group = group.ravel()
-        for g in range(sets.shape[1]):
-            cols = todo[group == g]
-            idx = np.flatnonzero(sets[:, g])
+        order = todo[np.lexsort(free[::-1][:, todo])]
+        sets = free[:, order]
+        starts = np.flatnonzero(
+            np.r_[True, (sets[:, 1:] != sets[:, :-1]).any(axis=0)])
+        for cols, in_set in zip(np.split(order, starts[1:]),
+                                sets[:, starts].T):
+            idx = np.flatnonzero(in_set)
             k = idx.size
             kkt = np.ones((k + 1, k + 1))
             kkt[:k, :k] = gram[np.ix_(idx, idx)]
@@ -200,7 +206,7 @@ def recover_abundances(x: np.ndarray, a_hat: np.ndarray) -> np.ndarray:
 
             # A pixel that reached its target is optimal unless a fixed
             # entry has a negative multiplier; the most negative is freed.
-            fixed = np.flatnonzero(~sets[:, g])
+            fixed = np.flatnonzero(~in_set)
             reached = cols[~blocked]
             if fixed.size == 0:
                 done[reached] = True
@@ -244,10 +250,11 @@ def run_pipeline(x: np.ndarray, n: int,
     The stages work on X / 2^k, k the binary exponent of max|X|, so they
     see entries below 1 in magnitude and never overflow or underflow.
     Scaling by a power of two is exact: A_hat, the ambient contacts and
-    centre and the affine residual are scaled back by 2^k, and the
-    answer for 2^j X is 2^j times the answer for X, bit for bit. The
-    reduced-space results, the contacts and the ellipsoid, stay in the
-    reduced coordinates of X / 2^k, where the hull was enumerated.
+    centre, the affine residual and the noise estimate are scaled back
+    by 2^k, and the answer for 2^j X is 2^j times the answer for X, bit
+    for bit. The reduced-space results, the contacts and the ellipsoid,
+    stay in the reduced coordinates of X / 2^k, where the hull was
+    enumerated.
     """
     timings: dict[str, float] = {}
 
@@ -283,5 +290,6 @@ def run_pipeline(x: np.ndarray, n: int,
         solver=diag,
         timings=timings,
         affine_residual=math.ldexp(chart.residual, k),
+        noise_sigma=math.ldexp(chart.noise_sigma, k),
         max_violation=mvie.max_violation(ell, poly),
     )

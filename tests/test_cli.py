@@ -110,6 +110,9 @@ class TestRunCommand:
         assert np.isfinite(viol) and np.isfinite(john)
         assert viol <= 0.0
         assert payload["diagnostics"]["gap"] <= 1e-11
+        # sigma^2 is the mean squared residual over the k >= 1 discarded
+        # directions, so sigma is at most the largest residual
+        assert 0.0 <= payload["noise_sigma"] <= payload["affine_residual"]
         # at most d+1 = 3 pivots at each stage end
         pivots = payload["diagnostics"]["pivots"]
         assert isinstance(pivots, int)
@@ -117,6 +120,17 @@ class TestRunCommand:
         assert 0 <= pivots <= 3 * stages
         assert set(payload["timings"]) == {"dimred", "hull", "solve",
                                            "recover"}
+
+    def test_noise_sigma_is_null_with_nothing_discarded(self, tmp_path):
+        # N = L points leave no singular value to estimate the noise from
+        data = tmp_path / "X.csv"
+        write_matrix_csv(data, np.random.default_rng(0).random((20, 4)))
+        report = tmp_path / "report.json"
+        assert run_cli("run", "--input", str(data), "--N", "4",
+                       "--out", str(report)) == 0
+        text = report.read_text()
+        assert "NaN" not in text
+        assert json.loads(text)["noise_sigma"] is None
 
     def test_emit_shat(self, instance_dir, tmp_path):
         report = tmp_path / "report.json"

@@ -83,6 +83,21 @@ class TestAffineFit:
         chart = dimred.affine_fit(gt.X, 4)
         assert chart.residual == dimred.fit_residual(chart, gt.X)
 
+    @pytest.mark.filterwarnings("ignore:affine fit residual")
+    @pytest.mark.parametrize("seed", range(3))
+    def test_noise_sigma_matches_the_noise(self, seed):
+        gt = synth.make_instance(50, 4, 1000, 0.7, 30.0, seed)
+        rms = np.sqrt(np.mean(gt.noise ** 2))
+        assert abs(dimred.affine_fit(gt.X, 4).noise_sigma / rms - 1) <= 0.02
+
+    def test_noiseless_noise_sigma_is_rounding(self):
+        gt = synth.make_instance(50, 4, 1000, 0.7, math.inf, seed=0)
+        sigma = dimred.affine_fit(gt.X, 4).noise_sigma
+        assert 0 <= sigma <= 1e-12 * np.linalg.norm(gt.X, axis=0).max()
+        # a chart not made by the fit has no estimate
+        chart = dimred.AffineChart(Phi=np.eye(3)[:, :2], b=np.zeros(3))
+        assert math.isnan(chart.noise_sigma)
+
 
 class TestTransforms:
     def test_centered_origin(self, rng):

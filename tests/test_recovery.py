@@ -188,6 +188,43 @@ class TestRecoverAbundances:
             recover_abundances(a @ [[10.0], [-9.0], [0.0]], a)
 
 
+class TestAbundanceWorkingSets:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_each_pixel_depends_only_on_itself(self, seed):
+        # the pixels are grouped by working set; reordering them must not
+        # move a bit, and each must match its own one-pixel solve up to
+        # the rounding of a KKT solve with one right-hand side instead of
+        # many (0.2-1.0 cond(G) eps on these seeds)
+        gt = synth.make_instance(50, 4, 1000, 0.7, 30.0, seed)
+        p = rng_from_seed(seed).permutation(gt.X.shape[1])
+        s_hat = recover_abundances(gt.X, gt.A)
+        assert np.array_equal(recover_abundances(gt.X[:, p], gt.A),
+                              s_hat[:, p])
+        one = np.hstack([recover_abundances(gt.X[:, [j]], gt.A)
+                         for j in range(gt.X.shape[1])])
+        lam = np.linalg.eigvalsh(gt.A.T @ gt.A)
+        bound = 4 * np.finfo(float).eps * lam[-1] / lam[0]
+        assert np.abs(one - s_hat).max() <= bound
+
+    @pytest.mark.parametrize("n", [64, 70])
+    def test_no_ceiling_on_n(self, n):
+        # past any 64-bit code for a free set: check the KKT conditions
+        gen = rng_from_seed(n)
+        a = gen.random((n + 20, n)) + 0.1
+        x = gen.standard_normal((n + 20, 25)) * 2.0     # off-cone
+        s_hat = recover_abundances(x, a)
+        assert s_hat.min() >= 0
+        assert np.abs(s_hat.sum(axis=0) - 1.0).max() <= 1e-12
+        gram, b = a.T @ a, a.T @ x
+        grad = gram @ s_hat - b
+        scale = np.linalg.eigvalsh(gram)[-1] + np.abs(b).max(axis=0)
+        for j in range(x.shape[1]):
+            on = s_hat[:, j] > 0
+            nu = -grad[on, j].mean()     # G s - b + nu = 0 on the free set
+            mu = grad[~on, j] + nu       # the fixed entries' multipliers
+            assert np.all(mu >= -1e-9 * scale[j])
+
+
 def _fcls_by_enumeration(a, x):
     """min over the unit simplex of ||A s - x||^2 per column, by trying
     the sum-to-one least-squares fit on every one of the 2^N - 1 supports
@@ -265,6 +302,7 @@ class TestPipeline:
         rep = run_pipeline(2.0 ** k * gt.X, n)
         assert rep.raw_contact_count == base.raw_contact_count >= n
         assert np.array_equal(rep.A_hat, 2.0 ** k * base.A_hat)
+        assert rep.noise_sigma == 2.0 ** k * base.noise_sigma > 0
 
     @pytest.mark.parametrize("n,l,r,seeds", [(4, 1000, 0.7, range(8)),
                                              (6, 400, 0.6, (0, 1))])
