@@ -21,10 +21,11 @@ When d+1 of the facets its multipliers name bound a simplex whose
 inscribed ellipsoid, known in closed form, is certified to lie inside
 the polytope, it ends on that ellipsoid: on noiseless data the MVIE
 touches the hull at exactly N = d+1 points (the paper's recovery
-theorem), so most solves end there after a few barrier stages. A
-candidate simplex whose ellipsoid some facet cuts is pivoted onto that
-facet, one facet at a time, so a candidate that lacks one facet of the
-MVIE's simplex reaches it without waiting for more stages.
+theorem), so most solves end there after a few barrier stages. The
+certificate is one pass over all K facets; a candidate simplex it
+rejects is pivoted onto the facet that cuts its ellipsoid deepest, one
+facet at a time, so a candidate that lacks one facet of the MVIE's
+simplex reaches it without waiting for more stages.
 
 ``solve_mvie`` is the paper's first-order method (FPGM). The pipeline
 does not call it; it is kept as the paper's reference, against which
@@ -558,14 +559,10 @@ def _simplex_candidate(e: np.ndarray, gt: np.ndarray, top: np.ndarray
     return np.sort(top[pick])
 
 
-def _simplex_finish(g: np.ndarray, h: np.ndarray, idx: np.ndarray,
-                    gt: np.ndarray, gg: np.ndarray, kept: np.ndarray,
-                    e: np.ndarray, cc: np.ndarray, s: np.ndarray,
-                    reach: np.ndarray, cut: np.ndarray):
+def _simplex_finish(g: np.ndarray, h: np.ndarray, idx: np.ndarray):
     """The certified end of a solve on the simplex S of the d+1 facets
     idx of {x : g_i . x <= h_i}: ((E, c', log det E, gap bound) or None,
-    the facets known to cut a rejected candidate, the candidate to try
-    next or None).
+    the candidate to try next or None).
 
     Column j of B^-1, B = [g_idx | -h_idx], is y_j (v_j, 1) for the
     vertex v_j off facet j, with g_j . v_j - h_j = 1/y_j, so S is bounded
@@ -576,23 +573,20 @@ def _simplex_finish(g: np.ndarray, h: np.ndarray, idx: np.ndarray,
 
     S contains the polytope, so no ellipsoid inside the polytope has a
     larger log det than F*; theta F* about c* lies inside it for theta =
-    min_i (h_i - g_i . c*) / ||F* g_i||, so its log-det gap is at most
-    -d log theta. The finish is taken when that is at most half of _GAP,
-    and the returned E is theta exp(-_GAP/(2d)) F*: the whole gap stays
-    within _GAP, and the margin keeps E inside under rounding.
+    min_i (h_i - g_i . c*) / ||F* g_i|| over all K facets, so its log-det
+    gap is at most -d log theta. The finish is taken when that is at most
+    half of _GAP, and the returned E is theta exp(-_GAP/(2d)) F*: the
+    whole gap stays within _GAP, and the margin keeps E inside under
+    rounding. ||F* g_i|| is taken from the F* that is returned: on a
+    badly conditioned simplex the vertex form ||V^T g_i|| / sqrt(d (d+1))
+    differs from it by more than the margin.
 
-    theta is taken over the kept facets (normals gt, outer products gg)
-    first, then over cut, the facets that cut the last candidate rejected
-    on the others (they cut the next one as a rule), and last over the
-    facets whose margin s_i - ||E g_i|| at the iterate (E, c') is at most
-    ||c* - c'|| + ||F* - E||_F (s and reach hold s_i and ||E g_i|| of all
-    facets): for unit normals no other facet can be crossed by F*.
-
-    A bounded candidate rejected on one of these sets names the next: the
-    most cutting facet j of that set (smallest ratio) comes in for the
-    facet i of idx whose contact direction F* g_i / ||F* g_i|| in the
-    ball of F* lies nearest j's, argmax_i g_i . F*^2 g_j / ||F* g_i||
-    (notes/decisions.md, "Pivoting a rejected simplex candidate").
+    A bounded candidate rejected names the next: the most cutting facet
+    j comes in for the facet i of idx whose contact direction in the
+    ball of F* lies nearest j's, argmax_i g_i . F*^2 g_j / ||F* g_i||,
+    with ||F* g_i|| = -1 / ((d+1) y_i) as F* touches its own facets
+    (notes/decisions.md, "Pivoting a rejected simplex candidate"). Should
+    j be one of them, below the floor by rounding alone, idx comes back.
     """
     d = g.shape[1]
     b = np.empty((d + 1, d + 1))
@@ -601,52 +595,26 @@ def _simplex_finish(g: np.ndarray, h: np.ndarray, idx: np.ndarray,
     _, _, b_inv, info = dgesv(b, np.eye(d + 1))
     y = b_inv[d]
     if info or not y.max() < 0.0:
-        return None, cut, None
+        return None, None
     v = b_inv[:d] / y
     c = v.sum(axis=1) / (d + 1)
     v -= c[:, None]
     f2 = v.dot(v.T) / (d * (d + 1))       # F*^2
-    floor = math.exp(-0.5 * _GAP / d)
-
-    def theta(facets):
-        """(h_i - g_i . c*) / ||F* g_i||, ||F* g_i||^2 = ||V^T g_i||^2 /
-        (d (d+1)) for the centred vertices V."""
-        gn = g.take(facets, axis=0)
-        w = gn.dot(v)
-        return (h.take(facets) - gn.dot(c)) / np.sqrt(
-            np.einsum("ij,ij->i", w, w) / (d * (d + 1)))
-
-    def pivot(facets, ratio):
-        """idx with the most cutting of facets, j, in. F* touches its own
-        facets: ||F* g_i|| = h_i - g_i . c* = -1 / ((d+1) y_i). Should j
-        be one of them, below the floor by rounding alone, the nearest is
-        j itself, and idx comes back."""
-        j = facets[ratio.argmin()]
-        nxt = idx.copy()
-        nxt[(b[:, :d].dot(f2.dot(g[j])) * -y).argmax()] = j
-        return np.sort(nxt)
-
-    ratio = (h.take(kept) - c.dot(gt)) / np.sqrt(f2.ravel().dot(gg))
-    low = float(ratio.min())
-    if not low >= floor:
-        return None, cut, pivot(kept, ratio)
-    if cut.size:
-        ratio = theta(cut)
-        if not ratio.min() >= floor:
-            return None, cut, pivot(cut, ratio)
     lam, vec, info = dsyevd(f2)
     if info or not lam[0] > 0.0:
-        return None, cut, None
+        return None, None
     f = (vec * np.sqrt(lam)).dot(vec.T)
-    near = np.flatnonzero(s - reach <= np.linalg.norm(c - cc)
-                          + np.linalg.norm(f - e))
-    ratio = theta(near)
-    low = min(low, float(ratio.min(initial=low)))
+    w = g.dot(f)
+    ratio = (h - g.dot(c)) / np.sqrt(np.einsum("ij,ij->i", w, w))
+    j = int(ratio.argmin())
+    low = float(ratio[j])
+    floor = math.exp(-0.5 * _GAP / d)
     if not low >= floor:
-        return None, near[ratio < floor], pivot(near, ratio)
+        nxt = idx.copy()
+        nxt[(b[:, :d].dot(f2.dot(g[j])) * -y).argmax()] = j
+        return None, np.sort(nxt)
     logdet = d * math.log(low * floor) + 0.5 * float(np.log(lam).sum())
-    return ((low * floor * f, c, logdet, 0.5 * _GAP - d * math.log(low)),
-            cut, None)
+    return (low * floor * f, c, logdet, 0.5 * _GAP - d * math.log(low)), None
 
 
 def solve_mvie_high_accuracy(poly: HPolytope
@@ -700,12 +668,12 @@ def solve_mvie_high_accuracy(poly: HPolytope
     touching (``touching`` below), by descending weight, the first d+1
     whose directions E g_i meet every one taken before at a negative
     inner product are a candidate. When they bound a simplex whose
-    inscribed ellipsoid, scaled to fit the polytope, is certified within
-    1e-11 / 2 of the optimum in log det, the solve ends on it
-    (``_simplex_finish``; notes/decisions.md, "A certified simplex
-    finish"). A bounded candidate rejected because a facet cuts its
-    inscribed ellipsoid names the next: the most cutting facet in place
-    of the candidate's facet whose contact lies nearest it. The walk
+    inscribed ellipsoid, scaled to fit all K facets in one pass, is
+    certified within 1e-11 / 2 of the optimum in log det, the solve ends
+    on it (``_simplex_finish``; notes/decisions.md, "A certified simplex
+    finish"). A bounded candidate rejected names the next: the facet of
+    the K that cuts its inscribed ellipsoid deepest, in place of the
+    candidate's facet whose contact lies nearest it. The walk
     stops on a certified set, a set tried before in the solve (each set
     is tried once), a candidate that names none, or after d+1 pivots at
     one stage end (notes/decisions.md, "Pivoting a rejected simplex
@@ -800,7 +768,6 @@ def _barrier_solve(poly: HPolytope, seed: np.ndarray | None
     sl = None         # slacks of x on the kept facets, once evaluated at t
     tried = set()     # simplex candidates whose finish failed
     pivots = 0        # of them, those a rejected candidate named
-    cut = np.zeros(0, dtype=int)   # facets that cut a rejected candidate
     finish = None
     gt, gg, hk = facets(kept)
     while True:
@@ -904,8 +871,7 @@ def _barrier_solve(poly: HPolytope, seed: np.ndarray | None
                 break
             tried.add(tuple(simplex))
             pivots += walk > 0
-            finish, cut, nxt = _simplex_finish(g, h, simplex, gt, gg, kept,
-                                               e, cc, s, reach, cut)
+            finish, nxt = _simplex_finish(g, h, simplex)
             if finish is not None:
                 break
             simplex = nxt

@@ -335,7 +335,10 @@ class TestConstraintGeneration:
         assert_same_ellipsoid(ell, full_set_solve(poly)[0], 1e-6)
         assert mvie.max_violation(ell, poly) <= 0.0
 
-    def test_diagnostics_count_every_round(self):
+    def test_diagnostics_count_every_round(self, monkeypatch):
+        # The simplex finish is off: with it this solve ends in the first
+        # round, after 3 steps
+        monkeypatch.setattr(mvie, "_simplex_candidate", lambda *args: None)
         poly = synth_polytope(6, 0.6, 200, 0)
         _, diag = solve_mvie_high_accuracy(poly)
         assert diag.rounds > 1
@@ -498,36 +501,36 @@ class TestSimplexFinish:
         assert_same_ellipsoid(ell, full_set_solve(poly)[0], 1e-6)
         assert mvie.max_violation(ell, poly) <= 0.0
 
-    def test_margin_screen_misses_no_facet_that_lowers_theta(
-            self, finish_calls):
-        # Every facet whose margin s_i - ||E g_i|| at the iterate exceeds
-        # ||c* - c'|| + ||F* - E||_F lies strictly outside F*, so theta
-        # over the screened facets is theta over all K, and the finish
-        # ends the solve exactly when theta over all K passes
-        poly = synth_polytope(6, 0.6, 200, 0)
-        _, diag = solve_mvie_high_accuracy(poly)
-        assert diag.termination == "simplex"
-        screened = 0
-        for (g, h, idx, _, _, _, e, cc, s, reach, _), end in finish_calls:
+    @pytest.mark.parametrize("n,r,l,seed,m,snr", [
+        (6, 0.6, 200, 0, 30, math.inf), (4, 0.7, 1000, 0, 50, 30.0)])
+    def test_the_finish_ends_exactly_when_theta_over_all_k_passes(
+            self, finish_calls, n, r, l, seed, m, snr):
+        # theta = min_i (h_i - g_i . c*) / ||F* g_i|| over all K facets,
+        # recomputed here for every candidate the solve tried: the finish
+        # ends the solve exactly when theta passes its floor, an unbounded
+        # candidate never ends it, and the ellipsoid it ends on lies
+        # inside every facet
+        poly = synth_polytope(n, r, l, seed, m, snr)
+        solve_mvie_high_accuracy(poly)
+        assert any(end is None for _, end in finish_calls)
+        for (g, h, idx), end in finish_calls:
             d = g.shape[1]
             b_inv = np.linalg.inv(np.column_stack([g[idx], -h[idx]]))
             if b_inv[d].max() >= 0.0:
-                continue                       # an unbounded candidate
+                assert end is None             # an unbounded candidate
+                continue
             v = b_inv[:d] / b_inv[d]
             c = v.mean(axis=1)
             v -= c[:, None]
             lam, u = np.linalg.eigh(v @ v.T / (d * (d + 1)))
             f = (u * np.sqrt(lam)) @ u.T
             ratio = (h - g @ c) / np.linalg.norm(g @ f, axis=1)
-            bound = np.linalg.norm(c - cc) + np.linalg.norm(f - e)
-            near = s - reach <= bound
-            assert ratio[~near].min(initial=np.inf) > 1.0
-            assert ratio.min() <= 1.0 + 1e-12
-            assert ratio[near].min() == ratio.min()
+            assert ratio.min() <= 1.0 + 1e-12  # F* touches its own facets
             assert (end is not None) == (ratio.min()
                                          >= math.exp(-0.5e-11 / d))
-            screened += int(near.sum() < 0.1 * near.size)
-        assert screened > 0          # the screen left out most facets
+            if end is not None:
+                e, cc, _, _ = end
+                assert np.all(np.linalg.norm(g @ e, axis=1) + g @ cc < h)
 
     def test_a_failed_candidate_is_not_tried_again(self, stage_walks):
         # Under noise the MVIE touches more than d+1 facets, and the stages
@@ -554,7 +557,7 @@ class TestSimplexFinish:
         ell, diag = solve_mvie_high_accuracy(poly)
         finish = mvie._simplex_finish
         monkeypatch.setattr(mvie, "_simplex_finish",
-                            lambda *args: finish(*args)[:2] + (None,))
+                            lambda *args: (finish(*args)[0], None))
         ref, ref_diag = solve_mvie_high_accuracy(poly)
         assert diag.termination == ref_diag.termination == "simplex"
         assert len(diag.stage_iterations) == 1
@@ -562,6 +565,20 @@ class TestSimplexFinish:
         assert ref_diag.pivots == 0
         assert len(ref_diag.stage_iterations) > 1
         assert_same_ellipsoid(ell, ref, 1e-12)
+        assert np.array_equal(diag.touching, ref_diag.touching)
+
+    def test_the_walk_pivots_on_the_facet_that_cuts_deepest(
+            self, monkeypatch):
+        # The most cutting facet over all K is the one the rejected
+        # candidate lacks, so the first walk reaches the simplex within
+        # its d+1 = 6 pivots. A walk that pivots on a facet cutting less
+        # deep stops one short, and the solve takes 58 steps.
+        poly = synth_polytope(6, 0.6, 400, 1, 50)
+        _, diag = solve_mvie_high_accuracy(poly)
+        monkeypatch.setattr(mvie, "_simplex_candidate", lambda *args: None)
+        _, ref_diag = solve_mvie_high_accuracy(poly)
+        assert diag.termination == "simplex"
+        assert diag.iterations <= 8
         assert np.array_equal(diag.touching, ref_diag.touching)
 
     @pytest.mark.parametrize("n,r,l,seed,snr", [
