@@ -6,11 +6,13 @@ with semi-orthonormal Phi maps reduced coordinates u to Phi u + b, and
 Phi^T (x - b) inverts it on the affine hull. Volumes are preserved
 because det(Phi^T Phi) = 1.
 
-The fit takes Phi from the small triangular factor of the centred data
-rather than from the data itself (Chan's R-SVD, ACM TOMS 8(1), 1982):
-with C^T = Q R, C = R^T Q^T has the left singular vectors and singular
-values of R^T, an M x min(M, L) matrix, and no L-long right singular
-vectors are formed.
+The fit starts from the principal eigenvectors of the M x M Gram matrix
+C C^T of the centred data C, as MVES does (Chan, Chi, Huang & Ma, IEEE
+TSP 57(11), 2009), and makes them as accurate as an SVD of C with one
+Rayleigh-Ritz step on the data: the eigenvectors alone carry an error
+that grows with the square of C's condition, and one product with C
+brings it back to the first power (notes/decisions.md). No L-long
+singular vectors, no L x M factor and no copy of the data are formed.
 """
 
 from __future__ import annotations
@@ -20,7 +22,8 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dgeqrf, dgesdd
+from scipy.linalg.blas import dgemm
+from scipy.linalg.lapack import dgeqrf, dgesdd, dorgqr
 
 from .errors import BadDims, DimMismatch, RankDeficientData
 from .numerics import as_matrix
@@ -48,31 +51,37 @@ def affine_fit(x: np.ndarray, n: int) -> AffineChart:
     """Fit the (N-1)-dimensional affine hull of the data columns.
 
     b is the column mean and Phi holds the top N-1 left singular
-    vectors of the centered data C, taken from the SVD of R^T for the
-    triangular factor R of C^T. Raises RankDeficientData when the
-    centered data does not carry N-1 directions (relative singular
-    value below 1e-10). The chart carries the fit's residual, the
-    largest distance of a column from the fitted affine set, and its
-    noise estimate sigma, whose square is the mean square per pixel of
-    the k = min(M, L-1) - (N-1) discarded singular values: sigma^2 =
-    sum_{j>=N} s_j^2 / (L k), as in HySime (Bioucas-Dias & Nascimento,
-    IEEE TGRS 46(8), 2008); nan when k = 0.
+    vectors of the centered data C, up to sign: the Ritz vectors of one
+    Rayleigh-Ritz step from the top eigenvectors of C C^T. Raises
+    RankDeficientData when the centered data does not carry N-1
+    directions (relative singular value below 1e-10). The chart carries
+    the fit's residual, the largest distance of a column from the fitted
+    affine set, and its noise estimate sigma, whose square is the mean
+    square per pixel of the residual, spread over the k = min(M, L-1) -
+    (N-1) discarded singular values: sigma^2 = ||C - Phi Phi^T C||_F^2 /
+    (L k) = sum_{j>=N} s_j^2 / (L k), as in HySime (Bioucas-Dias &
+    Nascimento, IEEE TGRS 46(8), 2008); nan when k = 0.
 
     It warns when the residual exceeds 1e-8 relative and the first
     discarded singular value s_N stands out from the others: s_N^2 >
     1.5 sigma^2 (sqrt(L) + sqrt(k))^2, 1.5 times the Marchenko-Pastur
     edge of isotropic noise (notes/decisions.md). With k = 1 it cannot.
     """
-    return _fit(x, n)[0]
+    x = as_matrix(x, "data")
+    return _fit(np.array(x, order="C"), n)[0]
 
 
 def _fit(x: np.ndarray, n: int) -> tuple[AffineChart, np.ndarray]:
-    """affine_fit, and the data in the chart's reduced coordinates,
-    Phi^T C for the centered data C: the residual needs that product, so
-    reduce_points need not center the data again. R comes from LAPACK's
-    dgeqrf on C^T, a Fortran-ordered view of C, and the SVD of R^T from
-    dgesdd."""
-    x = as_matrix(x, "data")
+    """affine_fit on data it may overwrite, and the data in the chart's
+    reduced coordinates, Phi^T C for the centered data C: the residual
+    needs that product, so reduce_points need not center the data again.
+
+    x is centered in place and left holding the residual. With p =
+    min(N, M) and V the top p eigenvectors of G = C C^T, Q = orth(C^T V)
+    comes from dgeqrf and dorgqr, and the SVD of C Q = U S W^T from
+    dgesdd; Phi is U's first N-1 columns, each u_j turned so that
+    u_j . v_j > 0, so the signs follow V. S[:N-1] feeds the rank test
+    and S[N-1] is the warning's s_N."""
     m, l = x.shape
     if l < n:
         raise BadDims(f"need L >= N, got L={l}, N={n}")
@@ -81,23 +90,30 @@ def _fit(x: np.ndarray, n: int) -> tuple[AffineChart, np.ndarray]:
     if n < 2:
         raise BadDims("need N >= 2 for a nontrivial affine fit")
     b = x.mean(axis=1)
-    centered = x - b[:, None]
-    qr, _, _, _ = dgeqrf(centered.T)
-    u, s, _, info = dgesdd(np.triu(qr[:min(m, l)]).T, full_matrices=0)
+    centered = np.subtract(x, b[:, None], out=x)
+    p = min(n, m)
+    v = np.linalg.eigh(centered @ centered.T)[1][:, :-p - 1:-1]
+    qr, tau, _, _ = dgeqrf((v.T @ centered).T, overwrite_a=1)
+    q, _, _ = dorgqr(qr, tau, overwrite_a=1)
+    u, s, _, info = dgesdd(centered @ q, full_matrices=0)
     if info:
         raise np.linalg.LinAlgError("SVD did not converge")
-    phi, tail, s = u[:, :n - 1], s[n - 1:min(m, l - 1)], s[:n - 1]
-    if s[0] <= 0.0 or s[-1] < 1e-10 * s[0]:
+    phi, v = u[:, :n - 1], v[:, :n - 1]
+    phi = phi * np.where(np.einsum("ij,ij->j", phi, v) < 0, -1.0, 1.0)
+    if s[0] <= 0.0 or s[n - 2] < 1e-10 * s[0]:
         raise RankDeficientData(
-            f"centered data is rank deficient: singular values {s}")
+            f"centered data is rank deficient: singular values {s[:n - 1]}")
     reduced = phi.T @ centered
-    res = _largest_offset(centered, phi, reduced)
-    k = tail.size
-    sigma2 = float(tail @ tail) / (l * k) if k else math.nan
-    if (k > 0 and tail[0] ** 2 > 1.5 * sigma2
+    off2 = _offsets_squared(centered, phi, reduced)
+    res = math.sqrt(float(off2.max()))
+    k = min(m, l - 1) - (n - 1)
+    sigma2 = float(off2.sum()) / (l * k) if k else math.nan
+    # ||c_j||^2 = ||c_j - Phi u_j||^2 + ||u_j||^2, Phi semi-orthonormal
+    if (k > 0 and s[n - 1] ** 2 > 1.5 * sigma2
             * (math.sqrt(l) + math.sqrt(k)) ** 2
-            and res > 1e-8 * max(
-                float(np.linalg.norm(centered, axis=0).max()), 1e-300)):
+            and res > 1e-8 * max(math.sqrt(float(
+                (off2 + np.einsum("ij,ij->j", reduced, reduced)).max())),
+                1e-300)):
         warnings.warn(
             f"affine fit residual {res:.3e} exceeds 1e-8 relative and the "
             "first discarded direction stands above the noise; the data "
@@ -110,19 +126,22 @@ def _fit(x: np.ndarray, n: int) -> tuple[AffineChart, np.ndarray]:
 def fit_residual(chart: AffineChart, x: np.ndarray) -> float:
     """Largest distance of any column from the chart's affine set."""
     x = as_matrix(x, "data")
-    centered = x - chart.b[:, None]
-    return _largest_offset(centered, chart.Phi, chart.Phi.T @ centered)
+    centered = np.subtract(x, chart.b[:, None], order="C")
+    return math.sqrt(float(
+        _offsets_squared(centered, chart.Phi, chart.Phi.T @ centered).max()))
 
 
-def _largest_offset(centered: np.ndarray, phi: np.ndarray,
-                    reduced: np.ndarray) -> float:
-    """max_j ||c_j - Phi u_j|| for the columns c_j of centered and u_j of
-    reduced = Phi^T centered, computed in one buffer: a fresh array of
-    the data's size costs more than the arithmetic on it."""
-    off = phi @ reduced
-    np.subtract(centered, off, out=off)
-    np.multiply(off, off, out=off)
-    return math.sqrt(float(np.add.reduce(off, axis=0).max()))
+def _offsets_squared(centered: np.ndarray, phi: np.ndarray,
+                     reduced: np.ndarray) -> np.ndarray:
+    """||c_j - Phi u_j||^2 for the columns c_j of centered and u_j of
+    reduced = Phi^T centered. One dgemm with beta = 1 overwrites C^T, the
+    Fortran-ordered view of a C-ordered centered, with C^T - reduced^T
+    Phi^T: a fresh array of the data's size costs more than the
+    arithmetic on it. For any other layout the wrapper works on a copy,
+    so the offsets are read from what it returns, never from centered."""
+    off = dgemm(-1.0, reduced.T, phi, 1.0, centered.T, trans_b=1,
+                overwrite_c=1)
+    return np.einsum("ij,ij->i", off, off)
 
 
 def reduce_points(x: np.ndarray, chart: AffineChart) -> np.ndarray:

@@ -25,8 +25,10 @@ import numpy as np
 
 from . import dimred, hull, mvie
 from .errors import (
+    BadRank,
     ConvergenceFailure,
     MviefactError,
+    NotFinite,
     RankDeficientA,
     TooFewContacts,
     WrongCount,
@@ -259,10 +261,15 @@ def run_pipeline(x: np.ndarray, n: int,
     timings: dict[str, float] = {}
 
     with _stage("dimred", timings):
-        x = as_matrix(x, "X")
-        k = int(np.frexp(np.abs(x).max(initial=0.0))[1])
-        x = np.ldexp(x, -k)
-        chart, reduced = dimred._fit(x, n)
+        x = np.asarray(x, dtype=float)
+        if x.ndim != 2:
+            raise BadRank(f"X must be 2-D, got ndim={x.ndim}")
+        # NaN reaches both the max and the min, +inf the max, -inf the min
+        hi, lo = float(x.max(initial=0.0)), float(x.min(initial=0.0))
+        if not (math.isfinite(hi) and math.isfinite(lo)):
+            raise NotFinite("X contains NaN or Inf")
+        k = int(np.frexp(max(hi, -lo))[1])
+        chart, reduced = dimred._fit(np.ldexp(x, -k, order="C"), n)
 
     with _stage("hull", timings):
         poly = hull.enumerate_facets(reduced.T)
@@ -275,7 +282,8 @@ def run_pipeline(x: np.ndarray, n: int,
         merged = consolidate_contacts(raw, n)
         ambient = dimred.lift_points(merged.T, chart).T
         a_hat = reconstruct_endmembers(ambient)
-        s_hat = recover_abundances(x, a_hat) if want_abundances else None
+        s_hat = (recover_abundances(np.ldexp(x, -k), a_hat)
+                 if want_abundances else None)
 
     return RecoveryReport(
         A_hat=np.ldexp(a_hat, k),

@@ -4,8 +4,28 @@ import warnings
 import numpy as np
 import pytest
 
-from mviefact import dimred, hull, mvie, synth
+from mviefact import dimred, hull, mvie, recovery, synth
 from mviefact.errors import BadDims, DimMismatch, RankDeficientData
+
+
+def _conditioned(m, l, n, cond, seed=0):
+    """Noiseless M x L data about a mean offset in [1, 2]^M, whose centred
+    part has the singular values geomspace(1, cond, N-1)."""
+    rng = np.random.default_rng(seed)
+    u = np.linalg.qr(rng.standard_normal((m, n - 1)))[0]
+    w = rng.standard_normal((l, n - 1))
+    w = np.linalg.qr(w - w.mean(axis=0))[0]    # columns sum to 0
+    s = np.geomspace(1.0, cond, n - 1)
+    return (u * s) @ w.T + rng.uniform(1.0, 2.0, (m, 1))
+
+
+def _layout(x, layout):
+    """A copy of x laid out Fortran-ordered or as a strided view."""
+    if layout == "F":
+        return np.asfortranarray(x)
+    wide = np.zeros((2 * x.shape[0], 3 * x.shape[1]))
+    wide[::2, ::3] = x
+    return wide[::2, ::3]
 
 
 class TestAffineFit:
@@ -97,6 +117,44 @@ class TestAffineFit:
         # a chart not made by the fit has no estimate
         chart = dimred.AffineChart(Phi=np.eye(3)[:, :2], b=np.zeros(3))
         assert math.isnan(chart.noise_sigma)
+
+    @pytest.mark.parametrize("m,l,n", [(50, 1000, 4), (50, 1000, 7)])
+    @pytest.mark.parametrize("e", range(1, 10))
+    def test_ill_conditioned_data_match_svd(self, m, l, n, e):
+        # the Gram eigenvectors alone are off by about eps (s_1/s_{N-1})^2,
+        # which fails this bound from s_{N-1}/s_1 = 1e-4 on; the Ritz step
+        # on the data brings the error back to about eps s_1/s_{N-1}
+        x = _conditioned(m, l, n, 10.0 ** -e)
+        u, s, _ = np.linalg.svd(x - x.mean(axis=1)[:, None],
+                                full_matrices=False)
+        top = u[:, :n - 1]
+        phi = dimred.affine_fit(x, n).Phi
+        assert (np.abs(phi @ phi.T - top @ top.T).max()
+                <= 1e-14 * s[0] / s[n - 2])
+
+    @pytest.mark.parametrize("layout", ["F", "strided"])
+    def test_layout_of_the_data_moves_nothing(self, layout):
+        # the fit works in one buffer, in place; a Fortran-ordered or
+        # strided X must give the answer of a C-ordered one and stay as
+        # it was
+        gt = synth.make_instance(50, 4, 1000, 0.7, math.inf, seed=0)
+        ref_chart = dimred.affine_fit(gt.X, 4)
+        ref_rep = recovery.run_pipeline(gt.X, 4)
+        x = _layout(gt.X, layout)
+        kept = x.copy()
+        chart = dimred.affine_fit(x, 4)
+        proj = chart.Phi @ chart.Phi.T - ref_chart.Phi @ ref_chart.Phi.T
+        assert np.abs(proj).max() <= 1e-12
+        assert abs(chart.residual - ref_chart.residual) <= 1e-12
+        assert chart.residual == dimred.fit_residual(chart, x)
+        rep = recovery.run_pipeline(x, 4)
+        assert np.abs(rep.A_hat - ref_rep.A_hat).max() <= 1e-12
+        assert np.array_equal(x, kept)
+        # _fit itself may be handed a buffer of any layout
+        chart, reduced = dimred._fit(_layout(gt.X, layout), 4)
+        assert abs(chart.residual - ref_chart.residual) <= 1e-12
+        assert np.abs(chart.Phi @ reduced
+                      - (gt.X - chart.b[:, None])).max() <= 1e-12
 
 
 class TestTransforms:

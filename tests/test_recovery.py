@@ -10,7 +10,9 @@ from hypothesis import given, settings, strategies as st
 
 from mviefact import dimred, hull, metrics, recovery, synth
 from mviefact.errors import (
+    BadRank,
     ConvergenceFailure,
+    NotFinite,
     RankDeficientA,
     TooFewContacts,
     WrongCount,
@@ -340,6 +342,25 @@ class TestPipeline:
         # rows of S_hat follow the columns of A_hat, in no set order
         _, perm = metrics.rms_angle_error(gt.A, rep.A_hat)
         assert np.abs(rep.S_hat[list(perm)] - gt.S).max() <= 1e-2
+
+    @pytest.mark.parametrize("bad,error,message", [
+        (np.nan, NotFinite, "X contains NaN or Inf"),
+        (np.inf, NotFinite, "X contains NaN or Inf"),
+        (-np.inf, NotFinite, "X contains NaN or Inf"),
+        (None, BadRank, "X must be 2-D, got ndim=1"),
+    ])
+    def test_bad_input_fails_in_dimred(self, bad, error, message):
+        # one max and one min see every NaN and infinity, and |X| is
+        # never formed
+        x = synth.make_instance(20, 3, 150, 0.9, math.inf, seed=0).X
+        if bad is None:
+            x = x[0]
+        else:
+            x[3, 7] = bad
+        with pytest.raises(error) as info:
+            run_pipeline(x, 3)
+        assert str(info.value) == message
+        assert info.value.stage == "dimred"
 
     def test_pipeline_leaves_scipy_optimize_unimported(self):
         # scipy.optimize is imported where it is used, not by the package
