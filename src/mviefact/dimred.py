@@ -22,7 +22,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.blas import dgemm
 from scipy.linalg.lapack import dgeqrf, dgesdd, dorgqr
 
 from .errors import BadDims, DimMismatch, RankDeficientData
@@ -68,7 +67,7 @@ def affine_fit(x: np.ndarray, n: int) -> AffineChart:
     edge of isotropic noise (notes/decisions.md). With k = 1 it cannot.
     """
     x = as_matrix(x, "data")
-    return _fit(np.array(x, order="C"), n)[0]
+    return _fit(np.array(x), n)[0]
 
 
 def _fit(x: np.ndarray, n: int) -> tuple[AffineChart, np.ndarray]:
@@ -76,12 +75,12 @@ def _fit(x: np.ndarray, n: int) -> tuple[AffineChart, np.ndarray]:
     reduced coordinates, Phi^T C for the centered data C: the residual
     needs that product, so reduce_points need not center the data again.
 
-    x is centered in place and left holding the residual. With p =
-    min(N, M) and V the top p eigenvectors of G = C C^T, Q = orth(C^T V)
-    comes from dgeqrf and dorgqr, and the SVD of C Q = U S W^T from
-    dgesdd; Phi is U's first N-1 columns, each u_j turned so that
-    u_j . v_j > 0, so the signs follow V. S[:N-1] feeds the rank test
-    and S[N-1] is the warning's s_N."""
+    x is centered in place. With p = min(N, M) and V the top p
+    eigenvectors of G = C C^T, Q = orth(C^T V) comes from dgeqrf and
+    dorgqr, and the SVD of C Q = U S W^T from dgesdd; Phi is U's first
+    N-1 columns, each u_j turned so that u_j . v_j > 0, so the signs
+    follow V. S[:N-1] feeds the rank test and S[N-1] is the warning's
+    s_N."""
     m, l = x.shape
     if l < n:
         raise BadDims(f"need L >= N, got L={l}, N={n}")
@@ -126,7 +125,7 @@ def _fit(x: np.ndarray, n: int) -> tuple[AffineChart, np.ndarray]:
 def fit_residual(chart: AffineChart, x: np.ndarray) -> float:
     """Largest distance of any column from the chart's affine set."""
     x = as_matrix(x, "data")
-    centered = np.subtract(x, chart.b[:, None], order="C")
+    centered = x - chart.b[:, None]
     return math.sqrt(float(
         _offsets_squared(centered, chart.Phi, chart.Phi.T @ centered).max()))
 
@@ -134,14 +133,10 @@ def fit_residual(chart: AffineChart, x: np.ndarray) -> float:
 def _offsets_squared(centered: np.ndarray, phi: np.ndarray,
                      reduced: np.ndarray) -> np.ndarray:
     """||c_j - Phi u_j||^2 for the columns c_j of centered and u_j of
-    reduced = Phi^T centered. One dgemm with beta = 1 overwrites C^T, the
-    Fortran-ordered view of a C-ordered centered, with C^T - reduced^T
-    Phi^T: a fresh array of the data's size costs more than the
-    arithmetic on it. For any other layout the wrapper works on a copy,
-    so the offsets are read from what it returns, never from centered."""
-    off = dgemm(-1.0, reduced.T, phi, 1.0, centered.T, trans_b=1,
-                overwrite_c=1)
-    return np.einsum("ij,ij->i", off, off)
+    reduced = Phi^T centered."""
+    off = phi @ reduced
+    np.subtract(centered, off, out=off)
+    return np.einsum("ij,ij->j", off, off)
 
 
 def reduce_points(x: np.ndarray, chart: AffineChart) -> np.ndarray:

@@ -8,6 +8,7 @@ symmetric eigendecomposition and the package-wide random generator.
 
 from __future__ import annotations
 
+import math
 from typing import NamedTuple
 
 import numpy as np
@@ -29,11 +30,15 @@ def rng_from_seed(seed: int) -> np.random.Generator:
 
 
 def as_matrix(a, name: str = "matrix") -> np.ndarray:
-    """Coerce to a 2-D float64 array and reject non-finite entries."""
+    """Coerce to a 2-D float64 array and reject non-finite entries.
+
+    One max and one min see them all: NaN reaches both, +inf the max and
+    -inf the min, and no array of the input's size is formed."""
     a = np.asarray(a, dtype=float)
     if a.ndim != 2:
         raise BadRank(f"{name} must be 2-D, got ndim={a.ndim}")
-    if not np.all(np.isfinite(a)):
+    if not (math.isfinite(a.max(initial=0.0))
+            and math.isfinite(a.min(initial=0.0))):
         raise NotFinite(f"{name} contains NaN or Inf")
     return a
 

@@ -25,10 +25,8 @@ import numpy as np
 
 from . import dimred, hull, mvie
 from .errors import (
-    BadRank,
     ConvergenceFailure,
     MviefactError,
-    NotFinite,
     RankDeficientA,
     TooFewContacts,
     WrongCount,
@@ -261,15 +259,9 @@ def run_pipeline(x: np.ndarray, n: int,
     timings: dict[str, float] = {}
 
     with _stage("dimred", timings):
-        x = np.asarray(x, dtype=float)
-        if x.ndim != 2:
-            raise BadRank(f"X must be 2-D, got ndim={x.ndim}")
-        # NaN reaches both the max and the min, +inf the max, -inf the min
-        hi, lo = float(x.max(initial=0.0)), float(x.min(initial=0.0))
-        if not (math.isfinite(hi) and math.isfinite(lo)):
-            raise NotFinite("X contains NaN or Inf")
-        k = int(np.frexp(max(hi, -lo))[1])
-        chart, reduced = dimred._fit(np.ldexp(x, -k, order="C"), n)
+        x = as_matrix(x, "X")
+        k = int(np.frexp(max(x.max(initial=0.0), -x.min(initial=0.0)))[1])
+        chart, reduced = dimred._fit(np.ldexp(x, -k), n)
 
     with _stage("hull", timings):
         poly = hull.enumerate_facets(reduced.T)
