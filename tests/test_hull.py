@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -107,6 +108,13 @@ def reference_merge(normals, offsets, eps):
 
 def reduced_cloud(n, l, seed):
     gt = synth.make_instance(50, n, l, 0.7, float("inf"), seed)
+    return dimred.reduce_points(gt.X, dimred.affine_fit(gt.X, n)).T
+
+
+def purity_cloud(n, l, snr=math.inf):
+    """Reduced synth cloud at purity 1/sqrt(N-1) + 0.1, just above the
+    recovery threshold: many pixels lie close to a face of the simplex."""
+    gt = synth.make_instance(50, n, l, 1 / math.sqrt(n - 1) + 0.1, snr, 0)
     return dimred.reduce_points(gt.X, dimred.affine_fit(gt.X, n)).T
 
 
@@ -244,6 +252,39 @@ class TestInvariants:
         assert np.all(support >= d)          # every facet is supported
         assert poly.interior is not None
         assert np.all(poly.offsets - poly.normals @ poly.interior > 0)
+
+    @pytest.mark.parametrize("snr", [math.inf, 30.0])
+    @pytest.mark.parametrize("n", range(3, 8))
+    def test_qhull_normals_are_unit(self, n, snr, monkeypatch):
+        # enumerate_facets hands Qhull's normals on without normalising
+        raw = []
+        merge = hull._merge_duplicates
+
+        def spy(normals, offsets, eps):
+            raw.append(normals.copy())
+            return merge(normals, offsets, eps)
+
+        monkeypatch.setattr(hull, "_merge_duplicates", spy)
+        enumerate_facets(purity_cloud(n, 400, snr))
+        normals, = raw
+        dev = np.abs(np.linalg.norm(normals, axis=1) - 1.0)
+        assert dev.max() <= 4 * np.finfo(float).eps
+
+    @pytest.mark.parametrize("d", range(1, 7))
+    def test_power_of_two_scale_moves_no_bit(self, d):
+        # the facets of 2^j pts are those of pts scaled by 2^j, bit for
+        # bit, also where Qhull on 2^j pts itself would overflow or
+        # underflow
+        pts = purity_cloud(max(d + 1, 3), 150 if d == 6 else 400)[:, :d]
+        poly = enumerate_facets(pts)
+        for j in (-1000, -300, -100, 100, 300, 1000):
+            scaled = np.ldexp(pts, j)
+            assert np.array_equal(np.ldexp(scaled, -j), pts)  # exact
+            got = enumerate_facets(scaled)
+            assert np.array_equal(got.normals, poly.normals)
+            assert np.array_equal(got.offsets, np.ldexp(poly.offsets, j))
+            assert np.array_equal(got.interior, np.ldexp(poly.interior, j))
+            assert got.eps_hull == math.ldexp(poly.eps_hull, j)
 
     def test_degenerate_and_small_inputs(self, rng):
         flat = np.column_stack([rng.standard_normal(10),
