@@ -21,6 +21,17 @@ File formats (owned here):
                  pixel, 17 significant digits
   truth JSON     {"A": rows, "S": rows, "params": {N,M,L,r,snr_db,seed}};
                  snr_db is dB or "inf", and noiseless if missing or null
+  run JSON       params {N}, A_hat (M x N), contacts_reduced,
+                 contacts_ambient, raw_contact_count, center_ambient,
+                 K (facets), affine_residual, noise_sigma (null with no
+                 discarded singular value), diagnostics, timings (seconds
+                 per stage); phi_deg and permutation with --truth, S_hat
+                 (N x L) with --emit-shat.
+                 diagnostics: iterations, final_objective, termination,
+                 stage_iterations, evaluations, kept_facets, rounds, pivots,
+                 and the optimality certificate: gap, the solve's certified
+                 log-det gap bound, and max_violation, the worst constraint
+                 value over the largest facet distance (<= 0 inscribed)
   trials CSV     N,M,L,r,snr_db,seed,status,phi_deg,K,kept_facets,rounds,
                  termination,gap,t_dimred,t_hull,t_solve,t_recover,t_total;
                  termination is "simplex" when the MVIE solve ended on the
@@ -46,7 +57,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import metrics, mvie, recovery, synth
+from . import metrics, recovery, synth
 from .errors import MviefactError, NumericalError, ParameterError
 
 __all__ = ["BenchSpec", "main", "cmd_synth", "cmd_run", "cmd_bench"]
@@ -212,8 +223,6 @@ def cmd_run(args) -> int:
             "gap": report.solver.gap,
             "pivots": report.solver.pivots,
             "max_violation": report.max_violation,
-            "john_residual": mvie.check_john(
-                report.ellipsoid, report.contacts_reduced).residual,
         },
         "timings": report.timings,
     }

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg.lapack import dgeqrf, dgesdd, dorgqr
 
-from .errors import BadDims, DimMismatch, RankDeficientData
+from .errors import BadDims, ConvergenceFailure, DimMismatch, RankDeficientData
 from .numerics import as_matrix
 
 __all__ = [
@@ -53,9 +53,10 @@ def affine_fit(x: np.ndarray, n: int) -> AffineChart:
     vectors of the centered data C, up to sign: the Ritz vectors of one
     Rayleigh-Ritz step from the top eigenvectors of C C^T. Raises
     RankDeficientData when the centered data does not carry N-1
-    directions (relative singular value below 1e-10). The chart carries
-    the fit's residual, the largest distance of a column from the fitted
-    affine set, and its noise estimate sigma, whose square is the mean
+    directions (relative singular value below 1e-10), and
+    ConvergenceFailure when LAPACK's eigensolver or SVD fails. The chart
+    carries the fit's residual, the largest distance of a column from the
+    fitted affine set, and its noise estimate sigma, whose square is the mean
     square per pixel of the residual, spread over the k = min(M, L-1) -
     (N-1) discarded singular values: sigma^2 = ||C - Phi Phi^T C||_F^2 /
     (L k) = sum_{j>=N} s_j^2 / (L k), as in HySime (Bioucas-Dias &
@@ -91,12 +92,15 @@ def _fit(x: np.ndarray, n: int) -> tuple[AffineChart, np.ndarray]:
     b = x.mean(axis=1)
     centered = np.subtract(x, b[:, None], out=x)
     p = min(n, m)
-    v = np.linalg.eigh(centered @ centered.T)[1][:, :-p - 1:-1]
+    try:
+        v = np.linalg.eigh(centered @ centered.T)[1][:, :-p - 1:-1]
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceFailure(f"Gram eigensolver failed: {exc}") from exc
     qr, tau, _, _ = dgeqrf((v.T @ centered).T, overwrite_a=1)
     q, _, _ = dorgqr(qr, tau, overwrite_a=1)
     u, s, _, info = dgesdd(centered @ q, full_matrices=0)
     if info:
-        raise np.linalg.LinAlgError("SVD did not converge")
+        raise ConvergenceFailure(f"SVD did not converge (dgesdd info {info})")
     phi, v = u[:, :n - 1], v[:, :n - 1]
     phi = phi * np.where(np.einsum("ij,ij->j", phi, v) < 0, -1.0, 1.0)
     if s[0] <= 0.0 or s[n - 2] < 1e-10 * s[0]:

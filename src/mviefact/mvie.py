@@ -29,7 +29,8 @@ simplex reaches it without waiting for more stages.
 
 ``solve_mvie`` is the paper's first-order method (FPGM). The pipeline
 does not call it; it is kept as the paper's reference, against which
-the tests check the Newton answer. It replaces the constraints by the
+the tests check the Newton answer. It starts where the Newton solve
+does, at ``HPolytope.interior``, and replaces the constraints by the
 composite minimization
 
     min_{W in S_eps, y}  sum_i psi(sqrt(||W g_i||^2 + eps) + g_i . y - h_i)
@@ -212,29 +213,12 @@ def composite_objective(w, y, poly: HPolytope, cfg: FpgmConfig) -> float:
     return f + _logdet_term(lam, cfg.rho)
 
 
-def _chebyshev_style_center(poly: HPolytope, steps: int = 200) -> np.ndarray:
-    """Maximize the minimum facet slack by projected subgradient ascent,
-    started from the polytope's interior point."""
-    g, h = poly.normals, poly.offsets
-    y = poly.interior.astype(float).copy()
-    best_y = y.copy()
-    best_slack = float((h - g @ y).min())
-    step0 = max(float(np.abs(h).max()), 1e-6)
-    for k in range(1, steps + 1):
-        slacks = h - g @ y
-        i = int(np.argmin(slacks))
-        y = y - (step0 / math.sqrt(k)) * g[i]
-        s = float((h - g @ y).min())
-        if s > best_slack:
-            best_slack = s
-            best_y = y.copy()
-    return best_y
-
-
 def solve_mvie(poly: HPolytope, cfg: FpgmConfig | None = None
                ) -> tuple[Ellipsoid, SolveDiagnostics]:
     """Run the accelerated proximal gradient solver on one polytope.
 
+    Starts from y = poly.interior, W = 0.9 r0 I, r0 = min_i (h_i - g_i .
+    y); raises EmptyInterior unless r0 > 0, as the Newton solve does.
     Returns the inscribed ellipsoid (F = W symmetric with smallest
     eigenvalue >= eps, center c = y) and per-iteration diagnostics. The
     recorded composite objective is non-increasing: whenever the
@@ -242,24 +226,14 @@ def solve_mvie(poly: HPolytope, cfg: FpgmConfig | None = None
     retried from the current iterate.
     """
     cfg = cfg or FpgmConfig()
-    g = poly.normals
-    h = poly.offsets
-    gt = g.T
-    d = poly.dim
-
-    y = _chebyshev_style_center(poly)
+    g, h = poly.normals, poly.offsets
+    y = poly.interior.astype(float)
     slack = float((h - g @ y).min())
-    if slack <= 0.0:
+    if not slack > 0.0:
         raise EmptyInterior(
             f"no strictly feasible center found (best slack {slack:.3e})")
-    w = 0.9 * slack * np.eye(d)
-
-    def pen(wm, yv):
-        return _penalty_value(wm, yv, gt, g, h, cfg.eps)
-
-    lam0 = eig_sym(w).eigenvalues
-    obj = pen(w, y) + _logdet_term(np.maximum(lam0, cfg.eps), cfg.rho)
-    trace = [obj]
+    w = 0.9 * slack * np.eye(poly.dim)
+    trace = [composite_objective(w, y, poly, cfg)]
     backtracks: list[int] = []
     inv_t: list[float] = []
     w_cur, y_cur = w.copy(), y.copy()
@@ -282,7 +256,7 @@ def solve_mvie(poly: HPolytope, cfg: FpgmConfig | None = None
             while True:
                 w_new, lam_new = _prox_core(vw - t * gw, t, cfg.rho, cfg.eps)
                 y_new = vy - t * gy
-                f_new = pen(w_new, y_new)
+                f_new = _penalty_value(w_new, y_new, g.T, g, h, cfg.eps)
                 dw = w_new - vw
                 dy = y_new - vy
                 quad = (f_v + float(np.sum(gw * dw)) + float(gy @ dy)
@@ -952,6 +926,10 @@ def check_john(ellipsoid: Ellipsoid, contacts,
     minimized over nonnegative weights when none are supplied. A small
     residual witnesses that the ellipsoid is the maximum-volume
     ellipsoid inscribed in any convex body touching it at the contacts.
+
+    Neither the pipeline nor the CLI calls it: a run reports the solve's
+    certified ``gap`` and ``max_violation``. It is the reference the
+    tests and the benchmark's traced runs apply to the merged contacts.
     """
     pts = np.atleast_2d(np.asarray(contacts, dtype=float))
     d = ellipsoid.F.shape[0]

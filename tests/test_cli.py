@@ -9,7 +9,7 @@ import sys
 import numpy as np
 import pytest
 
-from mviefact import recovery
+from mviefact import dimred, recovery
 from mviefact.cli import (
     BenchSpec,
     main,
@@ -106,8 +106,8 @@ class TestRunCommand:
         assert payload["diagnostics"]["iterations"] > 0
         assert payload["diagnostics"]["evaluations"] > 0
         viol = payload["diagnostics"]["max_violation"]
-        john = payload["diagnostics"]["john_residual"]
-        assert np.isfinite(viol) and np.isfinite(john)
+        assert np.isfinite(viol)
+        assert "john_residual" not in payload["diagnostics"]
         assert viol <= 0.0
         assert payload["diagnostics"]["gap"] <= 1e-11
         # sigma^2 is the mean squared residual over the k >= 1 discarded
@@ -185,6 +185,34 @@ class TestRunCommand:
                        "--out", str(tmp_path / "report.json"))
         assert code == 3
         assert "error [recover]" in capsys.readouterr().err
+
+    def test_fit_failure_names_dimred_stage(self, instance_dir, tmp_path,
+                                            monkeypatch, capsys):
+        real = dimred.dgesdd
+        monkeypatch.setattr(dimred, "dgesdd",
+                            lambda a, **kw: (*real(a, **kw)[:3], 1))
+        code = run_cli("run", "--input", str(instance_dir / "X.csv"),
+                       "--N", "3", "--out", str(tmp_path / "report.json"))
+        assert code == 3
+        assert capsys.readouterr().err.startswith("error [dimred]: ")
+
+    def test_run_leaves_scipy_optimize_unimported(self, instance_dir,
+                                                  tmp_path):
+        # the certificate is the solve's gap and max_violation: without
+        # --truth nothing in a run needs scipy.optimize
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [SRC, env.get("PYTHONPATH")]))
+        code = ("import sys, mviefact.cli as c; "
+                "assert c.main(sys.argv[1:]) == 0; "
+                "print('scipy.optimize' in sys.modules)")
+        proc = subprocess.run(
+            [sys.executable, "-c", code, "run", "--input",
+             str(instance_dir / "X.csv"), "--N", "3",
+             "--out", str(tmp_path / "report.json")],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split()[-1] == "False"
 
     def test_nan_input_names_dimred_stage(self, instance_dir, tmp_path,
                                           capsys):

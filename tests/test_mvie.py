@@ -762,8 +762,9 @@ class TestPaperReference:
     @pytest.mark.parametrize("seed", range(4))
     @pytest.mark.parametrize("n,r", [(3, 0.85), (4, 0.7)])
     def test_newton_agrees_with_fpgm(self, n, r, seed):
-        # The paper's FPGM at its rho = 150 stops near the MVIE, within
-        # 1.1e-2 in F and 8.3e-3 in c (relative to max|F|) on these
+        # The paper's FPGM at its rho = 150, started at the interior
+        # point the Newton solve starts at, stops near the MVIE, within
+        # 9.0e-3 in F and 7.6e-3 in c (relative to max|F|) on these
         # instances. Shrunk about its centre until it is inscribed, its
         # volume is below the Newton answer's, which is the maximum.
         poly = synth_polytope(n, r, 1000, seed, m=50)

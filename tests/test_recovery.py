@@ -362,6 +362,23 @@ class TestPipeline:
         assert str(info.value) == message
         assert info.value.stage == "dimred"
 
+    @pytest.mark.parametrize("where", ["eigh", "dgesdd"])
+    def test_fit_failure_is_typed(self, monkeypatch, where):
+        # LAPACK not converging in the fit is a numerical error of the
+        # dimred stage, not a bare LinAlgError
+        if where == "eigh":
+            def fail(a):
+                raise np.linalg.LinAlgError("Eigenvalues did not converge")
+            monkeypatch.setattr(np.linalg, "eigh", fail)
+        else:
+            real = dimred.dgesdd
+            monkeypatch.setattr(dimred, "dgesdd",
+                                lambda a, **kw: (*real(a, **kw)[:3], 1))
+        x = synth.make_instance(20, 3, 150, 0.9, math.inf, seed=0).X
+        with pytest.raises(ConvergenceFailure) as info:
+            run_pipeline(x, 3)
+        assert info.value.stage == "dimred"
+
     def test_pipeline_leaves_scipy_optimize_unimported(self):
         # scipy.optimize is imported where it is used, not by the package
         src = os.path.join(os.path.dirname(os.path.dirname(
