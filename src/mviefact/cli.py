@@ -8,10 +8,11 @@ Subcommands:
 Both run and bench solve the MVIE by the barrier Newton method of
 mvie.solve_mvie_high_accuracy; neither takes a solver option.
 
-Exit codes: 0 success, 1 I/O failure, 2 invalid parameters, 3 numerical
-failure. A failure prints "error [<where>]: <message>" to stderr, where
-<where> is the pipeline stage that raised it (dimred, hull, solve or
-recover), or io, params or numerical outside the pipeline.
+Exit codes: 0 success, 1 I/O failure (a missing, unreadable or malformed
+file), 2 invalid parameters, 3 numerical failure. A failure prints
+"error [<where>]: <message>" to stderr, where <where> is the pipeline
+stage that raised it (dimred, hull, solve or recover), or io, params or
+numerical outside the pipeline.
 
 --snr is read by float: dB, or inf, +inf or Infinity (any case) for
 noiseless data.
@@ -27,16 +28,19 @@ File formats (owned here):
                  discarded singular value), diagnostics, timings (seconds
                  per stage); phi_deg and permutation with --truth, S_hat
                  (N x L) with --emit-shat.
-                 diagnostics: iterations, final_objective, termination,
-                 stage_iterations, evaluations, kept_facets, rounds, pivots,
-                 and the optimality certificate: gap, the solve's certified
-                 log-det gap bound, and max_violation, the worst constraint
-                 value over the largest facet distance (<= 0 inscribed)
-  trials CSV     N,M,L,r,snr_db,seed,status,phi_deg,K,kept_facets,rounds,
-                 termination,gap,t_dimred,t_hull,t_solve,t_recover,t_total;
-                 termination is "simplex" when the MVIE solve ended on the
-                 certified simplex finish, "tol" otherwise, and gap its
-                 certified log-det gap bound
+                 diagnostics: the SolveDiagnostics fields listed in
+                 _SOLVE_FIGURES (iterations, final_objective, termination,
+                 stage_iterations, evaluations, kept_facets, rounds, gap,
+                 pivots), then max_violation. The optimality certificate is
+                 gap, the solve's certified log-det gap bound, with
+                 max_violation, the worst constraint value over the largest
+                 facet distance (<= 0 inscribed)
+  trials CSV     N,M,L,r,snr_db,seed,status,phi_deg,K, then the diagnostics
+                 kept_facets,rounds,termination,gap (_TRIAL_SOLVE_COLUMNS, a
+                 subset of the run JSON's), then t_dimred,t_hull,t_solve,
+                 t_recover,t_total. termination is "simplex" when the solve
+                 ended on the certified simplex finish, "tol" otherwise; a
+                 failed trial writes 0,0,,nan in those four columns
   aggregate CSV  N,M,L,r,snr_db,trials,n_ok,phi_mean_deg,phi_std_deg,
                  K_mean,t_total_mean
   CSV cells are formatted as in the matrix CSV, with "inf" for an
@@ -68,9 +72,15 @@ EXIT_PARAMS = 2
 EXIT_NUMERICAL = 3
 
 _TIMINGS = ["dimred", "hull", "solve", "recover", "total"]
+# the SolveDiagnostics fields the run JSON's diagnostics report, in order
+_SOLVE_FIGURES = ["iterations", "final_objective", "termination",
+                  "stage_iterations", "evaluations", "kept_facets", "rounds",
+                  "gap", "pivots"]
+# the diagnostics the trials CSV reports, with what a failed trial writes
+_TRIAL_SOLVE_COLUMNS = {"kept_facets": 0, "rounds": 0, "termination": "",
+                        "gap": math.nan}
 _RESULT_COLUMNS = ["N", "M", "L", "r", "snr_db", "seed", "status", "phi_deg",
-                   "K", "kept_facets", "rounds", "termination", "gap",
-                   *(f"t_{k}" for k in _TIMINGS)]
+                   "K", *_TRIAL_SOLVE_COLUMNS, *(f"t_{k}" for k in _TIMINGS)]
 _AGGREGATE_COLUMNS = ["N", "M", "L", "r", "snr_db", "trials", "n_ok",
                       "phi_mean_deg", "phi_std_deg", "K_mean", "t_total_mean"]
 
@@ -112,11 +122,16 @@ def _cell(v):
     return v
 
 
-def _write_csv(path, columns: list[str], rows) -> None:
+def _write_csv(path, columns: list[str], rows,
+               omit_timings: bool = False) -> None:
+    """Write a header and rows of cells; with omit_timings every t_
+    column holds 0."""
+    timed = [omit_timings and c.startswith("t_") for c in columns]
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(columns)
-        writer.writerows([_cell(v) for v in row] for row in rows)
+        writer.writerows([_cell(0.0 if t else v) for t, v in zip(timed, row)]
+                         for row in rows)
 
 
 def write_matrix_csv(path, x: np.ndarray) -> None:
@@ -159,22 +174,27 @@ def write_truth_json(path, gt: synth.GroundTruth) -> None:
 
 
 def read_truth_json(path) -> tuple[np.ndarray, np.ndarray, dict]:
-    with open(path) as fh:
-        payload = json.load(fh)
-    a = np.asarray(payload["A"], dtype=float)
-    s = np.asarray(payload["S"], dtype=float)
-    params = dict(payload["params"])
-    snr = params.get("snr_db")
-    params["snr_db"] = math.inf if snr is None else float(snr)
+    """Parse a truth JSON; a malformed file or field raises OSError."""
+    try:
+        with open(path) as fh:
+            payload = json.load(fh)
+        a = np.asarray(payload["A"], dtype=float)
+        s = np.asarray(payload["S"], dtype=float)
+        params = dict(payload["params"])
+        snr = params.get("snr_db")
+        params["snr_db"] = math.inf if snr is None else float(snr)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise OSError(f"malformed truth file {path}: {exc!r}") from exc
     return a, s, params
 
 
 # -- subcommands ---------------------------------------------------------------
 
 def cmd_synth(args) -> int:
+    library = (None if args.library is None
+               else synth.load_signature_library(args.library)[1])
     gt = synth.make_instance(args.M, args.N, args.L, args.purity,
-                             args.snr, args.seed,
-                             library=_load_library(args.library, args.M))
+                             args.snr, args.seed, library=library)
     os.makedirs(args.out, exist_ok=True)
     write_matrix_csv(os.path.join(args.out, "X.csv"), gt.X)
     write_truth_json(os.path.join(args.out, "truth.json"), gt)
@@ -182,16 +202,6 @@ def cmd_synth(args) -> int:
           f"{args.out}/truth.json (N={args.N}, r={args.purity}, "
           f"snr={_snr_json(args.snr)}, seed={args.seed})")
     return EXIT_OK
-
-
-def _load_library(path, m: int):
-    if path is None:
-        return None
-    _, lib = synth.load_signature_library(path)
-    if lib.shape[0] != m:
-        raise ParameterError(
-            f"library has {lib.shape[0]} bands but --M is {m}")
-    return lib
 
 
 def cmd_run(args) -> int:
@@ -212,18 +222,7 @@ def cmd_run(args) -> int:
         # M = N-1): a strict JSON reader rejects NaN
         "noise_sigma": (None if math.isnan(report.noise_sigma)
                         else report.noise_sigma),
-        "diagnostics": {
-            "iterations": report.solver.iterations,
-            "final_objective": report.solver.final_objective,
-            "termination": report.solver.termination,
-            "stage_iterations": report.solver.stage_iterations,
-            "evaluations": report.solver.evaluations,
-            "kept_facets": report.solver.kept_facets,
-            "rounds": report.solver.rounds,
-            "gap": report.solver.gap,
-            "pivots": report.solver.pivots,
-            "max_violation": report.max_violation,
-        },
+        "diagnostics": _diagnostics(report),
         "timings": report.timings,
     }
     if args.truth:
@@ -244,6 +243,12 @@ def cmd_run(args) -> int:
     return EXIT_OK
 
 
+def _diagnostics(report: recovery.RecoveryReport) -> dict:
+    """The solve's reported figures: _SOLVE_FIGURES, then max_violation."""
+    return dict(((k, getattr(report.solver, k)) for k in _SOLVE_FIGURES),
+                max_violation=report.max_violation)
+
+
 def run_bench(spec: BenchSpec) -> tuple[list[metrics.TrialResult], list[dict]]:
     """Execute every (cell, trial) pair; failures become status rows."""
     results: list[metrics.TrialResult] = []
@@ -262,10 +267,7 @@ def run_bench(spec: BenchSpec) -> tuple[list[metrics.TrialResult], list[dict]]:
                 res.rms_angle_deg = phi
                 res.permutation = perm
                 res.K_facets = report.n_facets
-                res.kept_facets = report.solver.kept_facets
-                res.rounds = report.solver.rounds
-                res.termination = report.solver.termination
-                res.gap = report.solver.gap
+                res.diagnostics = _diagnostics(report)
                 res.runtimes_sec = dict(report.timings)
             except MviefactError as exc:
                 res.status = f"error:{type(exc).__name__}"
@@ -292,18 +294,17 @@ def write_results_csv(path, results: list[metrics.TrialResult],
                       omit_timings: bool = False) -> None:
     _write_csv(path, _RESULT_COLUMNS, (
         [t.N, t.M, t.L, t.r, t.snr_db, t.seed, t.status, t.rms_angle_deg,
-         t.K_facets, t.kept_facets, t.rounds, t.termination, t.gap,
-         *(0.0 if omit_timings else t.runtimes_sec.get(k, 0.0)
-           for k in _TIMINGS)]
-        for t in results))
+         t.K_facets,
+         *(t.diagnostics.get(k, v) for k, v in _TRIAL_SOLVE_COLUMNS.items()),
+         *(t.runtimes_sec.get(k, 0.0) for k in _TIMINGS)]
+        for t in results), omit_timings)
 
 
 def write_aggregate_csv(path, aggregates: list[dict],
                         omit_timings: bool = False) -> None:
-    _write_csv(path, _AGGREGATE_COLUMNS, (
-        [0.0 if omit_timings and c == "t_total_mean" else row[c]
-         for c in _AGGREGATE_COLUMNS]
-        for row in aggregates))
+    _write_csv(path, _AGGREGATE_COLUMNS,
+               ([row[c] for c in _AGGREGATE_COLUMNS] for row in aggregates),
+               omit_timings)
 
 
 def cmd_bench(args) -> int:
@@ -382,7 +383,7 @@ def main(argv=None) -> int:
     except NumericalError as exc:
         print(f"error [{exc.stage or 'numerical'}]: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except (OSError, json.JSONDecodeError) as exc:
+    except OSError as exc:
         print(f"error [io]: {exc}", file=sys.stderr)
         return EXIT_IO
 

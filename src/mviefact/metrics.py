@@ -27,10 +27,8 @@ class TrialResult:
     rms_angle_deg: float = math.nan
     permutation: tuple[int, ...] = ()
     K_facets: int = 0
-    kept_facets: int = 0        # facets the MVIE solve kept
-    rounds: int = 0             # kept sets the MVIE solve went through
-    termination: str = ""       # how the MVIE solve ended
-    gap: float = math.nan       # its certified log-det gap bound
+    # the solve's figures, as in the run JSON; empty on a failed trial
+    diagnostics: dict = field(default_factory=dict)
     runtimes_sec: dict[str, float] = field(default_factory=dict)
 
 

@@ -99,19 +99,16 @@ def sample_endmembers(m: int, n: int, seed: int,
         if lib.shape[1] < n:
             raise LibraryTooSmall(
                 f"library has {lib.shape[1]} signatures, need {n}")
-        for _ in range(1000):
-            pick = rng.permutation(lib.shape[1])[:n]
-            a = lib[:, pick]
-            if n == 1 or _min_pairwise_angle_deg(a) >= _MIN_PAIRWISE_ANGLE_DEG:
-                return a
-        raise LibraryTooSmall(
-            "library does not contain N signatures separated by >= 5 degrees")
 
     for _ in range(1000):
-        a = _smooth_signatures(m, n, rng)
+        a = (_smooth_signatures(m, n, rng) if library is None
+             else lib[:, rng.permutation(lib.shape[1])[:n]])
         if n == 1 or _min_pairwise_angle_deg(a) >= _MIN_PAIRWISE_ANGLE_DEG:
             return a
-    raise BadDims("could not generate sufficiently distinct signatures")
+    if library is None:
+        raise BadDims("could not generate sufficiently distinct signatures")
+    raise LibraryTooSmall(
+        "library does not contain N signatures separated by >= 5 degrees")
 
 
 def check_purity(n: int, r: float) -> None:
@@ -203,16 +200,20 @@ def make_instance(m: int, n: int, l: int, r: float, snr_db: float, seed: int,
 def load_signature_library(path) -> tuple[list[str], np.ndarray]:
     """Read a signature CSV: header ``band,name1,...,nameK``, one band per row.
 
-    Returns (names, M x K array of nonnegative reflectances).
+    Returns (names, M x K array of nonnegative reflectances). An empty
+    file, a non-numeric cell or a ragged row raises OSError.
     """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
-        names = [c.strip() for c in header[1:]]
-        rows = [[float(v) for v in row[1:]] for row in reader if row]
+        try:
+            names = [c.strip() for c in next(reader)[1:]]
+            rows = [[float(v) for v in row[1:]] for row in reader if row]
+            lib = np.asarray(rows, dtype=float)
+        except (StopIteration, ValueError) as exc:
+            raise OSError(f"malformed signature library {path}: "
+                          f"{exc or 'empty file'}") from exc
     if not names or not rows:
         raise LibraryTooSmall(f"signature library {path} is empty")
-    lib = np.asarray(rows, dtype=float)
     if lib.shape[1] != len(names):
         raise BadDims("library rows disagree with header width")
     if (lib < 0).any():

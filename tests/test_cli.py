@@ -59,6 +59,63 @@ class TestSynthCommand:
             assert ((tmp_path / "a" / name).read_bytes()
                     == (tmp_path / "b" / name).read_bytes())
 
+    @pytest.fixture()
+    def library(self, tmp_path, rng):
+        lib = rng.random((20, 5)) + 0.05
+        path = tmp_path / "lib.csv"
+        with open(path, "w") as fh:
+            fh.write("band," + ",".join(f"s{j}" for j in range(5)) + "\n")
+            for i, row in enumerate(lib):
+                fh.write(f"{i}," + ",".join(repr(float(v)) for v in row)
+                         + "\n")
+        return path, lib
+
+    def test_library_columns_become_signatures(self, library, tmp_path):
+        path, lib = library
+        out = tmp_path / "d"
+        code = run_cli("synth", "--N", "3", "--M", "20", "--L", "100",
+                       "--purity", "0.9", "--library", str(path),
+                       "--out", str(out))
+        assert code == 0
+        a, _, _ = read_truth_json(out / "truth.json")
+        for col in a.T:
+            assert any(np.array_equal(col, ref) for ref in lib.T)
+
+    @pytest.mark.parametrize("m, n, says", [
+        ("21", "3", "error [params]: library has 20 bands"),
+        ("20", "6", "error [params]: library has 5 signatures")],
+        ids=["bands", "signatures"])
+    def test_library_mismatch_exit_2(self, library, tmp_path, capsys,
+                                     m, n, says):
+        code = run_cli("synth", "--N", n, "--M", m, "--L", "100",
+                       "--purity", "0.9", "--library", str(library[0]),
+                       "--out", str(tmp_path / "d"))
+        assert code == 2
+        assert capsys.readouterr().err.startswith(says)
+
+    @pytest.mark.parametrize("text", [
+        "", "band,a,b\n0,0.5,x\n", "band,a,b\n0,0.5,0.2\n1,0.3\n"],
+        ids=["empty", "non-numeric", "ragged"])
+    def test_malformed_library_exit_1(self, tmp_path, capsys, text):
+        path = tmp_path / "lib.csv"
+        path.write_text(text)
+        code = run_cli("synth", "--N", "2", "--M", "2", "--L", "50",
+                       "--purity", "0.9", "--library", str(path),
+                       "--out", str(tmp_path / "d"))
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error [io]: ")
+        assert "Traceback" not in err
+
+    def test_rejection_stall_exit_3(self, tmp_path, capsys):
+        # r = 0.42 sits just above 1/sqrt(6): too few Dirichlet(1/6) draws
+        # pass the norm test, and the sampler's window gives up
+        code = run_cli("synth", "--N", "6", "--M", "20", "--L", "50",
+                       "--purity", "0.42", "--out", str(tmp_path / "d"))
+        assert code == 3
+        assert capsys.readouterr().err.startswith(
+            "error [numerical]: acceptance rate")
+
     @pytest.mark.parametrize("text,snr", [("INF", math.inf),
                                           ("Infinity", math.inf),
                                           ("+inf", math.inf), ("25", 25.0)])
@@ -239,6 +296,23 @@ class TestRunCommand:
                        "--out", str(tmp_path / "report.json"))
         assert code == 1
         assert "error [io]" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text", [
+        b'{"S": [[1.0]], "params": {}}', b'[1, 2]',
+        b'{"A": [["x"]], "S": [[1.0]], "params": {}}', b'{"A": ',
+        b'\xff\xfe'],
+        ids=["no-A", "not-an-object", "non-numeric", "not-json", "not-utf8"])
+    def test_malformed_truth_exit_1(self, instance_dir, tmp_path, capsys,
+                                    text):
+        truth = tmp_path / "truth.json"
+        truth.write_bytes(text)
+        code = run_cli("run", "--input", str(instance_dir / "X.csv"),
+                       "--N", "3", "--truth", str(truth),
+                       "--out", str(tmp_path / "report.json"))
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error [io]: ")
+        assert "Traceback" not in err
 
 
 class TestMatrixCsv:
