@@ -6,16 +6,11 @@ enumeration delegates to Qhull (scipy.spatial.ConvexHull), whose
 equations already carry unit normals (within 2 ulps on the synth
 clouds), so they are used as they come. Qhull returns simplicial facets
 and splits a flat face into several, so exactly coplanar input, such as
-a cube, repeats equation rows. Data clouds hardly ever do that: there the
-rows to merge are near-coplanar neighbours. Many pixels lie within 1e-6
-of a face of the simplex, and Qhull returns the hull over them as
-distinct facets whose normals differ by less than 1e-7 rad. Both kinds
-are folded into one facet by tolerance-based merging (rather than
-symbolic perturbation), with eps_hull = 1e-9 times the point cloud
-diameter. Duplicates are looked for only among facets whose offsets lie
-within a 2*eps_hull window of each other in offset-sorted order, so the
-merge costs O(K log K) plus the few candidate pairs instead of
-comparing all K^2 pairs.
+a cube, repeats equation rows bit for bit; only those repeats are
+dropped. Near-coplanar facets are kept as they are: folding a facet into
+a neighbour within some tolerance can drop the tighter of the two, and
+the inscribed ellipsoid would then be solved and certified in a polytope
+slightly larger than the hull of the points.
 
 The hull of the points P is taken of P / 2^k, with entries below 1 in
 magnitude, and offsets, eps_hull and the interior point are scaled back
@@ -46,7 +41,7 @@ class HPolytope:
     normals: np.ndarray              # K x dim, unit rows
     offsets: np.ndarray              # K
     interior: np.ndarray             # strictly feasible point
-    eps_hull: float = 0.0            # tolerance used during enumeration
+    eps_hull: float = 0.0            # slack within which a point is on a facet
 
     @property
     def n_facets(self) -> int:
@@ -54,9 +49,12 @@ class HPolytope:
 
 
 def enumerate_facets(points) -> HPolytope:
-    """Irredundant H-representation of conv(points).
+    """Irredundant H-representation of conv(points): Qhull's facets as
+    they come, less the rows that repeat an earlier one bit for bit.
 
     points: (L, d) array, rows are points; they must affinely span R^d.
+    eps_hull, 1e-9 times the cloud's diameter, is the slack within which
+    a point counts as lying on a facet; no facet is merged by it.
     """
     pts = as_matrix(points, "points")
     l, d = pts.shape
@@ -92,51 +90,27 @@ def enumerate_facets(points) -> HPolytope:
     except QhullError as exc:
         raise DegenerateInput(f"hull construction failed: {exc}") from exc
 
-    eq = qh.equations
-    normals, offsets = _merge_duplicates(eq[:, :d], np.ldexp(-eq[:, d], k),
-                                         eps)
+    eq = _drop_repeats(qh.equations)
+    # contiguous rows: the solve's products with all K normals are faster
+    normals = np.ascontiguousarray(eq[:, :d])
     interior = np.ldexp(pts[qh.vertices].mean(axis=0), k)
-    return HPolytope(d, normals, offsets, interior, eps)
+    return HPolytope(d, normals, np.ldexp(-eq[:, d], k), interior, eps)
 
 
-def _merge_duplicates(normals: np.ndarray, offsets: np.ndarray,
-                      eps: float) -> tuple[np.ndarray, np.ndarray]:
-    """Drop facets whose normal is within 1e-7 rad and offset within eps
-    of an earlier kept one, as the quadratic greedy loop over Qhull's
-    order would.
-
-    Only facets whose offsets lie within a window of 2*eps of each other
-    can match, so the candidate pairs come from the facets sorted by
-    offset; the window is twice the tolerance so that rounding in h + 2*eps
-    cannot hide a pair with |h_i - h_j| < eps. A facet is paired with each
-    one that follows it in sorted order up to its window's end; of two
-    equal offsets exactly one follows the other, whichever way the sort
-    breaks the tie, so the pair set does not depend on that order. The
-    normals of all close pairs are tested in one matmul of 1 x d by d x 1
-    blocks, which takes each cosine by the same dot product as np.dot;
-    another summation order (einsum) moves the last bit of about a third
-    of the cosines and flips pairs that sit on the threshold. Matching
-    pairs (i, j), j < i, are walked in ascending (i, j) order: facet i is
-    dropped iff it matches an earlier facet j that is itself kept.
-    """
-    k = offsets.shape[0]
-    order = np.argsort(offsets)
-    sorted_h = offsets[order]
-    ends = np.searchsorted(sorted_h, sorted_h + 2.0 * eps, side="right")
-    counts = ends - np.arange(k) - 1
-    first = np.repeat(np.arange(k), counts)
-    starts = np.repeat(np.cumsum(counts) - counts, counts)
-    second = first + 1 + np.arange(first.size) - starts
-    a, b = order[first], order[second]
-    i, j = np.maximum(a, b), np.minimum(a, b)
-    close = np.abs(offsets[i] - offsets[j]) < eps
-    i, j = i[close], j[close]
-    cos = np.matmul(normals[i, None, :], normals[j, :, None]).ravel()
-    match = cos >= 1.0 - 5e-15  # angle < ~1e-7 rad
-    i, j = i[match], j[match]
-    walk = np.lexsort((j, i))
-    dropped = bytearray(k)  # a numpy scalar per pair is 10x slower
-    for fi, fj in zip(i[walk].tolist(), j[walk].tolist()):
-        dropped[fi] |= not dropped[fj]
-    kept = ~np.frombuffer(dropped, dtype=bool)
-    return normals[kept], offsets[kept]
+def _drop_repeats(eq: np.ndarray) -> np.ndarray:
+    """Rows of eq less those equal to an earlier row. A repeat has the
+    offset of the row it repeats, so only rows whose offsets tie are
+    compared, and eq comes back as it is when no offsets tie."""
+    order = np.argsort(eq[:, -1])
+    ties = np.diff(eq[order, -1]) == 0
+    if not ties.any():
+        return eq
+    tied = np.zeros(order.size, dtype=bool)
+    tied[1:] = ties
+    tied[:-1] |= ties
+    rows = np.sort(order[tied])
+    _, first = np.unique(eq[rows], axis=0, return_index=True)
+    keep = np.ones(eq.shape[0], dtype=bool)
+    keep[rows] = False
+    keep[rows[first]] = True
+    return eq[keep]

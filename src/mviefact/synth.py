@@ -201,7 +201,7 @@ def load_signature_library(path) -> tuple[list[str], np.ndarray]:
     """Read a signature CSV: header ``band,name1,...,nameK``, one band per row.
 
     Returns (names, M x K array of nonnegative reflectances). An empty
-    file, a non-numeric cell or a ragged row raises OSError.
+    file, a non-numeric or non-finite cell or a ragged row raises OSError.
     """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -209,6 +209,8 @@ def load_signature_library(path) -> tuple[list[str], np.ndarray]:
             names = [c.strip() for c in next(reader)[1:]]
             rows = [[float(v) for v in row[1:]] for row in reader if row]
             lib = np.asarray(rows, dtype=float)
+            if not np.isfinite(lib).all():
+                raise ValueError("non-finite cell")
         except (StopIteration, ValueError) as exc:
             raise OSError(f"malformed signature library {path}: "
                           f"{exc or 'empty file'}") from exc

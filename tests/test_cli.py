@@ -94,8 +94,9 @@ class TestSynthCommand:
         assert capsys.readouterr().err.startswith(says)
 
     @pytest.mark.parametrize("text", [
-        "", "band,a,b\n0,0.5,x\n", "band,a,b\n0,0.5,0.2\n1,0.3\n"],
-        ids=["empty", "non-numeric", "ragged"])
+        "", "band,a,b\n0,0.5,x\n", "band,a,b\n0,0.5,0.2\n1,0.3\n",
+        "band,a,b\n0,0.5,nan\n", "band,a,b\n0,inf,0.2\n"],
+        ids=["empty", "non-numeric", "ragged", "nan", "inf"])
     def test_malformed_library_exit_1(self, tmp_path, capsys, text):
         path = tmp_path / "lib.csv"
         path.write_text(text)

@@ -3,8 +3,9 @@ import math
 
 import numpy as np
 import pytest
+from scipy.spatial import ConvexHull
 
-from mviefact import dimred, hull, synth
+from mviefact import dimred, synth
 from mviefact.errors import DegenerateInput, TooFewPoints
 from mviefact.hull import enumerate_facets
 
@@ -85,32 +86,6 @@ def brute_force_hull(points):
     return [(g, h) for g, h, _ in facets], vertices
 
 
-# -- reference facet merge: the quadratic greedy loop ------------------------
-
-def reference_merge(normals, offsets, eps):
-    """Drop facets whose normal is within 1e-7 rad and offset within eps
-    of an earlier one (Qhull's triangulated output repeats merged facets)."""
-    keep: list[int] = []
-    for i in range(normals.shape[0]):
-        dup = False
-        for j in keep:
-            if abs(offsets[i] - offsets[j]) >= eps:
-                continue
-            cos = float(np.dot(normals[i], normals[j]))
-            if cos >= 1.0 - 5e-15:  # angle < ~1e-7 rad
-                dup = True
-                break
-        if not dup:
-            keep.append(i)
-    idx = np.array(keep, dtype=int)
-    return normals[idx], offsets[idx]
-
-
-def reduced_cloud(n, l, seed):
-    gt = synth.make_instance(50, n, l, 0.7, float("inf"), seed)
-    return dimred.reduce_points(gt.X, dimred.affine_fit(gt.X, n)).T
-
-
 def purity_cloud(n, l, snr=math.inf):
     """Reduced synth cloud at purity 1/sqrt(N-1) + 0.1, just above the
     recovery threshold: many pixels lie close to a face of the simplex."""
@@ -137,10 +112,13 @@ class TestKnownShapes:
         assert poly.n_facets == 3
 
     def test_cube_merges_triangulated_output(self):
-        cube = np.array([[i, j, k] for i in (0, 1) for j in (0, 1)
-                         for k in (0, 1)], float)
-        poly = enumerate_facets(cube)
-        assert poly.n_facets == 6
+        # Qhull splits each square face into simplices that repeat its
+        # equation row; of the centred cube's facets every offset ties
+        for cube in ((centred_cube(3) + 1) / 2, centred_cube(4),
+                     centred_cube(5)):
+            d = cube.shape[1]
+            assert ConvexHull(cube).equations.shape[0] > 2 * d
+            assert enumerate_facets(cube).n_facets == 2 * d
 
     def test_d1_interval(self):
         pts = np.array([[0.3], [2.0], [-1.0], [0.7]])
@@ -195,49 +173,6 @@ class TestAgainstOracles:
         assert got_vertices == ref_vertices
 
 
-class TestMergeMatchesReference:
-    """enumerate_facets keeps exactly the facets, in the same order, that
-    the quadratic greedy loop keeps from the same raw Qhull output."""
-
-    @staticmethod
-    def check(pts, monkeypatch):
-        raw = []
-        merge = hull._merge_duplicates
-
-        def spy(normals, offsets, eps):
-            raw.append((normals.copy(), offsets.copy(), eps))
-            return merge(normals, offsets, eps)
-
-        monkeypatch.setattr(hull, "_merge_duplicates", spy)
-        poly = enumerate_facets(pts)
-        (normals, offsets, eps), = raw
-        ref_normals, ref_offsets = reference_merge(normals, offsets, eps)
-        assert np.array_equal(poly.normals, ref_normals)
-        assert np.array_equal(poly.offsets, ref_offsets)
-        return normals.shape[0], poly
-
-    @pytest.mark.parametrize("n,l", [(4, 1000), (5, 400)])
-    def test_reduced_synth_cloud(self, n, l, monkeypatch):
-        k_raw, poly = self.check(reduced_cloud(n, l, 0), monkeypatch)
-        assert poly.n_facets < k_raw  # the merge had work to do
-
-    @pytest.mark.parametrize("n,l", [(4, 1000), (5, 400)])
-    def test_translated_cloud(self, n, l, monkeypatch):
-        # offsets ~1e6 x diameter put eps near one ulp of the offsets
-        pts = reduced_cloud(n, l, 0)
-        diam = np.linalg.norm(pts.max(axis=0) - pts.min(axis=0))
-        shift = 1e6 * diam / np.sqrt(pts.shape[1])
-        _, poly = self.check(pts + shift, monkeypatch)
-        assert np.abs(poly.offsets).max() > 1e5 * diam
-
-    @pytest.mark.parametrize("d", [4, 5])
-    def test_centred_cube(self, d, monkeypatch):
-        # every offset is equal, so every pair of facets is a candidate
-        k_raw, poly = self.check(centred_cube(d), monkeypatch)
-        assert k_raw > 2 * d
-        assert poly.n_facets == 2 * d
-
-
 class TestInvariants:
     @pytest.mark.parametrize("d,n", [(2, 50), (3, 50), (4, 80)])
     def test_soundness_and_tightness(self, d, n):
@@ -255,20 +190,17 @@ class TestInvariants:
 
     @pytest.mark.parametrize("snr", [math.inf, 30.0])
     @pytest.mark.parametrize("n", range(3, 8))
-    def test_qhull_normals_are_unit(self, n, snr, monkeypatch):
+    def test_qhull_normals_are_unit(self, n, snr):
         # enumerate_facets hands Qhull's normals on without normalising
-        raw = []
-        merge = hull._merge_duplicates
-
-        def spy(normals, offsets, eps):
-            raw.append(normals.copy())
-            return merge(normals, offsets, eps)
-
-        monkeypatch.setattr(hull, "_merge_duplicates", spy)
-        enumerate_facets(purity_cloud(n, 400, snr))
-        normals, = raw
-        dev = np.abs(np.linalg.norm(normals, axis=1) - 1.0)
+        poly = enumerate_facets(purity_cloud(n, 400, snr))
+        dev = np.abs(np.linalg.norm(poly.normals, axis=1) - 1.0)
         assert dev.max() <= 4 * np.finfo(float).eps
+
+    def test_keeps_every_distinct_qhull_row(self):
+        # no facet of a data cloud is folded into a near-coplanar one
+        pts = purity_cloud(6, 400)
+        rows = np.unique(ConvexHull(pts).equations, axis=0)
+        assert enumerate_facets(pts).n_facets == rows.shape[0]
 
     @pytest.mark.parametrize("d", range(1, 7))
     def test_power_of_two_scale_moves_no_bit(self, d):

@@ -7,6 +7,7 @@ import sys
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.spatial import ConvexHull
 
 from mviefact import dimred, hull, metrics, recovery, synth
 from mviefact.errors import (
@@ -318,6 +319,24 @@ class TestPipeline:
             assert rep.raw_contact_count == n
             john = check_john(rep.ellipsoid, rep.contacts_reduced)
             assert john.residual <= 1e-9
+
+    @pytest.mark.parametrize("n,l,seed", [
+        *((n, 1000, seed) for n in (4, 5) for seed in range(4)),
+        *((n, 400, seed) for n in (6, 7) for seed in range(2))])
+    def test_answer_lies_inside_qhull_facets(self, n, l, seed):
+        # the ellipsoid is inscribed in the hull of the reduced points as
+        # Qhull gives it, every raw equation row, checked here rather than
+        # through the report's max_violation
+        r = 0.6 if n in (5, 6) else 1 / math.sqrt(n - 1) + 0.1
+        x = synth.make_instance(50, n, l, r, math.inf, seed).X
+        ell = run_pipeline(x, n).ellipsoid
+        k = int(np.frexp(x.max())[1])
+        _, reduced = dimred._fit(np.ldexp(x, -k), n)
+        eq = ConvexHull(reduced.T).equations
+        g, h = eq[:, :-1], -eq[:, -1]
+        depth = h - g @ ell.c
+        excess = np.linalg.norm(g @ ell.F, axis=1) - depth
+        assert excess.max() / depth.max() <= 0.0
 
     @pytest.mark.filterwarnings("ignore:affine fit residual")
     @pytest.mark.parametrize("n,r", [(4, 0.7), (3, 0.85)])
