@@ -14,8 +14,8 @@ file), 2 invalid parameters, 3 numerical failure. A failure prints
 stage that raised it (dimred, hull, solve or recover), or io, params or
 numerical outside the pipeline.
 
---snr is read by float: dB, or inf, +inf or Infinity (any case) for
-noiseless data.
+--snr is read by float: finite dB, or inf, +inf or Infinity (any case)
+for noiseless data; nan and -inf exit 2. --L below --N exits 2.
 
 File formats (owned here):
   matrix CSV     no header, one row per band (M rows), one column per
@@ -62,7 +62,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import metrics, recovery, synth
-from .errors import MviefactError, NumericalError, ParameterError
+from .errors import BadDims, MviefactError, NumericalError, ParameterError
 
 __all__ = ["BenchSpec", "main", "cmd_synth", "cmd_run", "cmd_bench"]
 
@@ -100,9 +100,13 @@ class BenchSpec:
             raise ParameterError("bench needs trials >= 1")
         if not self.Ns or not self.rs or not self.snrs:
             raise ParameterError("bench grid must be nonempty")
+        if self.L < max(self.Ns):
+            raise BadDims(f"need L >= N, got L={self.L}, N={max(self.Ns)}")
         for n in self.Ns:
             for r in self.rs:
                 synth.check_purity(n, r)
+        for snr in self.snrs:
+            synth.check_snr(snr)
 
     @property
     def cells(self):

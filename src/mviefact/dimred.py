@@ -12,7 +12,10 @@ TSP 57(11), 2009), and makes them as accurate as an SVD of C with one
 Rayleigh-Ritz step on the data: the eigenvectors alone carry an error
 that grows with the square of C's condition, and one product with C
 brings it back to the first power (notes/decisions.md). No L-long
-singular vectors, no L x M factor and no copy of the data are formed.
+singular vectors and no L x M factor are formed. affine_fit centres a
+copy of X and leaves X as it was; it returns the chart together with
+the data in the chart's reduced coordinates, Phi^T (X - b), which its
+residual needs anyway.
 """
 
 from __future__ import annotations
@@ -46,42 +49,34 @@ class AffineChart:
                                      # likewise, or with no discarded value
 
 
-def affine_fit(x: np.ndarray, n: int) -> AffineChart:
-    """Fit the (N-1)-dimensional affine hull of the data columns.
+def affine_fit(x: np.ndarray, n: int) -> tuple[AffineChart, np.ndarray]:
+    """Fit the (N-1)-dimensional affine hull of the data columns, and map
+    the data into the fitted chart: returns the chart and the reduced
+    points Phi^T C, C the centered data. x is not modified.
 
     b is the column mean and Phi holds the top N-1 left singular
-    vectors of the centered data C, up to sign: the Ritz vectors of one
-    Rayleigh-Ritz step from the top eigenvectors of C C^T. Raises
-    RankDeficientData when the centered data does not carry N-1
-    directions (relative singular value below 1e-10), and
-    ConvergenceFailure when LAPACK's eigensolver or SVD fails. The chart
-    carries the fit's residual, the largest distance of a column from the
-    fitted affine set, and its noise estimate sigma, whose square is the mean
-    square per pixel of the residual, spread over the k = min(M, L-1) -
-    (N-1) discarded singular values: sigma^2 = ||C - Phi Phi^T C||_F^2 /
-    (L k) = sum_{j>=N} s_j^2 / (L k), as in HySime (Bioucas-Dias &
-    Nascimento, IEEE TGRS 46(8), 2008); nan when k = 0.
+    vectors of C, up to sign: the Ritz vectors of one Rayleigh-Ritz step
+    from the top eigenvectors of C C^T. With p = min(N, M) and V the top
+    p eigenvectors of G = C C^T, Q = orth(C^T V) comes from dgeqrf and
+    dorgqr, and the SVD of C Q = U S W^T from dgesdd; Phi is U's first
+    N-1 columns, each u_j turned so that u_j . v_j > 0, so the signs
+    follow V. Raises RankDeficientData when the centered data does not
+    carry N-1 directions (relative singular value S[N-2] below 1e-10),
+    and ConvergenceFailure when LAPACK's eigensolver or SVD fails. The
+    chart carries the fit's residual, the largest distance of a column
+    from the fitted affine set, and its noise estimate sigma, whose
+    square is the mean square per pixel of the residual, spread over the
+    k = min(M, L-1) - (N-1) discarded singular values: sigma^2 =
+    ||C - Phi Phi^T C||_F^2 / (L k) = sum_{j>=N} s_j^2 / (L k), as in
+    HySime (Bioucas-Dias & Nascimento, IEEE TGRS 46(8), 2008); nan when
+    k = 0.
 
     It warns when the residual exceeds 1e-8 relative and the first
     discarded singular value s_N stands out from the others: s_N^2 >
     1.5 sigma^2 (sqrt(L) + sqrt(k))^2, 1.5 times the Marchenko-Pastur
     edge of isotropic noise (notes/decisions.md). With k = 1 it cannot.
     """
-    x = as_matrix(x, "data")
-    return _fit(np.array(x), n)[0]
-
-
-def _fit(x: np.ndarray, n: int) -> tuple[AffineChart, np.ndarray]:
-    """affine_fit on data it may overwrite, and the data in the chart's
-    reduced coordinates, Phi^T C for the centered data C: the residual
-    needs that product, so reduce_points need not center the data again.
-
-    x is centered in place. With p = min(N, M) and V the top p
-    eigenvectors of G = C C^T, Q = orth(C^T V) comes from dgeqrf and
-    dorgqr, and the SVD of C Q = U S W^T from dgesdd; Phi is U's first
-    N-1 columns, each u_j turned so that u_j . v_j > 0, so the signs
-    follow V. S[:N-1] feeds the rank test and S[N-1] is the warning's
-    s_N."""
+    x = as_matrix(x, "X")
     m, l = x.shape
     if l < n:
         raise BadDims(f"need L >= N, got L={l}, N={n}")
@@ -90,7 +85,7 @@ def _fit(x: np.ndarray, n: int) -> tuple[AffineChart, np.ndarray]:
     if n < 2:
         raise BadDims("need N >= 2 for a nontrivial affine fit")
     b = x.mean(axis=1)
-    centered = np.subtract(x, b[:, None], out=x)
+    centered = x - b[:, None]
     p = min(n, m)
     try:
         v = np.linalg.eigh(centered @ centered.T)[1][:, :-p - 1:-1]
@@ -121,7 +116,7 @@ def _fit(x: np.ndarray, n: int) -> tuple[AffineChart, np.ndarray]:
             f"affine fit residual {res:.3e} exceeds 1e-8 relative and the "
             "first discarded direction stands above the noise; the data "
             f"may hold more than N={n} signatures",
-            stacklevel=3)
+            stacklevel=2)
     return (AffineChart(Phi=phi, b=b, residual=res,
                         noise_sigma=math.sqrt(sigma2)), reduced)
 

@@ -238,17 +238,19 @@ def run_pipeline(x: np.ndarray, n: int,
                  want_abundances: bool = False) -> RecoveryReport:
     """Blind recovery of the signature factor from observations alone.
 
-    Stages: ``dimred`` (input check, affine fit to N-1 dimensions),
-    ``hull`` (facet enumeration of the reduced hull), ``solve``
-    (inscribed-ellipsoid solve by the barrier Newton method,
-    ``mvie.solve_mvie_high_accuracy``) and ``recover`` (contacts, their
-    farthest-first merge, lift, signature reconstruction and optional
-    abundances). Each stage's wall time goes into ``timings``, and a
-    package error raised in a stage carries its name in ``exc.stage``.
-    No step draws random numbers.
+    Stages, each a call of public functions through their modules:
+    ``dimred`` (input check and affine fit, ``dimred.affine_fit``),
+    ``hull`` (``hull.enumerate_facets``), ``solve`` (the barrier Newton
+    method, ``mvie.solve_mvie_high_accuracy``) and ``recover``
+    (``find_contacts``, their farthest-first merge
+    ``consolidate_contacts``, lift, signature reconstruction and optional
+    ``recover_abundances``). Each stage's wall time goes into
+    ``timings``, and a package error raised in a stage carries its name
+    in ``exc.stage``. No step draws random numbers.
 
-    The stages work on X / 2^k, k the binary exponent of max|X|, so they
-    see entries below 1 in magnitude and never overflow or underflow.
+    X is scaled once, to X / 2^k, k the binary exponent of max|X|, and
+    the fit and the abundances both work on that copy, so every stage
+    sees entries below 1 in magnitude and none overflows or underflows.
     Scaling by a power of two is exact: A_hat, the ambient contacts and
     centre, the affine residual and the noise estimate are scaled back
     by 2^k, and the answer for 2^j X is 2^j times the answer for X, bit
@@ -259,9 +261,11 @@ def run_pipeline(x: np.ndarray, n: int,
     timings: dict[str, float] = {}
 
     with _stage("dimred", timings):
-        x = as_matrix(x, "X")
+        x = np.asarray(x, dtype=float)
+        # a NaN or infinite max gives k = 0; affine_fit then rejects X
         k = int(np.frexp(max(x.max(initial=0.0), -x.min(initial=0.0)))[1])
-        chart, reduced = dimred._fit(np.ldexp(x, -k), n)
+        x = np.ldexp(x, -k)
+        chart, reduced = dimred.affine_fit(x, n)
 
     with _stage("hull", timings):
         poly = hull.enumerate_facets(reduced.T)
@@ -274,8 +278,7 @@ def run_pipeline(x: np.ndarray, n: int,
         merged = consolidate_contacts(raw, n)
         ambient = dimred.lift_points(merged.T, chart).T
         a_hat = reconstruct_endmembers(ambient)
-        s_hat = (recover_abundances(np.ldexp(x, -k), a_hat)
-                 if want_abundances else None)
+        s_hat = recover_abundances(x, a_hat) if want_abundances else None
 
     return RecoveryReport(
         A_hat=np.ldexp(a_hat, k),

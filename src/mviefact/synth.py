@@ -19,6 +19,7 @@ from .errors import (
     DimMismatch,
     InfeasiblePurity,
     LibraryTooSmall,
+    ParameterError,
     RejectionStall,
 )
 from .numerics import as_matrix, rng_from_seed
@@ -27,6 +28,7 @@ __all__ = [
     "GroundTruth",
     "sample_endmembers",
     "check_purity",
+    "check_snr",
     "sample_abundances",
     "assemble_dataset",
     "make_instance",
@@ -122,6 +124,13 @@ def check_purity(n: int, r: float) -> None:
             f"purity r={r} outside ({lo:.6f}, 1] for N={n}")
 
 
+def check_snr(snr_db: float) -> None:
+    """Raise ParameterError unless the SNR is finite (dB) or +inf
+    (noiseless): NaN would make X all NaN, and -inf is no noise level."""
+    if not (math.isfinite(snr_db) or snr_db == math.inf):
+        raise ParameterError(f"SNR must be finite dB or +inf, got {snr_db}")
+
+
 def sample_abundances(n: int, l: int, r: float, seed: int) -> np.ndarray:
     """Dirichlet(1/N) columns rejected to Euclidean norm <= r."""
     if l < 1:
@@ -155,8 +164,10 @@ def assemble_dataset(a: np.ndarray, s: np.ndarray, snr_db: float,
     """Form X = A S + W with white Gaussian W at the requested SNR.
 
     The noise variance is sigma^2 = sum_i ||A s_i||^2 / (M L 10^(SNR/10));
-    snr_db = +inf yields W = 0 and X = A S exactly.
+    snr_db = +inf yields W = 0 and X = A S exactly; any other SNR must be
+    finite (check_snr).
     """
+    check_snr(snr_db)
     a = as_matrix(a, "A")
     s = as_matrix(s, "S")
     if a.shape[1] != s.shape[0]:
@@ -181,8 +192,11 @@ def make_instance(m: int, n: int, l: int, r: float, snr_db: float, seed: int,
 
     S is re-drawn (with a shifted sub-seed) in the unlikely event its
     smallest singular value falls below 1e-8, so the full-row-rank
-    assumption holds on every returned instance.
+    assumption holds on every returned instance; L < N raises BadDims,
+    as no N x L matrix then has full row rank.
     """
+    if l < n:
+        raise BadDims(f"need L >= N for S of full row rank, got L={l}, N={n}")
     sub = np.random.SeedSequence(seed).generate_state(3)
     a = sample_endmembers(m, n, int(sub[0]), library=library)
     s_seed = int(sub[1])

@@ -133,7 +133,7 @@ def test_6_john_certificate():
     lines = []
     for n, seed in [(3, 21), (4, 3)]:
         a, x, rep = _pure_pixel_report(n, seed)
-        chart = dimred.affine_fit(x, n)
+        chart, _ = dimred.affine_fit(x, n)
         _, c_mat = regular_simplex_points(n)
         beta = 1.0 / math.sqrt(n * (n - 1))
         f_true = beta * chart.Phi.T @ a @ c_mat

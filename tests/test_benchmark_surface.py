@@ -8,6 +8,7 @@ held here.
 
 import dataclasses
 import importlib
+import math
 import os
 import sys
 
@@ -22,6 +23,11 @@ PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(
 CALLED = [("cli", "read_matrix_csv"), ("cli", "write_matrix_csv"),
           ("synth", "make_instance"), ("recovery", "run_pipeline"),
           ("mvie", "check_john"), ("errors", "MviefactError")]
+# the stages run_pipeline reaches through module attributes probe.py wraps
+STAGES = [("dimred", "affine_fit"), ("hull", "enumerate_facets"),
+          ("mvie", "solve_mvie_high_accuracy"),
+          ("recovery", "find_contacts"), ("recovery", "consolidate_contacts"),
+          ("recovery", "recover_abundances")]
 
 
 @pytest.fixture(scope="module")
@@ -41,6 +47,25 @@ def test_looked_up_attributes_exist(probe):
     missing = [f"{mod}.{attr}" for mod, attr in pairs + CALLED
                if not hasattr(getattr(mviefact, mod), attr)]
     assert missing == []
+
+
+def test_pipeline_calls_each_wrapped_stage_once(probe, monkeypatch):
+    # a stage run_pipeline reaches some other way (a private helper, a
+    # name bound at import) escapes the probe's span and reads 0
+    wrapped = {(mod, attr) for mod, attr, _ in probe.SPANS}
+    assert set(STAGES) <= wrapped
+    calls = {}
+    for mod, attr in STAGES:
+        module = getattr(mviefact, mod)
+
+        def counted(*args, _fn=getattr(module, attr), _key=(mod, attr),
+                    **kwargs):
+            calls[_key] = calls.get(_key, 0) + 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(module, attr, counted)
+    gt = mviefact.synth.make_instance(30, 3, 200, 0.9, math.inf, 0)
+    mviefact.recovery.run_pipeline(gt.X, 3, want_abundances=True)
+    assert calls == {key: 1 for key in STAGES}
 
 
 @pytest.mark.parametrize("cls,names", [

@@ -128,6 +128,17 @@ class TestSynthCommand:
         _, _, params = read_truth_json(tmp_path / "d" / "truth.json")
         assert params["snr_db"] == snr
 
+    @pytest.mark.parametrize("args", [("--snr", "nan"), ("--snr=-inf",),
+                                      ("--L", "3")],
+                             ids=["snr-nan", "snr-minus-inf", "L-below-N"])
+    def test_bad_snr_or_too_few_pixels_exit_2(self, tmp_path, capsys, args):
+        out = tmp_path / "d"
+        code = run_cli("synth", "--N", "4", "--M", "20", "--L", "50",
+                       "--purity", "0.9", *args, "--out", str(out))
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error [params]:")
+        assert not out.exists()
+
 
 @pytest.mark.parametrize("params,snr", [({}, math.inf),
                                         ({"snr_db": None}, math.inf),
@@ -398,6 +409,19 @@ class TestBenchCommand:
                        "--M", "20", "--L", "100",
                        "--out", str(tmp_path / "x"))
         assert code == 2
+
+    @pytest.mark.parametrize("args", [("--snr", "30", "nan"),
+                                      ("--snr=-inf",), ("--L", "3")],
+                             ids=["snr-nan", "snr-minus-inf", "L-below-N"])
+    def test_bad_snr_or_too_few_pixels_exit_2(self, tmp_path, capsys, args):
+        # rejected before any trial runs, as an infeasible purity is
+        out = tmp_path / "bench"
+        code = run_cli("bench", "--N", "3", "4", "--r", "0.9", "--trials",
+                       "1", "--M", "20", "--L", "100", *args,
+                       "--out", str(out))
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error [params]:")
+        assert not out.exists()
 
     def test_infeasible_cell_rejected(self):
         with pytest.raises(ParameterError):

@@ -20,7 +20,10 @@ def _conditioned(m, l, n, cond, seed=0):
 
 
 def _layout(x, layout):
-    """A copy of x laid out Fortran-ordered or as a strided view."""
+    """A copy of x laid out C-ordered, Fortran-ordered or as a strided
+    view."""
+    if layout == "C":
+        return x.copy(order="C")
     if layout == "F":
         return np.asfortranarray(x)
     wide = np.zeros((2 * x.shape[0], 3 * x.shape[1]))
@@ -35,14 +38,14 @@ class TestAffineFit:
         offset = np.array([0.5, -0.3, 0.2])
         t = rng.standard_normal(30)
         x = offset[:, None] + direction[:, None] * t
-        chart = dimred.affine_fit(x, 2)
+        chart, _ = dimred.affine_fit(x, 2)
         assert chart.Phi.shape == (3, 1)
         assert abs(abs(chart.Phi[:, 0] @ direction) - 1.0) <= 1e-12
         assert dimred.fit_residual(chart, x) <= 1e-12
 
     def test_noiseless_instance_residual(self):
         gt = synth.make_instance(30, 3, 200, 0.9, math.inf, seed=8)
-        chart = dimred.affine_fit(gt.X, 3)
+        chart, _ = dimred.affine_fit(gt.X, 3)
         scale = np.linalg.norm(gt.X - gt.X.mean(axis=1)[:, None],
                                axis=0).max()
         assert dimred.fit_residual(chart, gt.X) <= 1e-8 * scale
@@ -54,7 +57,7 @@ class TestAffineFit:
 
     def test_semi_orthonormal(self):
         gt = synth.make_instance(25, 4, 120, 0.8, math.inf, seed=2)
-        chart = dimred.affine_fit(gt.X, 4)
+        chart, _ = dimred.affine_fit(gt.X, 4)
         assert np.linalg.norm(chart.Phi.T @ chart.Phi - np.eye(3)) <= 1e-10
 
     @pytest.mark.filterwarnings("error")
@@ -62,7 +65,7 @@ class TestAffineFit:
         # the residual is far above 1e-8 relative, but isotropic noise
         # spreads over the discarded singular values
         gt = synth.make_instance(25, 3, 200, 0.9, 20.0, seed=4)
-        chart = dimred.affine_fit(gt.X, 3)
+        chart, _ = dimred.affine_fit(gt.X, 3)
         scale = np.linalg.norm(gt.X - gt.X.mean(axis=1)[:, None],
                                axis=0).max()
         assert chart.residual > 1e-3 * scale
@@ -89,7 +92,7 @@ class TestAffineFit:
         u, s, _ = np.linalg.svd(centered, full_matrices=False)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")   # random data: not noiseless
-            chart = dimred.affine_fit(x, n)
+            chart, _ = dimred.affine_fit(x, n)
         top = u[:, :n - 1]
         assert (np.abs(chart.Phi @ chart.Phi.T - top @ top.T).max()
                 <= 1e-12)
@@ -100,7 +103,7 @@ class TestAffineFit:
     @pytest.mark.parametrize("snr", [math.inf, 20.0])
     def test_chart_carries_its_residual(self, snr):
         gt = synth.make_instance(25, 4, 300, 0.8, snr, seed=1)
-        chart = dimred.affine_fit(gt.X, 4)
+        chart, _ = dimred.affine_fit(gt.X, 4)
         assert chart.residual == dimred.fit_residual(chart, gt.X)
 
     @pytest.mark.filterwarnings("ignore:affine fit residual")
@@ -108,11 +111,11 @@ class TestAffineFit:
     def test_noise_sigma_matches_the_noise(self, seed):
         gt = synth.make_instance(50, 4, 1000, 0.7, 30.0, seed)
         rms = np.sqrt(np.mean(gt.noise ** 2))
-        assert abs(dimred.affine_fit(gt.X, 4).noise_sigma / rms - 1) <= 0.02
+        assert abs(dimred.affine_fit(gt.X, 4)[0].noise_sigma / rms - 1) <= 0.02
 
     def test_noiseless_noise_sigma_is_rounding(self):
         gt = synth.make_instance(50, 4, 1000, 0.7, math.inf, seed=0)
-        sigma = dimred.affine_fit(gt.X, 4).noise_sigma
+        sigma = dimred.affine_fit(gt.X, 4)[0].noise_sigma
         assert 0 <= sigma <= 1e-12 * np.linalg.norm(gt.X, axis=0).max()
         # a chart not made by the fit has no estimate
         chart = dimred.AffineChart(Phi=np.eye(3)[:, :2], b=np.zeros(3))
@@ -128,21 +131,20 @@ class TestAffineFit:
         u, s, _ = np.linalg.svd(x - x.mean(axis=1)[:, None],
                                 full_matrices=False)
         top = u[:, :n - 1]
-        phi = dimred.affine_fit(x, n).Phi
+        phi = dimred.affine_fit(x, n)[0].Phi
         assert (np.abs(phi @ phi.T - top @ top.T).max()
                 <= 1e-14 * s[0] / s[n - 2])
 
-    @pytest.mark.parametrize("layout", ["F", "strided"])
+    @pytest.mark.parametrize("layout", ["C", "F", "strided"])
     def test_layout_of_the_data_moves_nothing(self, layout):
-        # the fit works in one buffer, in place; a Fortran-ordered or
-        # strided X must give the answer of a C-ordered one and stay as
-        # it was
+        # the fit centres a copy of X; an X of any layout must give the
+        # answer of a C-ordered one and stay as it was
         gt = synth.make_instance(50, 4, 1000, 0.7, math.inf, seed=0)
-        ref_chart = dimred.affine_fit(gt.X, 4)
+        ref_chart, _ = dimred.affine_fit(gt.X, 4)
         ref_rep = recovery.run_pipeline(gt.X, 4)
         x = _layout(gt.X, layout)
         kept = x.copy()
-        chart = dimred.affine_fit(x, 4)
+        chart, reduced = dimred.affine_fit(x, 4)
         proj = chart.Phi @ chart.Phi.T - ref_chart.Phi @ ref_chart.Phi.T
         assert np.abs(proj).max() <= 1e-12
         assert abs(chart.residual - ref_chart.residual) <= 1e-12
@@ -150,11 +152,14 @@ class TestAffineFit:
         rep = recovery.run_pipeline(x, 4)
         assert np.abs(rep.A_hat - ref_rep.A_hat).max() <= 1e-12
         assert np.array_equal(x, kept)
-        # _fit itself may be handed a buffer of any layout
-        chart, reduced = dimred._fit(_layout(gt.X, layout), 4)
-        assert abs(chart.residual - ref_chart.residual) <= 1e-12
         assert np.abs(chart.Phi @ reduced
                       - (gt.X - chart.b[:, None])).max() <= 1e-12
+
+    def test_warning_points_at_the_caller(self):
+        gt = synth.make_instance(50, 4, 1000, 0.7, 30.0, 0)
+        with pytest.warns(UserWarning, match="affine fit residual") as rec:
+            dimred.affine_fit(gt.X, 3)
+        assert rec[0].filename == __file__
 
 
 class TestTransforms:
@@ -187,7 +192,7 @@ class TestTransforms:
 
     def test_round_trip_on_instance(self):
         gt = synth.make_instance(40, 4, 300, 0.85, math.inf, seed=3)
-        chart = dimred.affine_fit(gt.X, 4)
+        chart, _ = dimred.affine_fit(gt.X, 4)
         back = dimred.lift_points(dimred.reduce_points(gt.X, chart), chart)
         scale = np.linalg.norm(gt.X, axis=0).max()
         assert np.linalg.norm(back - gt.X, axis=0).max() <= 1e-8 * scale
@@ -207,8 +212,7 @@ class TestVolumeAndContainment:
         # lifted ellipsoid satisfies det(F^T F) = det(F')^2 because the
         # chart is semi-orthonormal
         gt = synth.make_instance(20, 3, 150, 0.9, math.inf, seed=6)
-        chart = dimred.affine_fit(gt.X, 3)
-        red = dimred.reduce_points(gt.X, chart)
+        chart, red = dimred.affine_fit(gt.X, 3)
         poly = hull.enumerate_facets(red.T)
         ell, _ = mvie.solve_mvie(poly)
         f_lift = chart.Phi @ ell.F
@@ -220,8 +224,7 @@ class TestVolumeAndContainment:
         # support values of an ellipsoid against reduced facets equal the
         # support values of the lifted ellipsoid against lifted facets
         gt = synth.make_instance(15, 3, 120, 0.9, math.inf, seed=9)
-        chart = dimred.affine_fit(gt.X, 3)
-        red = dimred.reduce_points(gt.X, chart)
+        chart, red = dimred.affine_fit(gt.X, 3)
         poly = hull.enumerate_facets(red.T)
         for _ in range(10):
             m = rng.standard_normal((2, 2)) * 0.05

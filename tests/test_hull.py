@@ -90,7 +90,7 @@ def purity_cloud(n, l, snr=math.inf):
     """Reduced synth cloud at purity 1/sqrt(N-1) + 0.1, just above the
     recovery threshold: many pixels lie close to a face of the simplex."""
     gt = synth.make_instance(50, n, l, 1 / math.sqrt(n - 1) + 0.1, snr, 0)
-    return dimred.reduce_points(gt.X, dimred.affine_fit(gt.X, n)).T
+    return dimred.affine_fit(gt.X, n)[1].T
 
 
 def centred_cube(d):

@@ -273,8 +273,8 @@ def synth_polytope(n, r, l, seed, m=30, snr=math.inf):
     """Facets of the reduced data hull of a synth instance, noiseless
     unless snr (dB) is given."""
     gt = synth.make_instance(m, n, l, r, snr, seed)
-    chart = dimred.affine_fit(gt.X, n)
-    return hull.enumerate_facets(dimred.reduce_points(gt.X, chart).T)
+    _, reduced = dimred.affine_fit(gt.X, n)
+    return hull.enumerate_facets(reduced.T)
 
 
 def full_set_solve(poly):

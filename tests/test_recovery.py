@@ -261,8 +261,8 @@ class TestPipeline:
     def test_contact_candidates_cluster(self):
         # raw candidates form exactly N well-separated spatial clusters
         gt = synth.make_instance(50, 4, 1000, 0.75, math.inf, seed=11)
-        chart = dimred.affine_fit(gt.X, 4)
-        poly = hull.enumerate_facets(dimred.reduce_points(gt.X, chart).T)
+        _, reduced = dimred.affine_fit(gt.X, 4)
+        poly = hull.enumerate_facets(reduced.T)
         ell, diag = solve_mvie_high_accuracy(poly)
         raw = find_contacts(ell.F, ell.c, poly.normals[diag.touching])
         cents = consolidate_contacts(raw, 4)
@@ -331,7 +331,7 @@ class TestPipeline:
         x = synth.make_instance(50, n, l, r, math.inf, seed).X
         ell = run_pipeline(x, n).ellipsoid
         k = int(np.frexp(x.max())[1])
-        _, reduced = dimred._fit(np.ldexp(x, -k), n)
+        _, reduced = dimred.affine_fit(np.ldexp(x, -k), n)
         eq = ConvexHull(reduced.T).equations
         g, h = eq[:, :-1], -eq[:, -1]
         depth = h - g @ ell.c

@@ -3,7 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from mviefact.errors import BadDims, InfeasiblePurity, LibraryTooSmall
+from mviefact.errors import (
+    BadDims,
+    InfeasiblePurity,
+    LibraryTooSmall,
+    ParameterError,
+)
 from mviefact.numerics import rng_from_seed
 from mviefact.synth import (
     assemble_dataset,
@@ -114,6 +119,12 @@ class TestAssemble:
         with pytest.raises(Exception):
             assemble_dataset(rng.random((5, 3)), rng.random((4, 7)), 10.0, 0)
 
+    @pytest.mark.parametrize("snr", [math.nan, -math.inf])
+    def test_snr_neither_finite_nor_plus_inf(self, rng, snr):
+        # NaN made X all NaN and -inf made it noiseless
+        with pytest.raises(ParameterError, match="SNR"):
+            assemble_dataset(rng.random((5, 3)), rng.random((3, 7)), snr, 0)
+
 
 class TestMakeInstance:
     def test_invariants(self):
@@ -132,6 +143,12 @@ class TestMakeInstance:
         assert np.array_equal(g1.X, g2.X)
         assert np.array_equal(g1.A, g2.A)
         assert np.array_equal(g1.S, g2.S)
+
+    @pytest.mark.parametrize("l", [1, 3])
+    def test_fewer_pixels_than_signatures(self, l):
+        # no 4 x L abundance matrix with L < 4 has full row rank
+        with pytest.raises(BadDims, match="need L >= N"):
+            make_instance(20, 4, l, 0.9, math.inf, 0)
 
     def test_purity_meaningful_for_large_l(self):
         for r in (0.75, 0.9):
