@@ -15,7 +15,7 @@ stage that raised it (dimred, hull, solve or recover), or io, params or
 numerical outside the pipeline.
 
 --snr is read by float: finite dB, or inf, +inf or Infinity (any case)
-for noiseless data; nan and -inf exit 2. --L below --N exits 2.
+for noiseless data; nan and -inf exit 2. --L or --M below --N exits 2.
 
 File formats (owned here):
   matrix CSV     no header, one row per band (M rows), one column per
@@ -34,13 +34,17 @@ File formats (owned here):
                  pivots), then max_violation. The optimality certificate is
                  gap, the solve's certified log-det gap bound, with
                  max_violation, the worst constraint value over the largest
-                 facet distance (<= 0 inscribed)
+                 facet distance (<= 0 inscribed). iterations, evaluations,
+                 kept_facets and rounds read 0, and stage_iterations [],
+                 when the solve ended on the simplex guessed from the
+                 points' spread, before any Newton step
   trials CSV     N,M,L,r,snr_db,seed,status,phi_deg,K, then the diagnostics
                  kept_facets,rounds,termination,gap (_TRIAL_SOLVE_COLUMNS, a
                  subset of the run JSON's), then t_dimred,t_hull,t_solve,
                  t_recover,t_total. termination is "simplex" when the solve
                  ended on the certified simplex finish, "tol" otherwise; a
-                 failed trial writes 0,0,,nan in those four columns
+                 solve ended on its guess writes 0,0,simplex,<gap> and a
+                 failed trial 0,0,,nan in those four columns
   aggregate CSV  N,M,L,r,snr_db,trials,n_ok,phi_mean_deg,phi_std_deg,
                  K_mean,t_total_mean
   CSV cells are formatted as in the matrix CSV, with "inf" for an
@@ -102,6 +106,8 @@ class BenchSpec:
             raise ParameterError("bench grid must be nonempty")
         if self.L < max(self.Ns):
             raise BadDims(f"need L >= N, got L={self.L}, N={max(self.Ns)}")
+        if self.M < max(self.Ns):
+            raise BadDims(f"need N <= M, got N={max(self.Ns)}, M={self.M}")
         for n in self.Ns:
             for r in self.rs:
                 synth.check_purity(n, r)

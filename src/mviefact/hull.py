@@ -16,7 +16,9 @@ The hull of the points P is taken of P / 2^k, with entries below 1 in
 magnitude, and offsets, eps_hull and the interior point are scaled back
 by 2^k. So the facets of 2^j P are those of P scaled by 2^j, bit for
 bit, for every j at which 2^j P is exact, also where Qhull on 2^j P
-itself would overflow, underflow or call the points flat.
+itself would overflow, underflow or call the points flat. The spread,
+the covariance of P / 2^k over its trace, from which the MVIE solve
+takes its first guess, has the same bits for 2^j P as for P.
 """
 
 from __future__ import annotations
@@ -42,6 +44,9 @@ class HPolytope:
     offsets: np.ndarray              # K
     interior: np.ndarray             # strictly feasible point
     eps_hull: float = 0.0            # slack within which a point is on a facet
+    # dim x dim covariance of the points / 2^k over its trace, unit-free;
+    # None when the polytope is built by hand
+    spread: np.ndarray | None = None
 
     @property
     def n_facets(self) -> int:
@@ -54,7 +59,8 @@ def enumerate_facets(points) -> HPolytope:
 
     points: (L, d) array, rows are points; they must affinely span R^d.
     eps_hull, 1e-9 times the cloud's diameter, is the slack within which
-    a point counts as lying on a facet; no facet is merged by it.
+    a point counts as lying on a facet; no facet is merged by it. spread
+    is the points' covariance over its trace.
     """
     pts = as_matrix(points, "points")
     l, d = pts.shape
@@ -71,15 +77,17 @@ def enumerate_facets(points) -> HPolytope:
     if diam <= 0.0:
         raise DegenerateInput("all points coincide")
     eps = math.ldexp(1e-9 * diam, k)
+    centered = pts - pts.mean(axis=0)
+    spread = centered.T.dot(centered)
+    spread /= spread.trace()
 
     if d == 1:
         flat = pts.ravel()
         normals = np.array([[1.0], [-1.0]])
         offsets = np.ldexp([flat.max(), -flat.min()], k)
         interior = np.ldexp([0.5 * (flat.max() + flat.min())], k)
-        return HPolytope(1, normals, offsets, interior, eps)
+        return HPolytope(1, normals, offsets, interior, eps, spread)
 
-    centered = pts - pts.mean(axis=0)
     sv = np.linalg.svd(centered, compute_uv=False)
     if sv[d - 1] < 1e-12 * max(sv[0], diam):
         raise DegenerateInput(
@@ -94,7 +102,8 @@ def enumerate_facets(points) -> HPolytope:
     # contiguous rows: the solve's products with all K normals are faster
     normals = np.ascontiguousarray(eq[:, :d])
     interior = np.ldexp(pts[qh.vertices].mean(axis=0), k)
-    return HPolytope(d, normals, np.ldexp(-eq[:, d], k), interior, eps)
+    return HPolytope(d, normals, np.ldexp(-eq[:, d], k), interior, eps,
+                     spread)
 
 
 def _drop_repeats(eq: np.ndarray) -> np.ndarray:

@@ -17,15 +17,17 @@ its iterate meets as it goes, and ends with an ellipsoid that is optimal
 for the subset and inside every facet, hence the MVIE of the whole
 polytope (Zhang & Gao, SIAM J. Optim. 14(1), 2003). It keeps a few
 dozen of the thousands of facets of a data hull and names the touched ones.
-When d+1 of the facets its multipliers name bound a simplex whose
-inscribed ellipsoid, known in closed form, is certified to lie inside
-the polytope, it ends on that ellipsoid: on noiseless data the MVIE
-touches the hull at exactly N = d+1 points (the paper's recovery
-theorem), so most solves end there after a few barrier stages. The
-certificate is one pass over all K facets; a candidate simplex it
-rejects is pivoted onto the facet that cuts its ellipsoid deepest, one
-facet at a time, so a candidate that lacks one facet of the MVIE's
-simplex reaches it without waiting for more stages.
+When d+1 of the facets bound a simplex whose inscribed ellipsoid, known
+in closed form, is certified to lie inside the polytope, it ends on that
+ellipsoid: on noiseless data the MVIE touches the hull at exactly
+N = d+1 points (the paper's recovery theorem). The certificate is one
+pass over all K facets; a candidate simplex it rejects is pivoted onto
+the facet that cuts its ellipsoid deepest, one facet at a time. The
+first candidate is guessed before any Newton step from the spread of
+the points (``HPolytope.spread``), in whose metric the facets nearest
+the interior point are those of the latent simplex, so most noiseless
+solves end there; otherwise the barrier runs, and the facets its
+multipliers name as touching are a candidate at each stage end.
 
 ``solve_mvie`` is the paper's first-order method (FPGM). The pipeline
 does not call it; it is kept as the paper's reference, against which
@@ -513,24 +515,41 @@ def _touching(q: np.ndarray, delta: np.ndarray, t: float, d: int
 
 def _simplex_candidate(e: np.ndarray, gt: np.ndarray, top: np.ndarray
                        ) -> np.ndarray | None:
-    """Of the positions top (columns of gt, by descending weight), the
+    """Of the positions top (columns of gt, the preferred first), the
     first d+1 whose ball directions u_i = E g_i / ||E g_i|| meet every
     one taken before at a negative inner product, ascending, or None
-    when fewer qualify. The contact directions of a simplex's inscribed
-    ellipsoid meet pairwise at -1/d; neighbouring hull facets at one
-    contact, at about +1. u_i . u_j has the sign of (E g_i) . (E g_j)."""
+    when fewer qualify. Each pick takes one product with the columns, so
+    top may hold all K facets. The contact directions of a simplex's
+    inscribed ellipsoid meet pairwise at -1/d; neighbouring hull facets
+    at one contact, at about +1. u_i . u_j has the sign of (E g_i) .
+    (E g_j)."""
     d = e.shape[0]
     ut = e.dot(gt.take(top, axis=1))
-    neg = ut.T.dot(ut) < 0.0
     ok = np.ones(top.size, dtype=bool)
     pick = []
     while len(pick) <= d:
-        j = int(ok.argmax())              # the first left, by weight
+        j = int(ok.argmax())              # the first left in top
         if not ok[j]:
             return None
         pick.append(j)
-        ok &= neg[j]
+        ok &= ut[:, j].dot(ut) < 0.0
     return np.sort(top[pick])
+
+
+def _spread_candidate(spread: np.ndarray, g: np.ndarray, h: np.ndarray
+                      ) -> np.ndarray | None:
+    """The simplex guessed from the points' spread: for R^T R = spread,
+    the greedy pick of _simplex_candidate over all K facets of
+    {x : g_i . x <= h_i} by ascending h_i / ||R g_i||, their distance from
+    the origin in the metric of the spread, with directions R g_i; None
+    when spread has no Cholesky factor or the pick finds no candidate."""
+    r, info = dpotrf(spread)
+    if info:
+        return None
+    rg = g.dot(r.T)                       # rows R g_i
+    order = np.argsort(h / np.sqrt(np.einsum("ij,ij->i", rg, rg)),
+                       kind="stable")
+    return _simplex_candidate(r, g.T, order)
 
 
 def _simplex_finish(g: np.ndarray, h: np.ndarray, idx: np.ndarray):
@@ -591,6 +610,26 @@ def _simplex_finish(g: np.ndarray, h: np.ndarray, idx: np.ndarray):
     return (low * floor * f, c, logdet, 0.5 * _GAP - d * math.log(low)), None
 
 
+def _walk(g: np.ndarray, h: np.ndarray, simplex: np.ndarray | None,
+          tried: set):
+    """The finish on simplex, then on the candidate each rejected one
+    names, at most d+1 pivots: a simplex has d+1 facets to replace. Stops
+    on a certified set, a set in tried, to which each set given is added,
+    or a candidate that names none. Returns (the finish or None, the set
+    it ended on or None, the pivots taken)."""
+    pivots = 0
+    for step in range(g.shape[1] + 2):
+        if simplex is None or tuple(simplex) in tried:
+            break
+        tried.add(tuple(simplex))
+        pivots += step > 0
+        finish, nxt = _simplex_finish(g, h, simplex)
+        if finish is not None:
+            return finish, simplex, pivots
+        simplex = nxt
+    return None, None, pivots
+
+
 def solve_mvie_high_accuracy(poly: HPolytope
                              ) -> tuple[Ellipsoid, SolveDiagnostics]:
     """Log-barrier Newton method for the constrained program itself,
@@ -637,6 +676,15 @@ def solve_mvie_high_accuracy(poly: HPolytope
     facets from the last scan, so rounding cannot leave it outside; the
     scaling costs -d log theta + 1e-11 / 2 in log det.
 
+    The guess from the spread: when poly.spread is set, before any
+    Newton step, with R^T R = spread, the facets ordered by h'_i /
+    ||R g_i||, their distance from c0 in the metric of the spread, are
+    picked by the greedy rule below with directions R g_i, and the walk
+    below starts from that pick. A certified set ends the solve at once;
+    otherwise the barrier runs as it does without a guess, and the sets
+    the guess's walk rejected may be tried again (notes/decisions.md, "A
+    simplex guessed from the points' spread").
+
     The simplex finish: at the end of each stage run whose iterate meets
     no facet outside the kept set, of the facets the multipliers name as
     touching (``touching`` below), by descending weight, the first d+1
@@ -648,7 +696,7 @@ def solve_mvie_high_accuracy(poly: HPolytope
     finish"). A bounded candidate rejected names the next: the facet of
     the K that cuts its inscribed ellipsoid deepest, in place of the
     candidate's facet whose contact lies nearest it. The walk
-    stops on a certified set, a set tried before in the solve (each set
+    stops on a certified set, a set tried before in the barrier (each set
     is tried once), a candidate that names none, or after d+1 pivots at
     one stage end (notes/decisions.md, "Pivoting a rejected simplex
     candidate").
@@ -673,14 +721,18 @@ def solve_mvie_high_accuracy(poly: HPolytope
     theta + 1e-11 / 2 on the finish), ``kept_facets`` the number of facets
     kept at the end, ``rounds`` the number of kept sets solved on (1 when
     no facet had to be added) and ``pivots`` the number of candidates the
-    walk tried, the greedy picks not counted.
+    walks tried, the greedy picks and the guess not counted. When the
+    guess ends the solve, ``iterations``, ``evaluations``, ``rounds`` and
+    ``kept_facets`` are 0, ``stage_iterations``, ``backtracks`` and
+    ``inv_step_trace`` are empty and ``objective_trace`` holds
+    ``final_objective`` alone.
     ``touching`` lists, ascending, the facets the ellipsoid touches: the
     last stage's multiplier w_i = 2 ||E g_i||^2 / (t (s_i^2 - ||E g_i||^2))
     is facet i's John weight (8.4.2, 11.2.2), about d/N if it touches and
     1/(t s_i) if not, so they are those above the largest ratio of
     consecutive weights sorted down, from position d+1 on. After the
-    finish they are the d+1 facets of the simplex it ended on, picked or
-    pivoted to; more facets may touch
+    finish they are the d+1 facets of the simplex it ended on, guessed,
+    picked or pivoted to; more facets may touch
     the ellipsoid, as every side of a regular hexagon touches its
     incircle, the inscribed ellipse of the triangle of every other side.
     """
@@ -690,7 +742,8 @@ def solve_mvie_high_accuracy(poly: HPolytope
 def _barrier_solve(poly: HPolytope, seed: np.ndarray | None
                    ) -> tuple[Ellipsoid, SolveDiagnostics]:
     """solve_mvie_high_accuracy from the kept facets seed (indices into
-    poly's facets), or from the ray-exit facets when seed is None."""
+    poly's facets), or, when seed is None, from the spread's guess and
+    then the ray-exit facets."""
     g = poly.normals
     c0 = poly.interior.astype(float)
     depth = poly.offsets - g @ c0
@@ -700,7 +753,24 @@ def _barrier_solve(poly: HPolytope, seed: np.ndarray | None
             f"no strictly feasible center found (best slack {r0:.3e})")
     h = depth / r0
     d = g.shape[1]
+    logdet_shift = d * math.log(r0)
+    pivots = 0        # simplex candidates a rejected one named
     if seed is None:
+        if poly.spread is not None:
+            # The simplex guessed from the spread, certified or not before
+            # any Newton step; the barrier does not share its tried sets
+            finish, simplex, pivots = _walk(
+                g, h, _spread_candidate(poly.spread, g, h), set())
+            if finish is not None:
+                e, cc, logdet, gap = finish
+                objective = -(logdet + logdet_shift)
+                diag = SolveDiagnostics(
+                    iterations=0, final_objective=objective,
+                    objective_trace=[objective], backtracks=[],
+                    inv_step_trace=[], termination="simplex",
+                    stage_iterations=[], kept_facets=0, rounds=0,
+                    evaluations=0, touching=simplex, gap=gap, pivots=pivots)
+                return Ellipsoid(F=r0 * e, c=c0 + r0 * cc), diag
         seed = _exit_facets(g, h, _seed_rays(d))
     kept = _spanning(g, h, np.unique(seed[seed >= 0]))
     _, flat, _ = _sym_basis(d)
@@ -732,7 +802,6 @@ def _barrier_solve(poly: HPolytope, seed: np.ndarray | None
 
     x = np.concatenate([np.full(d, 0.5), np.zeros(m_e)])   # E = I/2, c' = 0
     t = 1.0
-    logdet_shift = d * math.log(r0)
     trace = [-(d * math.log(0.5) + logdet_shift)]
     backtracks: list[int] = []
     inv_step: list[float] = []
@@ -741,7 +810,6 @@ def _barrier_solve(poly: HPolytope, seed: np.ndarray | None
     evaluations = 0
     sl = None         # slacks of x on the kept facets, once evaluated at t
     tried = set()     # simplex candidates whose finish failed
-    pivots = 0        # of them, those a rejected candidate named
     finish = None
     gt, gg, hk = facets(kept)
     while True:
@@ -836,19 +904,11 @@ def _barrier_solve(poly: HPolytope, seed: np.ndarray | None
             break
         # End on the simplex of d+1 touched facets when its inscribed
         # ellipsoid is certified inside the polytope (_simplex_finish);
-        # a rejected candidate names the next, one facet swapped, at most
-        # d+1 times: a simplex has d+1 facets to replace
+        # a rejected candidate names the next, one facet swapped
         pick = _simplex_candidate(e, gt, _touching(*sl[1:], t, d))
-        simplex = None if pick is None else kept[pick]
-        for walk in range(d + 2):
-            if simplex is None or tuple(simplex) in tried:
-                break
-            tried.add(tuple(simplex))
-            pivots += walk > 0
-            finish, nxt = _simplex_finish(g, h, simplex)
-            if finish is not None:
-                break
-            simplex = nxt
+        finish, simplex, walked = _walk(
+            g, h, None if pick is None else kept[pick], tried)
+        pivots += walked
         if finish is not None:
             break
         t *= _T_GROWTH

@@ -172,8 +172,11 @@ class TestRunCommand:
         assert payload["phi_deg"] <= 0.05
         assert payload["K"] >= 4
         assert len(payload["A_hat"]) == 30
-        assert payload["diagnostics"]["iterations"] > 0
-        assert payload["diagnostics"]["evaluations"] > 0
+        # the spread's guess ends this noiseless solve before any step
+        diagnostics = payload["diagnostics"]
+        assert diagnostics["iterations"] == sum(
+            diagnostics["stage_iterations"])
+        assert diagnostics["termination"] == "simplex"
         viol = payload["diagnostics"]["max_violation"]
         assert np.isfinite(viol)
         assert "john_residual" not in payload["diagnostics"]
@@ -182,11 +185,12 @@ class TestRunCommand:
         # sigma^2 is the mean squared residual over the k >= 1 discarded
         # directions, so sigma is at most the largest residual
         assert 0.0 <= payload["noise_sigma"] <= payload["affine_residual"]
-        # at most d+1 = 3 pivots at each stage end
+        # at most d+1 = 3 pivots from the spread's guess and at each
+        # stage end
         pivots = payload["diagnostics"]["pivots"]
         assert isinstance(pivots, int)
         stages = len(payload["diagnostics"]["stage_iterations"])
-        assert 0 <= pivots <= 3 * stages
+        assert 0 <= pivots <= 3 * (stages + 1)
         assert set(payload["timings"]) == {"dimred", "hull", "solve",
                                            "recover"}
 
@@ -411,8 +415,10 @@ class TestBenchCommand:
         assert code == 2
 
     @pytest.mark.parametrize("args", [("--snr", "30", "nan"),
-                                      ("--snr=-inf",), ("--L", "3")],
-                             ids=["snr-nan", "snr-minus-inf", "L-below-N"])
+                                      ("--snr=-inf",), ("--L", "3"),
+                                      ("--M", "3")],
+                             ids=["snr-nan", "snr-minus-inf", "L-below-N",
+                                  "M-below-N"])
     def test_bad_snr_or_too_few_pixels_exit_2(self, tmp_path, capsys, args):
         # rejected before any trial runs, as an infeasible purity is
         out = tmp_path / "bench"
@@ -457,10 +463,15 @@ class TestBenchCommand:
         assert "Traceback" not in proc.stderr
         assert proc.stderr.startswith("error [params]: ")
 
-    def test_failed_trial_recorded(self, tmp_path):
-        # M < N-1 makes the affine fit impossible: rows carry error status
+    def test_failed_trial_recorded(self, tmp_path, monkeypatch):
+        # a trial whose pipeline raises carries its error status (M < N,
+        # which used to fail the affine fit, is now rejected up front)
+        def fail(x, n):
+            raise ConvergenceFailure("solve did not converge")
+
+        monkeypatch.setattr(recovery, "run_pipeline", fail)
         spec = BenchSpec(Ns=(3,), rs=(0.9,), snrs=(float("inf"),),
-                         trials=1, base_seed=0, M=2, L=50)
+                         trials=1, base_seed=0, M=20, L=50)
         results, aggregates = run_bench(spec)
         assert len(results) == 1
         assert results[0].status.startswith("error:")

@@ -206,7 +206,7 @@ class TestInvariants:
     def test_power_of_two_scale_moves_no_bit(self, d):
         # the facets of 2^j pts are those of pts scaled by 2^j, bit for
         # bit, also where Qhull on 2^j pts itself would overflow or
-        # underflow
+        # underflow; the spread is that of pts
         pts = purity_cloud(max(d + 1, 3), 150 if d == 6 else 400)[:, :d]
         poly = enumerate_facets(pts)
         for j in (-1000, -300, -100, 100, 300, 1000):
@@ -217,6 +217,7 @@ class TestInvariants:
             assert np.array_equal(got.offsets, np.ldexp(poly.offsets, j))
             assert np.array_equal(got.interior, np.ldexp(poly.interior, j))
             assert got.eps_hull == math.ldexp(poly.eps_hull, j)
+            assert np.array_equal(got.spread, poly.spread)
 
     def test_degenerate_and_small_inputs(self, rng):
         flat = np.column_stack([rng.standard_normal(10),

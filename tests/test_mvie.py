@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import os
 import subprocess
@@ -282,6 +283,12 @@ def full_set_solve(poly):
     return mvie._barrier_solve(poly, np.arange(poly.n_facets))
 
 
+def barrier_only(poly):
+    """poly without its spread: the solve takes no guess from the points
+    and starts the barrier at once."""
+    return dataclasses.replace(poly, spread=None)
+
+
 def assert_same_ellipsoid(ell, ref, rtol):
     # c is compared at the ellipsoid's size: its own norm depends on where
     # the origin of the reduced coordinates lies
@@ -392,9 +399,11 @@ class TestStepBound:
 
     def test_evaluations_stay_near_newton_steps(self):
         # every line search opens inside the cones, so few trials are
-        # rejected; halving from the full step took 2.7-3.3 per step
+        # rejected; halving from the full step took 2.7-3.3 per step. The
+        # spread's guess ends both solves before any step.
         for n, r, l in [(4, 0.7, 1000), (6, 0.6, 200)]:
-            _, diag = solve_mvie_high_accuracy(synth_polytope(n, r, l, 0))
+            _, diag = solve_mvie_high_accuracy(
+                barrier_only(synth_polytope(n, r, l, 0)))
             assert diag.evaluations < 1.5 * diag.iterations
 
 
@@ -552,8 +561,9 @@ class TestSimplexFinish:
         # The greedy candidate of the first stage end lacks one facet of
         # the simplex; its inscribed ellipsoid crosses that facet deepest,
         # and the pivots reach the simplex without another stage. With the
-        # walk off the solve runs 7 stages to name it.
-        poly = synth_polytope(4, 0.7, 1000, 7)
+        # walk off the solve runs 7 stages to name it. The spread's guess
+        # names the simplex before any stage.
+        poly = barrier_only(synth_polytope(4, 0.7, 1000, 7))
         ell, diag = solve_mvie_high_accuracy(poly)
         finish = mvie._simplex_finish
         monkeypatch.setattr(mvie, "_simplex_finish",
@@ -588,8 +598,10 @@ class TestSimplexFinish:
                                                 seed, snr):
         # At each stage end the finish is given the greedy pick, unless it
         # was tried before, and at most d+1 pivots, each one facet away
-        # from the set given before it; no set is given twice
-        poly = synth_polytope(n, r, l, seed, m=50, snr=snr)
+        # from the set given before it; no set is given twice. Solved
+        # without the spread, whose guess ends the noiseless solves before
+        # any stage end.
+        poly = barrier_only(synth_polytope(n, r, l, seed, m=50, snr=snr))
         _, diag = solve_mvie_high_accuracy(poly)
         walks = stage_walks()
         tried = [key for _, sets in walks for key in sets]
@@ -653,6 +665,91 @@ class TestSimplexFinish:
                     - len(diag.stage_iterations))
         assert diag.termination == "tol"
         assert rejected < 10
+
+
+# The unframed benchmark panel: N = 6 noiseless, N = 4 noiseless and at
+# 30 dB; and the synth shapes of the sweep, with m, snr and seed varied
+PANEL = ([(6, 0.6, 400, seed, 50, math.inf) for seed in range(2)]
+         + [(4, 0.7, 1000, seed, 50, snr) for seed in range(8)
+            for snr in (math.inf, 30.0)])
+SWEEP_SHAPES = [(3, 0.85, 400), (4, 0.7, 1000), (5, 0.7, 400), (6, 0.6, 200),
+                (7, 0.55, 150)]
+
+
+class TestSpreadStart:
+    @staticmethod
+    def assert_ends_where_the_barrier_does(n, r, l, seed, m, snr):
+        """The solve of the instance equals the barrier's without the
+        spread bit for bit; True when the spread's guess ended it."""
+        poly = synth_polytope(n, r, l, seed, m, snr)
+        ell, diag = solve_mvie_high_accuracy(poly)
+        ref, ref_diag = solve_mvie_high_accuracy(barrier_only(poly))
+        assert np.array_equal(ell.F, ref.F)
+        assert np.array_equal(ell.c, ref.c)
+        assert np.array_equal(diag.touching, ref_diag.touching)
+        assert mvie.max_violation(ell, poly) <= 0.0
+        assert diag.gap <= 1e-11
+        if snr == math.inf:
+            assert diag.rounds == 0
+        if diag.rounds == 0:
+            assert diag.termination == "simplex"
+            assert diag.iterations == diag.evaluations == 0
+            assert diag.kept_facets == 0
+            assert diag.stage_iterations == []
+        return diag.rounds == 0
+
+    def test_the_panel_ends_where_the_barrier_does(self):
+        ended = [self.assert_ends_where_the_barrier_does(*case)
+                 for case in PANEL]
+        assert sum(ended) > 10             # 15 of the 18
+
+    @pytest.mark.parametrize("n,r,l", SWEEP_SHAPES)
+    def test_the_sweep_ends_where_the_barrier_does(self, n, r, l):
+        for m in (20, 50):
+            for snr in (math.inf, 30.0, 20.0):
+                for seed in range(2):
+                    self.assert_ends_where_the_barrier_does(n, r, l, seed, m,
+                                                            snr)
+
+    def test_a_rejected_guess_leaves_the_barrier_as_it_was(
+            self, finish_calls):
+        # At 30 dB the MVIE touches more than d+1 facets and no simplex
+        # is certified: the guess and its pivots are rejected, and the
+        # barrier then gives the finish the sets it is given without the
+        # spread, takes the same steps and ends on the same answer
+        poly = synth_polytope(4, 0.7, 1000, 0, m=50, snr=30.0)
+        ell, diag = solve_mvie_high_accuracy(poly)
+        with_guess = [args[2] for args, _ in finish_calls]
+        finish_calls.clear()
+        ref, ref_diag = solve_mvie_high_accuracy(barrier_only(poly))
+        barrier = [args[2] for args, _ in finish_calls]
+        guessed = len(with_guess) - len(barrier)
+        assert guessed > 0
+        assert all(np.array_equal(a, b)
+                   for a, b in zip(with_guess[guessed:], barrier))
+        assert diag.termination == ref_diag.termination == "tol"
+        assert np.array_equal(ell.F, ref.F)
+        assert np.array_equal(ell.c, ref.c)
+        assert np.array_equal(diag.touching, ref_diag.touching)
+        for name in ("iterations", "stage_iterations", "backtracks",
+                     "inv_step_trace", "objective_trace", "final_objective",
+                     "evaluations", "kept_facets", "rounds", "gap"):
+            assert getattr(diag, name) == getattr(ref_diag, name), name
+        assert diag.pivots == ref_diag.pivots + guessed - 1
+
+    def test_the_guess_walks_one_facet_at_a_time(self, stage_walks):
+        # The guess lacks facets of the simplex; the walk swaps them in,
+        # one per pivot, before any Newton step
+        poly = synth_polytope(6, 0.6, 400, 1, m=50)
+        _, diag = solve_mvie_high_accuracy(poly)
+        walks = stage_walks()
+        steps = walk_steps(walks)
+        assert len(walks) == 1
+        assert walks[0][1][0] == walks[0][0]
+        assert diag.iterations == 0
+        assert all(len(a & b) == poly.dim for a, b, _ in steps)
+        assert diag.pivots == len(steps)
+        assert 0 < len(steps) <= poly.dim + 1
 
 
 def sym_basis(d):
