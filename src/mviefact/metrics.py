@@ -77,11 +77,18 @@ def snr_of(x_clean, w_noise) -> float:
 
     Matches the generator's definition with the empirical noise second
     moment in place of the nominal variance. Returns +inf for zero noise.
+    Both are divided by one power of two, from the larger peak, before
+    they are squared, so the ratio neither overflows nor underflows at
+    any scale and snr_of(2^j x, 2^j w) is snr_of(x, w).
     """
     x = as_matrix(x_clean, "X_clean")
     w = as_matrix(w_noise, "W_noise")
     if x.shape != w.shape:
         raise DimMismatch(f"shape mismatch: {x.shape} vs {w.shape}")
+    k = int(np.frexp(max(np.abs(x).max(initial=0.0),
+                         np.abs(w).max(initial=0.0)))[1])
+    x = np.ldexp(x, -k)
+    w = np.ldexp(w, -k)
     noise = float(np.sum(w * w))
     if noise == 0.0:
         return math.inf

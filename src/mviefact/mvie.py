@@ -611,19 +611,24 @@ def _simplex_finish(g: np.ndarray, h: np.ndarray, idx: np.ndarray):
 
 
 def _walk(g: np.ndarray, h: np.ndarray, simplex: np.ndarray | None,
-          tried: set):
+          tried: set, finishes: dict):
     """The finish on simplex, then on the candidate each rejected one
     names, at most d+1 pivots: a simplex has d+1 facets to replace. Stops
     on a certified set, a set in tried, to which each set given is added,
-    or a candidate that names none. Returns (the finish or None, the set
-    it ended on or None, the pivots taken)."""
+    or a candidate that names none. The finish of a set is taken from
+    finishes when an earlier walk of the solve put it there, as each walk
+    does: it depends on the set alone. Returns (the finish or None, the
+    set it ended on or None, the pivots taken)."""
     pivots = 0
     for step in range(g.shape[1] + 2):
         if simplex is None or tuple(simplex) in tried:
             break
-        tried.add(tuple(simplex))
+        key = tuple(simplex)
+        tried.add(key)
         pivots += step > 0
-        finish, nxt = _simplex_finish(g, h, simplex)
+        if key not in finishes:
+            finishes[key] = _simplex_finish(g, h, simplex)
+        finish, nxt = finishes[key]
         if finish is not None:
             return finish, simplex, pivots
         simplex = nxt
@@ -682,8 +687,9 @@ def solve_mvie_high_accuracy(poly: HPolytope
     picked by the greedy rule below with directions R g_i, and the walk
     below starts from that pick. A certified set ends the solve at once;
     otherwise the barrier runs as it does without a guess, and the sets
-    the guess's walk rejected may be tried again (notes/decisions.md, "A
-    simplex guessed from the points' spread").
+    the guess's walk rejected may be tried again, their finishes reused
+    rather than computed again (notes/decisions.md, "A simplex guessed
+    from the points' spread").
 
     The simplex finish: at the end of each stage run whose iterate meets
     no facet outside the kept set, of the facets the multipliers name as
@@ -755,12 +761,14 @@ def _barrier_solve(poly: HPolytope, seed: np.ndarray | None
     d = g.shape[1]
     logdet_shift = d * math.log(r0)
     pivots = 0        # simplex candidates a rejected one named
+    finishes = {}     # each set's _simplex_finish, taken once per solve
     if seed is None:
         if poly.spread is not None:
             # The simplex guessed from the spread, certified or not before
-            # any Newton step; the barrier does not share its tried sets
+            # any Newton step; the barrier does not share its tried sets,
+            # only the finishes the guess's walk computed
             finish, simplex, pivots = _walk(
-                g, h, _spread_candidate(poly.spread, g, h), set())
+                g, h, _spread_candidate(poly.spread, g, h), set(), finishes)
             if finish is not None:
                 e, cc, logdet, gap = finish
                 objective = -(logdet + logdet_shift)
@@ -907,7 +915,7 @@ def _barrier_solve(poly: HPolytope, seed: np.ndarray | None
         # a rejected candidate names the next, one facet swapped
         pick = _simplex_candidate(e, gt, _touching(*sl[1:], t, d))
         finish, simplex, walked = _walk(
-            g, h, None if pick is None else kept[pick], tried)
+            g, h, None if pick is None else kept[pick], tried, finishes)
         pivots += walked
         if finish is not None:
             break

@@ -9,9 +9,11 @@ N tight groups; a farthest-first traversal finds the groups without a
 seed, and each group's mean is one contact. The signature columns
 follow from a_i = sum_j q_j - (N-1) q_i. The abundances are the exact
 simplex-constrained least-squares fit (FCLS) of every pixel to those
-columns, found in finitely many rounds by a primal active-set method
-that groups the pixels by their free sets with one sort per round;
-like A_hat, they follow the units of the data.
+columns, found in finitely many rounds by a primal active-set method:
+the first round, where every pixel has all entries free, applies one
+shared KKT inverse to all pixels, and each later round solves the few
+pixels still open in one batched call; like A_hat, they follow the
+units of the data.
 """
 
 from __future__ import annotations
@@ -136,20 +138,23 @@ def recover_abundances(x: np.ndarray, a_hat: np.ndarray) -> np.ndarray:
     1^T s = 1 (FCLS, Heinz & Chang, IEEE TGRS 2001), found exactly by
     the primal active-set method (Nocedal & Wright, Alg. 16.3) on the
     Gram system G = A_hat^T A_hat, b = A_hat^T x. Every pixel starts at
-    s = 1/N with all N entries free. Each round solves the sum-to-one
-    KKT system on each pixel's free set, one solve per distinct free
-    set: one stable sort of the pixels' free-set columns puts the pixels
-    of each set in a run. A pixel whose solution is nonnegative moves
-    there and frees the fixed entry with the most negative bound
-    multiplier, or stops when there is none; a pixel whose solution has
-    a negative entry steps until the first entry reaches 0 and fixes it
-    there.
+    s = 1/N with all N entries free, so the first round shares one
+    sum-to-one KKT matrix: its inverse, formed once, is applied to every
+    pixel's right-hand side, and a pixel whose solution is nonnegative
+    ends there. Each later round solves the pixels still open in one
+    batched call, each on its own KKT matrix with the rows and columns
+    of its fixed entries those of the identity, so that those entries
+    stay 0. A pixel whose solution has a negative entry steps until the
+    first entry reaches 0 and fixes it there; one whose solution is
+    nonnegative moves there and frees the fixed entry with the most
+    negative bound multiplier, or stops when there is none. Every step
+    is taken pixel by pixel, so no pixel's bits depend on the others.
 
     The multiplier test is relative to lambda_max(G) and |b|, so
     recover_abundances(k x, k A_hat) is recover_abundances(x, A_hat)
     for any k > 0. Raises RankDeficientA when lambda_min(G) is at most
     1e-10 lambda_max(G), and ConvergenceFailure should the working sets
-    cycle past _MAX_ROUNDS.
+    cycle past _MAX_ROUNDS, the first round counted.
     """
     x = as_matrix(x, "X")
     a = as_matrix(a_hat, "A_hat")
@@ -163,63 +168,78 @@ def recover_abundances(x: np.ndarray, a_hat: np.ndarray) -> np.ndarray:
         raise RankDeficientA(
             f"estimated signatures are rank deficient (eigs {lam})")
     b = a.T @ x
+
+    # Round 1: every pixel at s = 1/N with all entries free, one KKT matrix
+    kkt = np.ones((n + 1, n + 1))
+    kkt[:n, :n] = gram
+    kkt[n, n] = 0.0
+    inv = np.linalg.inv(kkt)
+    s = _columnwise(inv[:n, :n], b) + inv[:n, n, None]
+    todo = np.flatnonzero(s.min(axis=0) < 0.0)
+    free = np.ones((n, todo.size), dtype=bool)
+    cur, _ = _advance(np.full((n, todo.size), 1.0 / n), s[:, todo], free)
+    b = b[:, todo]
     # A bound multiplier is a difference of entries of G s - b, so its
     # rounding error scales with lambda_max(G) and |b|, as its value does.
     floor = _MULTIPLIER_RTOL * (lam[-1] + np.abs(b).max(axis=0))
-
-    s = np.full((n, l), 1.0 / n)
-    free = np.ones((n, l), dtype=bool)
-    done = np.zeros(l, dtype=bool)
-    for _ in range(_MAX_ROUNDS):
-        todo = np.flatnonzero(~done)
+    for _ in range(_MAX_ROUNDS - 1):
         if todo.size == 0:
-            return s
-        order = todo[np.lexsort(free[::-1][:, todo])]
-        sets = free[:, order]
-        starts = np.flatnonzero(
-            np.r_[True, (sets[:, 1:] != sets[:, :-1]).any(axis=0)])
-        for cols, in_set in zip(np.split(order, starts[1:]),
-                                sets[:, starts].T):
-            idx = np.flatnonzero(in_set)
-            k = idx.size
-            kkt = np.ones((k + 1, k + 1))
-            kkt[:k, :k] = gram[np.ix_(idx, idx)]
-            kkt[k, k] = 0.0
-            rhs = np.vstack([b[np.ix_(idx, cols)], np.ones((1, cols.size))])
-            sol = np.linalg.solve(kkt, rhs)
-            target, nu = sol[:k], sol[k]
-            cur = s[np.ix_(idx, cols)]
+            break
+        # One KKT matrix per open pixel, identity on its fixed entries
+        stack = np.tile(kkt, (todo.size, 1, 1))
+        pix, fixed = np.nonzero(~free.T)
+        stack[pix, fixed, :] = 0.0
+        stack[pix, :, fixed] = 0.0
+        stack[pix, fixed, fixed] = 1.0
+        rhs = np.ones((todo.size, n + 1, 1))
+        rhs[:, :n, 0] = np.where(free, b, 0.0).T
+        sol = np.linalg.solve(stack, rhs)[:, :, 0].T
+        target, nu = np.where(free, sol[:n], 0.0), sol[n]
+        cur, blocked = _advance(cur, target, free)
 
-            # Step toward the target until the first free entry reaches 0;
-            # a pixel so blocked fixes that entry.
-            neg = target < 0
-            ratio = np.full(target.shape, np.inf)
-            ratio[neg] = cur[neg] / (cur[neg] - target[neg])
-            first = ratio.argmin(axis=0)
-            alpha = ratio[first, np.arange(cols.size)]
-            blocked = alpha < 1.0
-            step = np.maximum(cur + np.minimum(alpha, 1.0) * (target - cur),
-                              0.0)
-            step[first[blocked], np.flatnonzero(blocked)] = 0.0
-            s[np.ix_(idx, cols)] = step
-            free[idx[first[blocked]], cols[blocked]] = False
+        # A pixel that reached its target is optimal unless a fixed entry
+        # has a negative multiplier; the most negative is freed.
+        mu = np.where(free, np.inf, _columnwise(gram, target) - b + nu)
+        worst = mu.argmin(axis=0)
+        optimal = mu[worst, np.arange(todo.size)] >= -floor
+        freed = ~blocked & ~optimal
+        free[worst[freed], np.flatnonzero(freed)] = True
+        done = ~blocked & optimal
+        s[:, todo[done]] = cur[:, done]
+        todo, cur, free, b, floor = (todo[~done], cur[:, ~done],
+                                     free[:, ~done], b[:, ~done],
+                                     floor[~done])
+    if todo.size:
+        raise ConvergenceFailure(
+            f"active-set FCLS did not settle in {_MAX_ROUNDS} rounds "
+            f"({todo.size} of {l} pixels open)")
+    return s
 
-            # A pixel that reached its target is optimal unless a fixed
-            # entry has a negative multiplier; the most negative is freed.
-            fixed = np.flatnonzero(~in_set)
-            reached = cols[~blocked]
-            if fixed.size == 0:
-                done[reached] = True
-                continue
-            mu = (gram[np.ix_(fixed, idx)] @ target[:, ~blocked]
-                  - b[np.ix_(fixed, reached)] + nu[~blocked])
-            worst = mu.argmin(axis=0)
-            optimal = mu[worst, np.arange(reached.size)] >= -floor[reached]
-            done[reached[optimal]] = True
-            free[fixed[worst[~optimal]], reached[~optimal]] = True
-    raise ConvergenceFailure(
-        f"active-set FCLS did not settle in {_MAX_ROUNDS} rounds "
-        f"({int((~done).sum())} of {l} pixels open)")
+
+def _columnwise(m: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """m @ v as a sum of elementwise products, so that each column of the
+    result depends on that column of v alone, bit for bit."""
+    out = m[:, 0, None] * v[0]
+    for k in range(1, v.shape[0]):
+        out += m[:, k, None] * v[k]
+    return out
+
+
+def _advance(cur: np.ndarray, target: np.ndarray, free: np.ndarray
+             ) -> tuple[np.ndarray, np.ndarray]:
+    """Step each column of cur toward its target until the first free
+    entry reaches 0, and fix that entry in free. Returns the new columns
+    and which pixels were so blocked."""
+    neg = target < 0.0
+    ratio = np.full(target.shape, np.inf)
+    ratio[neg] = cur[neg] / (cur[neg] - target[neg])
+    first = ratio.argmin(axis=0)
+    alpha = ratio[first, np.arange(cur.shape[1])]
+    blocked = alpha < 1.0
+    step = np.maximum(cur + np.minimum(alpha, 1.0) * (target - cur), 0.0)
+    step[first[blocked], np.flatnonzero(blocked)] = 0.0
+    free[first[blocked], np.flatnonzero(blocked)] = False
+    return step, blocked
 
 
 @contextmanager

@@ -128,3 +128,14 @@ class TestSnr:
     def test_dim_mismatch(self, rng):
         with pytest.raises(DimMismatch):
             snr_of(rng.random((3, 3)), rng.random((3, 4)))
+
+    @pytest.mark.filterwarnings("error")
+    def test_follows_no_units(self, rng):
+        # at 2^+-600 and beyond the squares overflow or underflow
+        x = rng.standard_normal((5, 7))
+        w = 0.01 * rng.standard_normal((5, 7))
+        base = snr_of(x, w)
+        assert math.isfinite(base)
+        for j in (-1000, -600, 600, 1000):
+            assert snr_of(np.ldexp(x, j), np.ldexp(w, j)) == base
+            assert snr_of(np.ldexp(x, j), np.zeros_like(x)) == math.inf

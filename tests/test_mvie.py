@@ -737,6 +737,42 @@ class TestSpreadStart:
             assert getattr(diag, name) == getattr(ref_diag, name), name
         assert diag.pivots == ref_diag.pivots + guessed - 1
 
+    @pytest.mark.parametrize("seed", [2, 3])
+    def test_the_barrier_reuses_the_finishes_the_guess_took(
+            self, seed, finish_calls, monkeypatch):
+        # Here the barrier reaches sets the guess's walk rejected. Their
+        # finishes are not taken again: no set reaches _simplex_finish
+        # twice, and the barrier's path and answer stay as without a guess
+        walk_starts = []
+        walk = mvie._walk
+
+        def recorded(*args):
+            walk_starts.append(len(finish_calls))
+            return walk(*args)
+
+        monkeypatch.setattr(mvie, "_walk", recorded)
+        poly = synth_polytope(4, 0.7, 1000, seed, m=50, snr=30.0)
+        ell, diag = solve_mvie_high_accuracy(poly)
+        with_guess = [tuple(args[2]) for args, _ in finish_calls]
+        guessed = walk_starts[1]          # the finishes of the guess's walk
+        finish_calls.clear()
+        ref, ref_diag = solve_mvie_high_accuracy(barrier_only(poly))
+        barrier = [tuple(args[2]) for args, _ in finish_calls]
+        rejected = set(with_guess[:guessed])
+        assert len(set(with_guess)) == len(with_guess)
+        assert any(key in rejected for key in barrier)
+        assert with_guess[guessed:] == [key for key in barrier
+                                        if key not in rejected]
+        assert diag.termination == ref_diag.termination
+        assert np.array_equal(ell.F, ref.F)
+        assert np.array_equal(ell.c, ref.c)
+        assert np.array_equal(diag.touching, ref_diag.touching)
+        for name in ("iterations", "stage_iterations", "backtracks",
+                     "inv_step_trace", "objective_trace", "final_objective",
+                     "evaluations", "kept_facets", "rounds", "gap"):
+            assert getattr(diag, name) == getattr(ref_diag, name), name
+        assert diag.pivots == ref_diag.pivots + guessed - 1
+
     def test_the_guess_walks_one_facet_at_a_time(self, stage_walks):
         # The guess lacks facets of the simplex; the walk swaps them in,
         # one per pivot, before any Newton step

@@ -227,6 +227,60 @@ class TestAbundanceWorkingSets:
             mu = grad[~on, j] + nu       # the fixed entries' multipliers
             assert np.all(mu >= -1e-9 * scale[j])
 
+    def test_open_pixels_on_different_free_sets(self, monkeypatch):
+        # Pixels beyond each facet and each vertex, on an edge and
+        # repeated: after round 2 the pixels still open hold several free
+        # sets, which round 3 solves in one batched call
+        gen = rng_from_seed(29)
+        a = gen.random((8, 4)) + 0.1
+        centre = a.mean(axis=1, keepdims=True)
+        facets = (a.sum(axis=1, keepdims=True) - a) / 3   # off vertex i
+        beyond_facets = facets + 0.8 * (facets - a)
+        beyond_vertices = a + 1.5 * (a - centre)
+        edges = np.outer(a[:, 0], [0.5, 0.3]) + np.outer(a[:, 1], [0.5, 0.7])
+        off_space = 0.2 * gen.standard_normal((8, 8))
+        x = np.hstack([beyond_facets, beyond_vertices, edges,
+                       np.hstack([beyond_facets, beyond_vertices]) + off_space,
+                       beyond_facets[:, :2], beyond_vertices[:, 1:3]])
+        free_sets = []
+        advance = recovery._advance
+
+        def recorded(cur, target, free):
+            free_sets.append({tuple(col) for col in free.T})
+            return advance(cur, target, free)
+
+        monkeypatch.setattr(recovery, "_advance", recorded)
+        s_hat = recover_abundances(x, a)
+        assert len(free_sets) >= 3 and len(free_sets[2]) >= 3
+
+        got = np.sum((a @ s_hat - x) ** 2, axis=0)
+        best = _fcls_by_enumeration(a, x)
+        assert np.all(np.abs(got - best)
+                      <= 1e-12 * (best + np.sum(x * x, axis=0)))
+        one = np.hstack([recover_abundances(x[:, [j]], a)
+                         for j in range(x.shape[1])])
+        lam = np.linalg.eigvalsh(a.T @ a)
+        assert np.abs(one - s_hat).max() <= (
+            4 * np.finfo(float).eps * lam[-1] / lam[0])
+
+    def test_no_pixels(self, rng):
+        a = rng.random((6, 3)) + 0.1
+        s_hat = recover_abundances(np.zeros((6, 0)), a)
+        assert s_hat.shape == (3, 0)
+
+    @pytest.mark.filterwarnings("ignore:affine fit residual")
+    @pytest.mark.parametrize("seed", range(8))
+    def test_noisy_panel_is_optimal(self, seed):
+        # the n4-noisy-abund instances, unframed, with the pipeline's A_hat
+        gt = synth.make_instance(50, 4, 1000, 0.7, 30.0, seed)
+        rep = run_pipeline(gt.X, 4, want_abundances=True)
+        s_hat = rep.S_hat
+        assert s_hat.min() >= 0
+        assert np.abs(s_hat.sum(axis=0) - 1.0).max() <= 1e-12
+        got = np.sum((rep.A_hat @ s_hat - gt.X) ** 2, axis=0)
+        best = _fcls_by_enumeration(rep.A_hat, gt.X)
+        assert np.all(np.abs(got - best) <= 1e-12 * best)
+
 
 def _fcls_by_enumeration(a, x):
     """min over the unit simplex of ||A s - x||^2 per column, by trying
