@@ -101,7 +101,10 @@ def enumerate_facets(points) -> HPolytope:
     eq = _drop_repeats(qh.equations)
     # contiguous rows: the solve's products with all K normals are faster
     normals = np.ascontiguousarray(eq[:, :d])
-    interior = np.ldexp(pts[qh.vertices].mean(axis=0), k)
+    # the hull's vertices, ascending, as ConvexHull.vertices has them
+    # without its np.unique over all K x d simplex entries
+    vertices = np.bincount(qh.simplices.ravel(), minlength=l) > 0
+    interior = np.ldexp(pts[vertices].mean(axis=0), k)
     return HPolytope(d, normals, np.ldexp(-eq[:, d], k), interior, eps,
                      spread)
 

@@ -26,7 +26,9 @@ the facet that cuts its ellipsoid deepest, one facet at a time. The
 first candidate is guessed before any Newton step from the spread of
 the points (``HPolytope.spread``), in whose metric the facets nearest
 the interior point are those of the latent simplex, so most noiseless
-solves end there; otherwise the barrier runs, and the facets its
+solves end there. Otherwise the barrier runs, from the largest of the
+rejected simplices' inscribed ellipsoids that fits inside all K facets
+when there is one, at the t its certified gap gives, and the facets its
 multipliers name as touching are a candidate at each stage end.
 
 ``solve_mvie`` is the paper's first-order method (FPGM). The pipeline
@@ -358,7 +360,11 @@ def _sym_basis(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 _UNBOUNDED_TRACE = 1.0 / np.finfo(float).eps
 # Factor on t from one barrier stage to the next.
 _T_GROWTH = 100.0
-# Bound on the log-det gap of the solve's answer to the optimum.
+# Target for the log-det gap of the solve's answer to the optimum: half
+# for the path or the simplex finish, half for the margin against
+# rounding. The certified gap the solve reports may exceed it by the cost
+# of the path's last fit inside all K facets, -d log theta, which more
+# stages cannot remove (up to 6e-11 on a simplex of condition 1472 in R^5).
 _GAP = 1e-11
 # Fixed seed rays per dimension, besides the 2 d coordinate rays.
 _SEED_RAYS_PER_DIM = 16
@@ -555,7 +561,8 @@ def _spread_candidate(spread: np.ndarray, g: np.ndarray, h: np.ndarray
 def _simplex_finish(g: np.ndarray, h: np.ndarray, idx: np.ndarray):
     """The certified end of a solve on the simplex S of the d+1 facets
     idx of {x : g_i . x <= h_i}: ((E, c', log det E, gap bound) or None,
-    the candidate to try next or None).
+    the rejection or None). The rejection of a bounded candidate is (the
+    candidate to try next, theta, F*, c*, log det F*).
 
     Column j of B^-1, B = [g_idx | -h_idx], is y_j (v_j, 1) for the
     vertex v_j off facet j, with g_j . v_j - h_j = 1/y_j, so S is bounded
@@ -580,6 +587,9 @@ def _simplex_finish(g: np.ndarray, h: np.ndarray, idx: np.ndarray):
     with ||F* g_i|| = -1 / ((d+1) y_i) as F* touches its own facets
     (notes/decisions.md, "Pivoting a rejected simplex candidate"). Should
     j be one of them, below the floor by rounding alone, idx comes back.
+    Its theta, F*, c* and log det F* go with it: log det F* bounds the
+    optimum from above, and for theta > 0 theta F* about c* is an
+    inscribed ellipsoid the barrier can start from (``_warm_start``).
     """
     d = g.shape[1]
     b = np.empty((d + 1, d + 1))
@@ -602,12 +612,13 @@ def _simplex_finish(g: np.ndarray, h: np.ndarray, idx: np.ndarray):
     j = int(ratio.argmin())
     low = float(ratio[j])
     floor = math.exp(-0.5 * _GAP / d)
+    logdet = 0.5 * float(np.log(lam).sum())
     if not low >= floor:
         nxt = idx.copy()
         nxt[(b[:, :d].dot(f2.dot(g[j])) * -y).argmax()] = j
-        return None, np.sort(nxt)
-    logdet = d * math.log(low * floor) + 0.5 * float(np.log(lam).sum())
-    return (low * floor * f, c, logdet, 0.5 * _GAP - d * math.log(low)), None
+        return None, (np.sort(nxt), low, f, c, logdet)
+    return (low * floor * f, c, d * math.log(low * floor) + logdet,
+            0.5 * _GAP - d * math.log(low)), None
 
 
 def _walk(g: np.ndarray, h: np.ndarray, simplex: np.ndarray | None,
@@ -628,11 +639,31 @@ def _walk(g: np.ndarray, h: np.ndarray, simplex: np.ndarray | None,
         pivots += step > 0
         if key not in finishes:
             finishes[key] = _simplex_finish(g, h, simplex)
-        finish, nxt = finishes[key]
+        finish, rejection = finishes[key]
         if finish is not None:
             return finish, simplex, pivots
-        simplex = nxt
+        simplex = None if rejection is None else rejection[0]
     return None, None, pivots
+
+
+def _warm_start(d: int, tried: set, finishes: dict):
+    """The barrier's start after a walk rejected the sets tried: (E, c',
+    log det E, gap bound) or None when no set qualifies.
+
+    Each bounded set contains the polytope, so log det F* of its finish
+    bounds the optimum from above, and for theta > 0 theta F* about c*
+    lies inside all K facets. Of the bounded sets of theta > 0 the start
+    is the theta F* of largest log det, and its gap bound is their least
+    log det F* less its own. Only the finishes the walk memoised are
+    read: the start takes no pass over the K facets."""
+    rejected = [finishes[key][1] for key in sorted(tried)]
+    inner = [(d * math.log(theta) + logdet, logdet, theta * f, c)
+             for _, theta, f, c, logdet in filter(None, rejected)
+             if theta > 0.0]
+    if not inner:
+        return None
+    logdet, _, e, c = max(inner, key=lambda start: start[0])
+    return e, c, logdet, min(bound for _, bound, _, _ in inner) - logdet
 
 
 def solve_mvie_high_accuracy(poly: HPolytope
@@ -649,9 +680,10 @@ def solve_mvie_high_accuracy(poly: HPolytope
         -log det E - (1/t) sum_i log(s_i^2 - ||E g_i||^2),
         s_i = h'_i - g_i . c',
 
-    from E = I/2, c' = 0, t = 1, multiplying t by 100 per stage until the
-    barrier's log-det gap bound 2 K_kept / t is at most 1e-11 / 2, or
-    until the simplex finish below ends the solve. Each stage runs damped
+    from E = I/2, c' = 0, t = 1, or from the start a rejected guess gives
+    (below), multiplying t by 100 per stage until the barrier's log-det
+    gap bound 2 K_kept / t is at most 1e-11 / 2, or until the simplex
+    finish below ends the solve. Each stage runs damped
     Newton steps until t lambda^2 / 2 <= 1e-2 for the Newton decrement
     lambda: t times the stage objective is self-concordant, so the stage
     ends about where Newton's quadratic phase begins. It also ends when a
@@ -685,11 +717,22 @@ def solve_mvie_high_accuracy(poly: HPolytope
     Newton step, with R^T R = spread, the facets ordered by h'_i /
     ||R g_i||, their distance from c0 in the metric of the spread, are
     picked by the greedy rule below with directions R g_i, and the walk
-    below starts from that pick. A certified set ends the solve at once;
-    otherwise the barrier runs as it does without a guess, and the sets
-    the guess's walk rejected may be tried again, their finishes reused
-    rather than computed again (notes/decisions.md, "A simplex guessed
-    from the points' spread").
+    below starts from that pick. A certified set ends the solve at once
+    (notes/decisions.md, "A simplex guessed from the points' spread").
+    Otherwise the rejected sets start the barrier. Each bounded one
+    contains the polytope, so log det F* of its inscribed ellipsoid
+    bounds the optimum from above, and where theta > 0 its theta F*
+    about c* lies inside all K facets. The barrier starts from the theta
+    F* of largest log det, whose gap to the optimum is at most gamma, the
+    least such log det F* less its own, at t = max(1, 2 K_kept / gamma),
+    where the barrier's bound meets that gap (Boyd & Vandenberghe
+    11.3.1), entered t/(t+1) of the way to the kept facets' cones' edge
+    along the segment from E = 0, c' = 0, as constraint generation
+    re-enters. The kept facets are then also those of every set the
+    walk tried. When no set has theta > 0, the barrier starts as it does
+    without a guess. The stage ends may try the rejected sets again;
+    their finishes are reused rather than computed again
+    (notes/decisions.md, "A rejected guess as the barrier's start").
 
     The simplex finish: at the end of each stage run whose iterate meets
     no facet outside the kept set, of the facets the multipliers name as
@@ -724,14 +767,17 @@ def solve_mvie_high_accuracy(poly: HPolytope
     ``termination`` "simplex" when the finish ended the solve and "tol"
     when the barrier's gap bound did, ``gap`` the certified bound on the
     log-det gap (2 K_kept / t plus the scaling's cost on the path, -d log
-    theta + 1e-11 / 2 on the finish), ``kept_facets`` the number of facets
-    kept at the end, ``rounds`` the number of kept sets solved on (1 when
-    no facet had to be added) and ``pivots`` the number of candidates the
-    walks tried, the greedy picks and the guess not counted. When the
-    guess ends the solve, ``iterations``, ``evaluations``, ``rounds`` and
-    ``kept_facets`` are 0, ``stage_iterations``, ``backtracks`` and
-    ``inv_step_trace`` are empty and ``objective_trace`` holds
-    ``final_objective`` alone.
+    theta + 1e-11 / 2 on the finish); on the path it may exceed 1e-11 by
+    the rounding cost -d log theta of the last fit, which more stages
+    cannot remove (up to 6e-11 on a badly conditioned simplex in R^5,
+    where min_i s_i / ||E g_i|| = 1 - 1.1e-11), ``kept_facets`` the
+    number of facets kept at the end, ``rounds`` the number of kept sets
+    solved on (1 when no facet had to be added) and ``pivots`` the number
+    of candidates the walks tried, the greedy picks and the guess not
+    counted. When the guess ends the solve, ``iterations``,
+    ``evaluations``, ``rounds`` and ``kept_facets`` are 0,
+    ``stage_iterations``, ``backtracks`` and ``inv_step_trace`` are empty
+    and ``objective_trace`` holds ``final_objective`` alone.
     ``touching`` lists, ascending, the facets the ellipsoid touches: the
     last stage's multiplier w_i = 2 ||E g_i||^2 / (t (s_i^2 - ||E g_i||^2))
     is facet i's John weight (8.4.2, 11.2.2), about d/N if it touches and
@@ -749,7 +795,8 @@ def _barrier_solve(poly: HPolytope, seed: np.ndarray | None
                    ) -> tuple[Ellipsoid, SolveDiagnostics]:
     """solve_mvie_high_accuracy from the kept facets seed (indices into
     poly's facets), or, when seed is None, from the spread's guess and
-    then the ray-exit facets."""
+    then the ray-exit facets, with the start and the facets the rejected
+    guess gives."""
     g = poly.normals
     c0 = poly.interior.astype(float)
     depth = poly.offsets - g @ c0
@@ -762,13 +809,15 @@ def _barrier_solve(poly: HPolytope, seed: np.ndarray | None
     logdet_shift = d * math.log(r0)
     pivots = 0        # simplex candidates a rejected one named
     finishes = {}     # each set's _simplex_finish, taken once per solve
+    start = None      # the barrier's start from a rejected guess
     if seed is None:
         if poly.spread is not None:
             # The simplex guessed from the spread, certified or not before
             # any Newton step; the barrier does not share its tried sets,
             # only the finishes the guess's walk computed
+            guessed = set()
             finish, simplex, pivots = _walk(
-                g, h, _spread_candidate(poly.spread, g, h), set(), finishes)
+                g, h, _spread_candidate(poly.spread, g, h), guessed, finishes)
             if finish is not None:
                 e, cc, logdet, gap = finish
                 objective = -(logdet + logdet_shift)
@@ -779,7 +828,11 @@ def _barrier_solve(poly: HPolytope, seed: np.ndarray | None
                     stage_iterations=[], kept_facets=0, rounds=0,
                     evaluations=0, touching=simplex, gap=gap, pivots=pivots)
                 return Ellipsoid(F=r0 * e, c=c0 + r0 * cc), diag
+            start = _warm_start(d, guessed, finishes)
         seed = _exit_facets(g, h, _seed_rays(d))
+        if start is not None:
+            # the facets the guess's walk tried lie nearest the contacts
+            seed = np.concatenate([seed, np.ravel(list(guessed))])
     kept = _spanning(g, h, np.unique(seed[seed >= 0]))
     _, flat, _ = _sym_basis(d)
     m_e = flat.shape[0]
@@ -808,9 +861,23 @@ def _barrier_solve(poly: HPolytope, seed: np.ndarray | None
         logdet = 2.0 * float(np.log(chol.diagonal()).sum())
         return -logdet - float(np.log(delta).sum()) / t, logdet, (s, q, delta)
 
-    x = np.concatenate([np.full(d, 0.5), np.zeros(m_e)])   # E = I/2, c' = 0
-    t = 1.0
-    trace = [-(d * math.log(0.5) + logdet_shift)]
+    gt, gg, hk = facets(kept)
+    if start is None:
+        x = np.concatenate([np.full(d, 0.5), np.zeros(m_e)])  # E = I/2, c' = 0
+        t = 1.0
+        logdet = d * math.log(0.5)
+    else:
+        # Start at the t where the barrier's bound 2 K_kept / t meets the
+        # start's certified gap, and enter as constraint generation does,
+        # t/(t+1) of the way to the kept facets' cones' edge from E = 0
+        e, cc, logdet, gap = start
+        t = max(1.0, 2.0 * kept.size / gap)
+        x = np.concatenate([e.diagonal(), e[np.triu_indices(d, 1)], cc])
+        fit = min(1.0, t / (t + 1.0) * _step_bound(
+            gt, gg, hk * hk, hk * cc.dot(gt), *unpack(x)))
+        x *= fit
+        logdet += d * math.log(fit)
+    trace = [-(logdet + logdet_shift)]
     backtracks: list[int] = []
     inv_step: list[float] = []
     stage_iters: list[int] = []
@@ -819,7 +886,6 @@ def _barrier_solve(poly: HPolytope, seed: np.ndarray | None
     sl = None         # slacks of x on the kept facets, once evaluated at t
     tried = set()     # simplex candidates whose finish failed
     finish = None
-    gt, gg, hk = facets(kept)
     while True:
         e, cc = unpack(x)
         if sl is None:

@@ -202,6 +202,22 @@ class TestInvariants:
         rows = np.unique(ConvexHull(pts).equations, axis=0)
         assert enumerate_facets(pts).n_facets == rows.shape[0]
 
+    def test_interior_is_the_mean_of_qhull_vertices(self):
+        # The interior is the mean of the hull's vertices, found from the
+        # simplices without ConvexHull.vertices; it is bitwise the mean
+        # over ConvexHull.vertices on the clouds of the unframed panel
+        clouds = ([(6, 0.6, 400, seed, math.inf) for seed in range(2)]
+                  + [(4, 0.7, 1000, seed, snr) for seed in range(8)
+                     for snr in (math.inf, 30.0)])
+        for n, r, l, seed, snr in clouds:
+            gt = synth.make_instance(50, n, l, r, snr, seed)
+            pts = dimred.affine_fit(gt.X, n)[1].T
+            k = int(np.frexp(np.abs(pts).max())[1])
+            scaled = np.ldexp(pts, -k)
+            ref = scaled[ConvexHull(scaled).vertices].mean(axis=0)
+            assert np.array_equal(enumerate_facets(pts).interior,
+                                  np.ldexp(ref, k))
+
     @pytest.mark.parametrize("d", range(1, 7))
     def test_power_of_two_scale_moves_no_bit(self, d):
         # the facets of 2^j pts are those of pts scaled by 2^j, bit for

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import math
 import os
 import subprocess
@@ -621,7 +622,9 @@ class TestSimplexFinish:
         # A badly conditioned simplex (k = 34, cond(A) = 1472) defeats the
         # finish's certificate by rounding, and the path alone left 9 of
         # these 40 slightly outside (4e-16 to 2.6e-13): the path's answer
-        # is scaled inside all K facets with the finish's margin
+        # is scaled inside all K facets with the finish's margin. That
+        # fit costs -d log theta of log det, so the certified gap may pass
+        # 1e-11 (6.0e-11 at k = 34, where min s_i / ||E g_i|| is 1 - 1e-11)
         pts, _ = regular_simplex_points(6)
         polys = []
         for k in range(40):
@@ -634,8 +637,9 @@ class TestSimplexFinish:
                 monkeypatch.setattr(mvie, "_simplex_candidate",
                                     lambda *args: None)
             for poly in polys:
-                ell, _ = solve_mvie_high_accuracy(poly)
+                ell, diag = solve_mvie_high_accuracy(poly)
                 assert mvie.max_violation(ell, poly) <= 0.0
+                assert diag.gap <= 1e-10
 
     def test_polygons_keep_the_path(self):
         # Their MVIE, the unit incircle, touches every side, and no three
@@ -676,102 +680,185 @@ SWEEP_SHAPES = [(3, 0.85, 400), (4, 0.7, 1000), (5, 0.7, 400), (6, 0.6, 200),
                 (7, 0.55, 150)]
 
 
+SWEEP = [(n, r, l, seed, m, snr) for n, r, l in SWEEP_SHAPES
+         for m in (20, 50) for snr in (math.inf, 30.0, 20.0)
+         for seed in range(2)]
+
+
+@functools.lru_cache(maxsize=None)
+def spread_and_barrier(n, r, l, seed, m, snr):
+    """The polytope of a synth instance, its solve, and the solve of the
+    barrier without the spread, each as (ellipsoid, diagnostics)."""
+    poly = synth_polytope(n, r, l, seed, m, snr)
+    return (poly, solve_mvie_high_accuracy(poly),
+            solve_mvie_high_accuracy(barrier_only(poly)))
+
+
+def warm_starts(monkeypatch):
+    """A list that gets, for each solve of a test whose guess was
+    rejected, the number of sets the guess's walk tried and the start
+    _warm_start made of them (None for none)."""
+    starts = []
+    warm_start = mvie._warm_start
+
+    def recorded(d, tried, finishes):
+        starts.append((len(tried), warm_start(d, tried, finishes)))
+        return starts[-1][1]
+
+    monkeypatch.setattr(mvie, "_warm_start", recorded)
+    return starts
+
+
+def first_newton_system(monkeypatch):
+    """A list that gets the arguments of the first Newton system of the
+    solves of a test: the barrier's start."""
+    calls = []
+    system = mvie._newton_system
+
+    def recorded(*args):
+        if not calls:
+            calls.append(args)
+        return system(*args)
+
+    monkeypatch.setattr(mvie, "_newton_system", recorded)
+    return calls
+
+
 class TestSpreadStart:
     @staticmethod
-    def assert_ends_where_the_barrier_does(n, r, l, seed, m, snr):
-        """The solve of the instance equals the barrier's without the
-        spread bit for bit; True when the spread's guess ended it."""
-        poly = synth_polytope(n, r, l, seed, m, snr)
-        ell, diag = solve_mvie_high_accuracy(poly)
-        ref, ref_diag = solve_mvie_high_accuracy(barrier_only(poly))
-        assert np.array_equal(ell.F, ref.F)
-        assert np.array_equal(ell.c, ref.c)
-        assert np.array_equal(diag.touching, ref_diag.touching)
+    def assert_ends_where_the_barrier_does(case):
+        """The solve of the instance ends where the barrier's without the
+        spread does: bit for bit when the spread's guess ends it, else on
+        the same touching facets and termination, its log det within
+        both certified gaps. Returns the Newton steps of both solves when
+        the barrier ran, None when the guess ended the solve."""
+        poly, (ell, diag), (ref, ref_diag) = spread_and_barrier(*case)
         assert mvie.max_violation(ell, poly) <= 0.0
         assert diag.gap <= 1e-11
-        if snr == math.inf:
+        assert diag.termination == ref_diag.termination
+        assert np.array_equal(diag.touching, ref_diag.touching)
+        if case[-1] == math.inf:
             assert diag.rounds == 0
-        if diag.rounds == 0:
-            assert diag.termination == "simplex"
-            assert diag.iterations == diag.evaluations == 0
-            assert diag.kept_facets == 0
-            assert diag.stage_iterations == []
-        return diag.rounds == 0
+        if diag.rounds > 0:
+            assert (abs(diag.final_objective - ref_diag.final_objective)
+                    <= diag.gap + ref_diag.gap)
+            return diag.iterations, ref_diag.iterations
+        assert np.array_equal(ell.F, ref.F)
+        assert np.array_equal(ell.c, ref.c)
+        assert diag.termination == "simplex"
+        assert diag.iterations == diag.evaluations == 0
+        assert diag.kept_facets == 0
+        assert diag.stage_iterations == []
+        return None
 
     def test_the_panel_ends_where_the_barrier_does(self):
-        ended = [self.assert_ends_where_the_barrier_does(*case)
-                 for case in PANEL]
-        assert sum(ended) > 10             # 15 of the 18
+        ran = [self.assert_ends_where_the_barrier_does(case)
+               for case in PANEL]
+        assert ran.count(None) > 10        # 15 of the 18
 
     @pytest.mark.parametrize("n,r,l", SWEEP_SHAPES)
     def test_the_sweep_ends_where_the_barrier_does(self, n, r, l):
-        for m in (20, 50):
-            for snr in (math.inf, 30.0, 20.0):
-                for seed in range(2):
-                    self.assert_ends_where_the_barrier_does(n, r, l, seed, m,
-                                                            snr)
+        for case in SWEEP:
+            if case[:3] == (n, r, l):
+                self.assert_ends_where_the_barrier_does(case)
 
-    def test_a_rejected_guess_leaves_the_barrier_as_it_was(
-            self, finish_calls):
+    def test_warm_starts_take_fewer_steps_on_the_noisy_panel(self):
+        # 3 of the 8 noisy solves reach the barrier, and start it from
+        # the guess's best rejected set: 49 Newton steps against 89
+        ran = [self.assert_ends_where_the_barrier_does(case)
+               for case in PANEL if case[-1] == 30.0]
+        warm, cold = map(sum, zip(*filter(None, ran)))
+        assert 5 * warm <= 4 * cold
+
+    def test_the_sweep_takes_fewer_steps(self):
+        # Some solves take more steps from the warm start (79 -> 117 at
+        # N = 6, M = 20, 30 dB, seed 0), and a solve whose guess gave no
+        # start takes as many; over the sweep they take fewer, 2168 Newton
+        # steps against 2352
+        ran = [self.assert_ends_where_the_barrier_does(case)
+               for case in SWEEP]
+        warm, cold = map(sum, zip(*filter(None, ran)))
+        assert warm < cold
+
+    def test_a_rejected_guess_starts_the_barrier_inside(self, monkeypatch):
         # At 30 dB the MVIE touches more than d+1 facets and no simplex
-        # is certified: the guess and its pivots are rejected, and the
-        # barrier then gives the finish the sets it is given without the
-        # spread, takes the same steps and ends on the same answer
+        # is certified. The barrier starts from theta F* about c* of the
+        # rejected set of largest log det, which lies inside all K
+        # facets, at t = max(1, 2 K_kept / gap), entered t/(t+1) of the
+        # way to the kept cones' edge from E = 0, c' = 0
+        starts = warm_starts(monkeypatch)
+        systems = first_newton_system(monkeypatch)
         poly = synth_polytope(4, 0.7, 1000, 0, m=50, snr=30.0)
         ell, diag = solve_mvie_high_accuracy(poly)
-        with_guess = [args[2] for args, _ in finish_calls]
-        finish_calls.clear()
-        ref, ref_diag = solve_mvie_high_accuracy(barrier_only(poly))
-        barrier = [args[2] for args, _ in finish_calls]
-        guessed = len(with_guess) - len(barrier)
-        assert guessed > 0
-        assert all(np.array_equal(a, b)
-                   for a, b in zip(with_guess[guessed:], barrier))
+        [(_, (e, cc, logdet, gap))] = starts
+        e_in, _, _, _, t, gt, _ = systems[0]
+        kept = gt.shape[1]
+        assert 0.0 < gap < math.inf
+        assert t == max(1.0, 2.0 * kept / gap)
+        assert abs(np.linalg.slogdet(e)[1] - logdet) <= 1e-12
+        # in the solve's coordinates: about the interior point, scaled
+        c0 = poly.interior
+        depth = poly.offsets - poly.normals @ c0
+        g, h = poly.normals, depth / depth.min()
+        reach = np.linalg.norm(g @ e, axis=1)
+        assert np.all(reach <= (h - g @ cc) * (1.0 + 1e-12))
+        fit = e_in[0, 0] / e[0, 0]
+        assert 0.5 <= fit < 1.0
+        assert np.abs(e_in - fit * e).max() <= 1e-12 * np.abs(e).max()
+        assert np.all(fit * reach < h - g @ (fit * cc))
+        _, ref_diag = solve_mvie_high_accuracy(barrier_only(poly))
         assert diag.termination == ref_diag.termination == "tol"
+        assert np.array_equal(diag.touching, ref_diag.touching)
+        assert diag.iterations < ref_diag.iterations
+
+    def test_a_guess_with_no_inner_set_starts_cold(self, monkeypatch):
+        # The guess's walk tries 3 bounded sets here, and the centre c*
+        # of each lies outside some facet (theta <= 0): none gives an
+        # inscribed start, and the barrier starts at E = I/2, c' = 0,
+        # t = 1 from the ray-exit facets alone, as without the guess
+        starts = warm_starts(monkeypatch)
+        poly = synth_polytope(3, 1 / math.sqrt(2) + 0.1, 1000, 0, m=20,
+                              snr=20.0)
+        ell, diag = solve_mvie_high_accuracy(poly)
+        ref, ref_diag = solve_mvie_high_accuracy(barrier_only(poly))
+        [(guessed, start)] = starts
+        assert start is None
+        assert guessed == 3
         assert np.array_equal(ell.F, ref.F)
         assert np.array_equal(ell.c, ref.c)
         assert np.array_equal(diag.touching, ref_diag.touching)
         for name in ("iterations", "stage_iterations", "backtracks",
                      "inv_step_trace", "objective_trace", "final_objective",
-                     "evaluations", "kept_facets", "rounds", "gap"):
+                     "evaluations", "kept_facets", "rounds", "gap",
+                     "termination"):
             assert getattr(diag, name) == getattr(ref_diag, name), name
         assert diag.pivots == ref_diag.pivots + guessed - 1
 
     @pytest.mark.parametrize("seed", [2, 3])
     def test_the_barrier_reuses_the_finishes_the_guess_took(
             self, seed, finish_calls, monkeypatch):
-        # Here the barrier reaches sets the guess's walk rejected. Their
-        # finishes are not taken again: no set reaches _simplex_finish
-        # twice, and the barrier's path and answer stay as without a guess
-        walk_starts = []
+        # Here the barrier's walks reach sets the guess's walk rejected.
+        # Their finishes are not taken again: no set reaches
+        # _simplex_finish twice
+        visits = []
         walk = mvie._walk
 
-        def recorded(*args):
-            walk_starts.append(len(finish_calls))
-            return walk(*args)
+        def recorded(g, h, simplex, tried, finishes):
+            before = set(tried)
+            out = walk(g, h, simplex, tried, finishes)
+            visits.append(set(tried) - before)
+            return out
 
         monkeypatch.setattr(mvie, "_walk", recorded)
         poly = synth_polytope(4, 0.7, 1000, seed, m=50, snr=30.0)
         ell, diag = solve_mvie_high_accuracy(poly)
-        with_guess = [tuple(args[2]) for args, _ in finish_calls]
-        guessed = walk_starts[1]          # the finishes of the guess's walk
-        finish_calls.clear()
-        ref, ref_diag = solve_mvie_high_accuracy(barrier_only(poly))
-        barrier = [tuple(args[2]) for args, _ in finish_calls]
-        rejected = set(with_guess[:guessed])
-        assert len(set(with_guess)) == len(with_guess)
-        assert any(key in rejected for key in barrier)
-        assert with_guess[guessed:] == [key for key in barrier
-                                        if key not in rejected]
-        assert diag.termination == ref_diag.termination
-        assert np.array_equal(ell.F, ref.F)
-        assert np.array_equal(ell.c, ref.c)
-        assert np.array_equal(diag.touching, ref_diag.touching)
-        for name in ("iterations", "stage_iterations", "backtracks",
-                     "inv_step_trace", "objective_trace", "final_objective",
-                     "evaluations", "kept_facets", "rounds", "gap"):
-            assert getattr(diag, name) == getattr(ref_diag, name), name
-        assert diag.pivots == ref_diag.pivots + guessed - 1
+        finished = [tuple(args[2]) for args, _ in finish_calls]
+        guessed = visits[0]
+        assert diag.termination == "tol"
+        assert len(set(finished)) == len(finished)
+        assert set(finished) == set().union(*visits)
+        assert any(guessed & later for later in visits[1:])
+        assert mvie.max_violation(ell, poly) <= 0.0
 
     def test_the_guess_walks_one_facet_at_a_time(self, stage_walks):
         # The guess lacks facets of the simplex; the walk swaps them in,
