@@ -37,14 +37,16 @@ File formats (owned here):
                  facet distance (<= 0 inscribed). iterations, evaluations,
                  kept_facets and rounds read 0, and stage_iterations [],
                  when the solve ended on the simplex guessed from the
-                 points' spread, before any Newton step
+                 points' spread, before any Newton step; pivots counts
+                 the sets that guess's walk tried after the guess
   trials CSV     N,M,L,r,snr_db,seed,status,phi_deg,K, then the diagnostics
                  kept_facets,rounds,termination,gap (_TRIAL_SOLVE_COLUMNS, a
                  subset of the run JSON's), then t_dimred,t_hull,t_solve,
-                 t_recover,t_total. termination is "simplex" when the solve
-                 ended on the certified simplex finish, "tol" otherwise; a
-                 solve ended on its guess writes 0,0,simplex,<gap> and a
-                 failed trial 0,0,,nan in those four columns
+                 t_recover,t_total. termination is "simplex" exactly when
+                 the simplex guessed from the points' spread ended the
+                 solve, "tol" when the barrier did; a solve ended on its
+                 guess writes 0,0,simplex,<gap> and a failed trial
+                 0,0,,nan in those four columns
   aggregate CSV  N,M,L,r,snr_db,trials,n_ok,phi_mean_deg,phi_std_deg,
                  K_mean,t_total_mean
   CSV cells are formatted as in the matrix CSV, with "inf" for an

@@ -17,19 +17,18 @@ its iterate meets as it goes, and ends with an ellipsoid that is optimal
 for the subset and inside every facet, hence the MVIE of the whole
 polytope (Zhang & Gao, SIAM J. Optim. 14(1), 2003). It keeps a few
 dozen of the thousands of facets of a data hull and names the touched ones.
-When d+1 of the facets bound a simplex whose inscribed ellipsoid, known
-in closed form, is certified to lie inside the polytope, it ends on that
-ellipsoid: on noiseless data the MVIE touches the hull at exactly
-N = d+1 points (the paper's recovery theorem). The certificate is one
-pass over all K facets; a candidate simplex it rejects is pivoted onto
-the facet that cuts its ellipsoid deepest, one facet at a time. The
-first candidate is guessed before any Newton step from the spread of
-the points (``HPolytope.spread``), in whose metric the facets nearest
-the interior point are those of the latent simplex, so most noiseless
-solves end there. Otherwise the barrier runs, from the largest of the
-rejected simplices' inscribed ellipsoids that fits inside all K facets
-when there is one, at the t its certified gap gives, and the facets its
-multipliers name as touching are a candidate at each stage end.
+Before any Newton step it guesses d+1 facets from the spread of the
+points (``HPolytope.spread``), in whose metric the facets nearest the
+interior point are those of the latent simplex. When the simplex they
+bound has an inscribed ellipsoid, known in closed form, certified to lie
+inside the polytope, the solve ends on it: on noiseless data the MVIE
+touches the hull at exactly N = d+1 points (the paper's recovery
+theorem), so most noiseless solves end there. The certificate is one
+pass over all K facets; a guess it rejects is pivoted onto the facet
+that cuts its ellipsoid deepest, one facet at a time. Otherwise the
+barrier runs to its gap bound, from the largest of the rejected
+simplices' inscribed ellipsoids that fits inside all K facets when there
+is one, at the t its certified gap gives.
 
 ``solve_mvie`` is the paper's first-order method (FPGM). The pipeline
 does not call it; it is kept as the paper's reference, against which
@@ -519,18 +518,18 @@ def _touching(q: np.ndarray, delta: np.ndarray, t: float, d: int
     return order[:d + 1 + (int(drop.argmax()) if drop.size else 0)]
 
 
-def _simplex_candidate(e: np.ndarray, gt: np.ndarray, top: np.ndarray
+def _simplex_candidate(r: np.ndarray, gt: np.ndarray, top: np.ndarray
                        ) -> np.ndarray | None:
     """Of the positions top (columns of gt, the preferred first), the
-    first d+1 whose ball directions u_i = E g_i / ||E g_i|| meet every
-    one taken before at a negative inner product, ascending, or None
-    when fewer qualify. Each pick takes one product with the columns, so
-    top may hold all K facets. The contact directions of a simplex's
+    first d+1 whose directions u_i = R g_i / ||R g_i|| meet every one
+    taken before at a negative inner product, ascending, or None when
+    fewer qualify. Each pick takes one product with the columns, so top
+    may hold all K facets. The contact directions of a simplex's
     inscribed ellipsoid meet pairwise at -1/d; neighbouring hull facets
-    at one contact, at about +1. u_i . u_j has the sign of (E g_i) .
-    (E g_j)."""
-    d = e.shape[0]
-    ut = e.dot(gt.take(top, axis=1))
+    at one contact, at about +1. u_i . u_j has the sign of (R g_i) .
+    (R g_j)."""
+    d = r.shape[0]
+    ut = r.dot(gt.take(top, axis=1))
     ok = np.ones(top.size, dtype=bool)
     pick = []
     while len(pick) <= d:
@@ -621,44 +620,38 @@ def _simplex_finish(g: np.ndarray, h: np.ndarray, idx: np.ndarray):
             0.5 * _GAP - d * math.log(low)), None
 
 
-def _walk(g: np.ndarray, h: np.ndarray, simplex: np.ndarray | None,
-          tried: set, finishes: dict):
+def _walk(g: np.ndarray, h: np.ndarray, simplex: np.ndarray | None):
     """The finish on simplex, then on the candidate each rejected one
     names, at most d+1 pivots: a simplex has d+1 facets to replace. Stops
-    on a certified set, a set in tried, to which each set given is added,
-    or a candidate that names none. The finish of a set is taken from
-    finishes when an earlier walk of the solve put it there, as each walk
-    does: it depends on the set alone. Returns (the finish or None, the
-    set it ended on or None, the pivots taken)."""
-    pivots = 0
-    for step in range(g.shape[1] + 2):
-        if simplex is None or tuple(simplex) in tried:
-            break
-        key = tuple(simplex)
-        tried.add(key)
-        pivots += step > 0
-        if key not in finishes:
-            finishes[key] = _simplex_finish(g, h, simplex)
-        finish, rejection = finishes[key]
+    on a certified set, a set it rejected before, or a candidate that
+    names none. Returns (the finish or None, the set it ended on or None,
+    the pivots taken, each rejected set's rejection by the set as a
+    tuple)."""
+    rejected = {}
+    while (simplex is not None and len(rejected) <= g.shape[1] + 1
+           and tuple(simplex) not in rejected):
+        finish, rejection = _simplex_finish(g, h, simplex)
         if finish is not None:
-            return finish, simplex, pivots
+            return finish, simplex, len(rejected), rejected
+        rejected[tuple(simplex)] = rejection
         simplex = None if rejection is None else rejection[0]
-    return None, None, pivots
+    return None, None, max(len(rejected) - 1, 0), rejected
 
 
-def _warm_start(d: int, tried: set, finishes: dict):
-    """The barrier's start after a walk rejected the sets tried: (E, c',
-    log det E, gap bound) or None when no set qualifies.
+def _warm_start(d: int, rejected: dict):
+    """The barrier's start after the walk rejected the sets in rejected:
+    (E, c', log det E, gap bound) or None when no set qualifies.
 
     Each bounded set contains the polytope, so log det F* of its finish
     bounds the optimum from above, and for theta > 0 theta F* about c*
     lies inside all K facets. Of the bounded sets of theta > 0 the start
     is the theta F* of largest log det, and its gap bound is their least
-    log det F* less its own. Only the finishes the walk memoised are
-    read: the start takes no pass over the K facets."""
-    rejected = [finishes[key][1] for key in sorted(tried)]
+    log det F* less its own. Only the rejections the walk kept are read,
+    in the order of their sets: the start takes no pass over the K
+    facets."""
     inner = [(d * math.log(theta) + logdet, logdet, theta * f, c)
-             for _, theta, f, c, logdet in filter(None, rejected)
+             for _, theta, f, c, logdet in filter(
+                 None, (rejected[key] for key in sorted(rejected)))
              if theta > 0.0]
     if not inner:
         return None
@@ -682,8 +675,7 @@ def solve_mvie_high_accuracy(poly: HPolytope
 
     from E = I/2, c' = 0, t = 1, or from the start a rejected guess gives
     (below), multiplying t by 100 per stage until the barrier's log-det
-    gap bound 2 K_kept / t is at most 1e-11 / 2, or until the simplex
-    finish below ends the solve. Each stage runs damped
+    gap bound 2 K_kept / t is at most 1e-11 / 2. Each stage runs damped
     Newton steps until t lambda^2 / 2 <= 1e-2 for the Newton decrement
     lambda: t times the stage objective is self-concordant, so the stage
     ends about where Newton's quadratic phase begins. It also ends when a
@@ -714,12 +706,24 @@ def solve_mvie_high_accuracy(poly: HPolytope
     scaling costs -d log theta + 1e-11 / 2 in log det.
 
     The guess from the spread: when poly.spread is set, before any
-    Newton step, with R^T R = spread, the facets ordered by h'_i /
-    ||R g_i||, their distance from c0 in the metric of the spread, are
-    picked by the greedy rule below with directions R g_i, and the walk
-    below starts from that pick. A certified set ends the solve at once
-    (notes/decisions.md, "A simplex guessed from the points' spread").
-    Otherwise the rejected sets start the barrier. Each bounded one
+    Newton step, with R^T R = spread, of the facets ordered by h'_i /
+    ||R g_i||, their distance from c0 in the metric of the spread, the
+    first d+1 whose directions R g_i meet every one taken before at a
+    negative inner product are picked. When they bound a simplex whose
+    inscribed ellipsoid, scaled to fit all K facets in one pass, is
+    certified within 1e-11 / 2 of the optimum in log det, the solve ends
+    on it (``_simplex_finish``; notes/decisions.md, "A simplex guessed
+    from the points' spread" and "A certified simplex finish"). A bounded
+    set rejected names the next: the facet of the K that cuts its
+    inscribed ellipsoid deepest, in place of the set's facet whose
+    contact lies nearest it. The walk stops on a certified set, a set it
+    rejected before, a set that names none, or after d+1 pivots
+    (notes/decisions.md, "Pivoting a rejected simplex candidate"). This
+    is the only way a solve ends on a simplex: without a spread, or when
+    the walk certifies no set, the barrier runs to its gap bound
+    (notes/decisions.md, "One finish site").
+
+    A rejected guess starts the barrier. Each bounded set it tried
     contains the polytope, so log det F* of its inscribed ellipsoid
     bounds the optimum from above, and where theta > 0 its theta F*
     about c* lies inside all K facets. The barrier starts from the theta
@@ -730,25 +734,8 @@ def solve_mvie_high_accuracy(poly: HPolytope
     along the segment from E = 0, c' = 0, as constraint generation
     re-enters. The kept facets are then also those of every set the
     walk tried. When no set has theta > 0, the barrier starts as it does
-    without a guess. The stage ends may try the rejected sets again;
-    their finishes are reused rather than computed again
-    (notes/decisions.md, "A rejected guess as the barrier's start").
-
-    The simplex finish: at the end of each stage run whose iterate meets
-    no facet outside the kept set, of the facets the multipliers name as
-    touching (``touching`` below), by descending weight, the first d+1
-    whose directions E g_i meet every one taken before at a negative
-    inner product are a candidate. When they bound a simplex whose
-    inscribed ellipsoid, scaled to fit all K facets in one pass, is
-    certified within 1e-11 / 2 of the optimum in log det, the solve ends
-    on it (``_simplex_finish``; notes/decisions.md, "A certified simplex
-    finish"). A bounded candidate rejected names the next: the facet of
-    the K that cuts its inscribed ellipsoid deepest, in place of the
-    candidate's facet whose contact lies nearest it. The walk
-    stops on a certified set, a set tried before in the barrier (each set
-    is tried once), a candidate that names none, or after d+1 pivots at
-    one stage end (notes/decisions.md, "Pivoting a rejected simplex
-    candidate").
+    without a guess (notes/decisions.md, "A rejected guess as the
+    barrier's start").
 
     Raises Divergence when the polytope is unbounded: when a ray from c0
     leaves through no facet, or when the iterates grow without bound and
@@ -764,29 +751,29 @@ def solve_mvie_high_accuracy(poly: HPolytope
     predictor trials, and the start of each round and of a stage run
     without a prediction), ``objective_trace`` -log det F after every
     step, ``final_objective`` -log det F of the returned ellipsoid,
-    ``termination`` "simplex" when the finish ended the solve and "tol"
-    when the barrier's gap bound did, ``gap`` the certified bound on the
-    log-det gap (2 K_kept / t plus the scaling's cost on the path, -d log
-    theta + 1e-11 / 2 on the finish); on the path it may exceed 1e-11 by
-    the rounding cost -d log theta of the last fit, which more stages
+    ``termination`` "simplex" when the spread's guess ended the solve and
+    "tol" when the barrier's gap bound did, ``gap`` the certified bound on
+    the log-det gap (2 K_kept / t plus the scaling's cost on the path, -d
+    log theta + 1e-11 / 2 on the guess); on the path it may exceed 1e-11
+    by the rounding cost -d log theta of the last fit, which more stages
     cannot remove (up to 6e-11 on a badly conditioned simplex in R^5,
     where min_i s_i / ||E g_i|| = 1 - 1.1e-11), ``kept_facets`` the
     number of facets kept at the end, ``rounds`` the number of kept sets
     solved on (1 when no facet had to be added) and ``pivots`` the number
-    of candidates the walks tried, the greedy picks and the guess not
-    counted. When the guess ends the solve, ``iterations``,
-    ``evaluations``, ``rounds`` and ``kept_facets`` are 0,
+    of sets the guess's walk tried after the guess. When the guess ends
+    the solve, ``iterations``, ``evaluations``, ``rounds`` and
+    ``kept_facets`` are 0,
     ``stage_iterations``, ``backtracks`` and ``inv_step_trace`` are empty
     and ``objective_trace`` holds ``final_objective`` alone.
     ``touching`` lists, ascending, the facets the ellipsoid touches: the
     last stage's multiplier w_i = 2 ||E g_i||^2 / (t (s_i^2 - ||E g_i||^2))
     is facet i's John weight (8.4.2, 11.2.2), about d/N if it touches and
     1/(t s_i) if not, so they are those above the largest ratio of
-    consecutive weights sorted down, from position d+1 on. After the
-    finish they are the d+1 facets of the simplex it ended on, guessed,
-    picked or pivoted to; more facets may touch
-    the ellipsoid, as every side of a regular hexagon touches its
-    incircle, the inscribed ellipse of the triangle of every other side.
+    consecutive weights sorted down, from position d+1 on. When the guess
+    ends the solve they are the d+1 facets of the simplex it ended on,
+    guessed or pivoted to; more facets may touch the ellipsoid, as every
+    side of a regular hexagon touches its incircle, the inscribed ellipse
+    of the triangle of every other side.
     """
     return _barrier_solve(poly, None)
 
@@ -808,16 +795,13 @@ def _barrier_solve(poly: HPolytope, seed: np.ndarray | None
     d = g.shape[1]
     logdet_shift = d * math.log(r0)
     pivots = 0        # simplex candidates a rejected one named
-    finishes = {}     # each set's _simplex_finish, taken once per solve
     start = None      # the barrier's start from a rejected guess
     if seed is None:
         if poly.spread is not None:
             # The simplex guessed from the spread, certified or not before
-            # any Newton step; the barrier does not share its tried sets,
-            # only the finishes the guess's walk computed
-            guessed = set()
-            finish, simplex, pivots = _walk(
-                g, h, _spread_candidate(poly.spread, g, h), guessed, finishes)
+            # any Newton step: the one place a solve ends on a simplex
+            finish, simplex, pivots, rejected = _walk(
+                g, h, _spread_candidate(poly.spread, g, h))
             if finish is not None:
                 e, cc, logdet, gap = finish
                 objective = -(logdet + logdet_shift)
@@ -828,11 +812,11 @@ def _barrier_solve(poly: HPolytope, seed: np.ndarray | None
                     stage_iterations=[], kept_facets=0, rounds=0,
                     evaluations=0, touching=simplex, gap=gap, pivots=pivots)
                 return Ellipsoid(F=r0 * e, c=c0 + r0 * cc), diag
-            start = _warm_start(d, guessed, finishes)
+            start = _warm_start(d, rejected)
         seed = _exit_facets(g, h, _seed_rays(d))
         if start is not None:
             # the facets the guess's walk tried lie nearest the contacts
-            seed = np.concatenate([seed, np.ravel(list(guessed))])
+            seed = np.concatenate([seed, np.ravel(list(rejected))])
     kept = _spanning(g, h, np.unique(seed[seed >= 0]))
     _, flat, _ = _sym_basis(d)
     m_e = flat.shape[0]
@@ -884,8 +868,6 @@ def _barrier_solve(poly: HPolytope, seed: np.ndarray | None
     rounds = 1
     evaluations = 0
     sl = None         # slacks of x on the kept facets, once evaluated at t
-    tried = set()     # simplex candidates whose finish failed
-    finish = None
     while True:
         e, cc = unpack(x)
         if sl is None:
@@ -976,15 +958,6 @@ def _barrier_solve(poly: HPolytope, seed: np.ndarray | None
         gap = 2.0 * kept.size / t
         if gap <= 0.5 * _GAP:
             break
-        # End on the simplex of d+1 touched facets when its inscribed
-        # ellipsoid is certified inside the polytope (_simplex_finish);
-        # a rejected candidate names the next, one facet swapped
-        pick = _simplex_candidate(e, gt, _touching(*sl[1:], t, d))
-        finish, simplex, walked = _walk(
-            g, h, None if pick is None else kept[pick], tried, finishes)
-        pivots += walked
-        if finish is not None:
-            break
         t *= _T_GROWTH
         last, sl = sl, None
         if tangent is not None:
@@ -1001,29 +974,24 @@ def _barrier_solve(poly: HPolytope, seed: np.ndarray | None
             evaluations += 1
             if new_sl is not None:           # else E lost definiteness
                 x, f, sl, logdet = trial, f_new, new_sl, new_logdet
-    if finish is None:
-        touching = np.sort(kept[_touching(*sl[1:], t, d)])
-        # Inside all K facets by the last scan's s_i and ||E g_i||, with
-        # the finish's margin against rounding; gap pays for both
-        fit = min(1.0, float((s / reach).min())) * math.exp(-0.5 * _GAP / d)
-        e = fit * e
-        logdet += d * math.log(fit)
-        gap -= d * math.log(fit)
-    else:
-        touching = simplex
-        e, cc, logdet, gap = finish
+    # Inside all K facets by the last scan's s_i and ||E g_i||, with the
+    # finish's margin against rounding; gap pays for both
+    fit = min(1.0, float((s / reach).min())) * math.exp(-0.5 * _GAP / d)
+    e = fit * e
+    logdet += d * math.log(fit)
+    gap -= d * math.log(fit)
     diag = SolveDiagnostics(
         iterations=sum(stage_iters),
         final_objective=-(logdet + logdet_shift),
         objective_trace=trace,
         backtracks=backtracks,
         inv_step_trace=inv_step,
-        termination="tol" if finish is None else "simplex",
+        termination="tol",
         stage_iterations=stage_iters,
         kept_facets=int(kept.size),
         rounds=rounds,
         evaluations=evaluations,
-        touching=touching,
+        touching=np.sort(kept[_touching(*sl[1:], t, d)]),
         gap=gap,
         pivots=pivots,
     )

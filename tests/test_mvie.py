@@ -344,8 +344,8 @@ class TestConstraintGeneration:
         assert mvie.max_violation(ell, poly) <= 0.0
 
     def test_diagnostics_count_every_round(self, monkeypatch):
-        # The simplex finish is off: with it this solve ends in the first
-        # round, after 3 steps
+        # The spread's guess is off: with it this solve ends before any
+        # Newton step
         monkeypatch.setattr(mvie, "_simplex_candidate", lambda *args: None)
         poly = synth_polytope(6, 0.6, 200, 0)
         _, diag = solve_mvie_high_accuracy(poly)
@@ -361,8 +361,8 @@ class TestConstraintGeneration:
                                                 seed):
         # Re-entered at a fixed 1 - 1e-6 of the new facets' fit, the rerun
         # stage took 12, 11, ..., 0 (here 13, 12, ..., 0) halvings per
-        # step to move off that edge. The simplex finish is off: with its
-        # pivots the N = 4 solve ends in the first stage, before any rerun
+        # step to move off that edge. The spread's guess is off: with it
+        # both solves end before any Newton step
         monkeypatch.setattr(mvie, "_simplex_candidate", lambda *args: None)
         _, diag = solve_mvie_high_accuracy(synth_polytope(n, r, l, seed, 50))
         assert diag.rounds > 1
@@ -426,42 +426,26 @@ def finish_calls(monkeypatch):
 
 
 @pytest.fixture
-def stage_walks(monkeypatch, finish_calls):
-    """A function giving, for each stage end of the solves of a test, the
-    candidate the greedy rule picked (None when it found none) and the
-    sets the finish was given there, in order; every set is a frozenset
-    of facet normals (tuples)."""
-    ends = []
-    candidate = mvie._simplex_candidate
+def guess_walk(monkeypatch, finish_calls):
+    """A function giving the walk of the spread's guess in the one solve
+    of a test: the guessed set (None when the greedy rule found none) and
+    the sets the finish was given, in order, each a frozenset of facet
+    indices."""
+    guesses = []
+    candidate = mvie._spread_candidate
 
-    def recorded(e, gt, top):
-        pick = candidate(e, gt, top)
-        ends.append((len(finish_calls), None if pick is None
-                     else frozenset(map(tuple, gt[:, pick].T))))
-        return pick
+    def recorded(*args):
+        guesses.append(candidate(*args))
+        return guesses[-1]
 
-    monkeypatch.setattr(mvie, "_simplex_candidate", recorded)
+    monkeypatch.setattr(mvie, "_spread_candidate", recorded)
 
-    def walks():
-        stops = [start for start, _ in ends[1:]] + [len(finish_calls)]
-        return [(pick, [frozenset(map(tuple, args[0][args[2]]))
-                        for args, _ in finish_calls[start:stop]])
-                for (start, pick), stop in zip(ends, stops)]
+    def walk():
+        [guess] = guesses
+        return (None if guess is None else frozenset(guess),
+                [frozenset(args[2]) for args, _ in finish_calls])
 
-    return walks
-
-
-def walk_steps(walks):
-    """(set before, set, stage end) for every set of walks (from the
-    stage_walks fixture) the finish was given that was not its stage
-    end's greedy pick, in order; the set before is the last one given."""
-    steps, before = [], None
-    for k, (pick, sets) in enumerate(walks):
-        for i, key in enumerate(sets):
-            if not (i == 0 and key == pick):
-                steps.append((before, key, k))
-            before = key
-    return steps
+    return walk
 
 
 def polygon(k):
@@ -542,81 +526,20 @@ class TestSimplexFinish:
                 e, cc, _, _ = end
                 assert np.all(np.linalg.norm(g @ e, axis=1) + g @ cc < h)
 
-    def test_a_failed_candidate_is_not_tried_again(self, stage_walks):
-        # Under noise the MVIE touches more than d+1 facets, and the stages
-        # name the same candidate again and again. The attempts are the
-        # distinct picks, each once, and one-facet pivots.
-        poly = synth_polytope(4, 0.7, 1000, 0, m=50, snr=30.0)
-        _, diag = solve_mvie_high_accuracy(poly)
-        walks = stage_walks()
-        picks = [pick for pick, _ in walks if pick is not None]
-        tried = [key for _, sets in walks for key in sets]
-        steps = walk_steps(walks)
-        assert diag.termination == "tol"
-        assert len(set(tried)) == len(tried)
-        assert set(picks) <= set(tried)
-        assert all(len(a & b) == poly.dim for a, b, _ in steps)
-        assert len(picks) > len(tried)
-
-    def test_a_rejected_candidate_pivots_to_the_simplex(self, monkeypatch):
-        # The greedy candidate of the first stage end lacks one facet of
-        # the simplex; its inscribed ellipsoid crosses that facet deepest,
-        # and the pivots reach the simplex without another stage. With the
-        # walk off the solve runs 7 stages to name it. The spread's guess
-        # names the simplex before any stage.
-        poly = barrier_only(synth_polytope(4, 0.7, 1000, 7))
-        ell, diag = solve_mvie_high_accuracy(poly)
-        finish = mvie._simplex_finish
-        monkeypatch.setattr(mvie, "_simplex_finish",
-                            lambda *args: (finish(*args)[0], None))
-        ref, ref_diag = solve_mvie_high_accuracy(poly)
-        assert diag.termination == ref_diag.termination == "simplex"
-        assert len(diag.stage_iterations) == 1
-        assert diag.pivots >= 1
-        assert ref_diag.pivots == 0
-        assert len(ref_diag.stage_iterations) > 1
-        assert_same_ellipsoid(ell, ref, 1e-12)
-        assert np.array_equal(diag.touching, ref_diag.touching)
-
     def test_the_walk_pivots_on_the_facet_that_cuts_deepest(
             self, monkeypatch):
-        # The most cutting facet over all K is the one the rejected
-        # candidate lacks, so the first walk reaches the simplex within
-        # its d+1 = 6 pivots. A walk that pivots on a facet cutting less
-        # deep stops one short, and the solve takes 58 steps.
+        # The most cutting facet over all K is the one the rejected guess
+        # lacks, so the guess's walk reaches the simplex within its d+1 =
+        # 6 pivots, before any Newton step; a walk that pivots on a facet
+        # cutting less deep stops one short. With the guess off the
+        # barrier names the same facets as touching.
         poly = synth_polytope(6, 0.6, 400, 1, 50)
         _, diag = solve_mvie_high_accuracy(poly)
         monkeypatch.setattr(mvie, "_simplex_candidate", lambda *args: None)
         _, ref_diag = solve_mvie_high_accuracy(poly)
         assert diag.termination == "simplex"
-        assert diag.iterations <= 8
+        assert diag.iterations == 0
         assert np.array_equal(diag.touching, ref_diag.touching)
-
-    @pytest.mark.parametrize("n,r,l,seed,snr", [
-        (4, 0.7, 1000, 7, math.inf), (4, 0.7, 1000, 0, 30.0),
-        (5, 0.7, 400, 2, 30.0), (6, 0.6, 400, 1, math.inf)])
-    def test_the_walk_swaps_one_facet_at_a_time(self, stage_walks, n, r, l,
-                                                seed, snr):
-        # At each stage end the finish is given the greedy pick, unless it
-        # was tried before, and at most d+1 pivots, each one facet away
-        # from the set given before it; no set is given twice. Solved
-        # without the spread, whose guess ends the noiseless solves before
-        # any stage end.
-        poly = barrier_only(synth_polytope(n, r, l, seed, m=50, snr=snr))
-        _, diag = solve_mvie_high_accuracy(poly)
-        walks = stage_walks()
-        tried = [key for _, sets in walks for key in sets]
-        steps = walk_steps(walks)
-        assert len(set(tried)) == len(tried)
-        seen = set()
-        for pick, sets in walks:
-            if pick is not None and pick not in seen:
-                assert sets[0] == pick
-            seen.update(sets)
-        assert all(len(a & b) == poly.dim for a, b, _ in steps)
-        per_end = [k for _, _, k in steps]
-        assert max(per_end.count(k) for k in per_end) <= poly.dim + 1
-        assert diag.pivots == len(steps) > 0
 
     def test_affine_simplices_in_r5_end_inscribed(self, monkeypatch):
         # A badly conditioned simplex (k = 34, cond(A) = 1472) defeats the
@@ -632,8 +555,8 @@ class TestSimplexFinish:
             a = rng.standard_normal((5, 5))
             polys.append(hull.enumerate_facets(pts @ a.T
                                                + rng.standard_normal(5)))
-        for finish in (True, False):
-            if not finish:
+        for guess in (True, False):
+            if not guess:
                 monkeypatch.setattr(mvie, "_simplex_candidate",
                                     lambda *args: None)
             for poly in polys:
@@ -645,18 +568,23 @@ class TestSimplexFinish:
         # Their MVIE, the unit incircle, touches every side, and no three
         # sides bound a triangle whose inscribed ellipse it is: that
         # triangle would be equilateral. Every third side of the hexagon
-        # does bound one, and the finish ends on it.
-        for k, end in [(4, "tol"), (5, "tol"), (6, "simplex"), (7, "tol"),
-                       (8, "tol")]:
-            poly = polygon(k)
-            ell, diag = solve_mvie_high_accuracy(poly)
-            assert diag.termination == end
-            assert diag.gap <= 1e-11
-            assert np.abs(ell.F - np.eye(2)).max() <= 1e-5
-            assert mvie.max_violation(ell, poly) <= 0.0
+        # does bound one. Built by hand the polygons have no spread, so
+        # every solve takes the path; built from their vertices, the
+        # spread's guess ends the hexagon's solve on that triangle.
+        for k in range(4, 9):
+            ang = np.pi * (2.0 * np.arange(k) + 1.0) / k
+            vertices = np.column_stack([np.cos(ang), np.sin(ang)])
+            hulled = hull.enumerate_facets(vertices / math.cos(math.pi / k))
+            for poly, end in [(polygon(k), "tol"),
+                              (hulled, "simplex" if k == 6 else "tol")]:
+                ell, diag = solve_mvie_high_accuracy(poly)
+                assert diag.termination == end
+                assert diag.gap <= 1e-11
+                assert np.abs(ell.F - np.eye(2)).max() <= 1e-5
+                assert mvie.max_violation(ell, poly) <= 0.0
 
     def test_stage_ends_below_the_last_place_of_f(self, monkeypatch):
-        # With the finish off this instance takes the full path. At
+        # With the guess off this instance takes the full path. At
         # t = 1e14 a step passes the decrement test whose Armijo decrease,
         # about 1.8e-16, lies below one unit in the last place of f;
         # stopped on the decrement alone, its line search rejected 18
@@ -696,13 +624,13 @@ def spread_and_barrier(n, r, l, seed, m, snr):
 
 def warm_starts(monkeypatch):
     """A list that gets, for each solve of a test whose guess was
-    rejected, the number of sets the guess's walk tried and the start
+    rejected, the number of sets the guess's walk rejected and the start
     _warm_start made of them (None for none)."""
     starts = []
     warm_start = mvie._warm_start
 
-    def recorded(d, tried, finishes):
-        starts.append((len(tried), warm_start(d, tried, finishes)))
+    def recorded(d, rejected):
+        starts.append((len(rejected), warm_start(d, rejected)))
         return starts[-1][1]
 
     monkeypatch.setattr(mvie, "_warm_start", recorded)
@@ -728,24 +656,28 @@ class TestSpreadStart:
     @staticmethod
     def assert_ends_where_the_barrier_does(case):
         """The solve of the instance ends where the barrier's without the
-        spread does: bit for bit when the spread's guess ends it, else on
-        the same touching facets and termination, its log det within
-        both certified gaps. Returns the Newton steps of both solves when
-        the barrier ran, None when the guess ended the solve."""
+        spread does: its log det within both certified gaps, on the same
+        touching facets and termination when the barrier ran, and when
+        the spread's guess ended it on an ellipsoid within 1e-6 of the
+        barrier's and on facets the barrier names as touching. Returns
+        the Newton steps of both solves when the barrier ran, None when
+        the guess ended the solve."""
         poly, (ell, diag), (ref, ref_diag) = spread_and_barrier(*case)
         assert mvie.max_violation(ell, poly) <= 0.0
         assert diag.gap <= 1e-11
-        assert diag.termination == ref_diag.termination
-        assert np.array_equal(diag.touching, ref_diag.touching)
+        assert (abs(diag.final_objective - ref_diag.final_objective)
+                <= diag.gap + ref_diag.gap)
+        # "simplex" means the guess ended the solve, and nothing else
+        assert ((diag.termination == "simplex") == (diag.rounds == 0)
+                == (diag.iterations == 0))
         if case[-1] == math.inf:
             assert diag.rounds == 0
         if diag.rounds > 0:
-            assert (abs(diag.final_objective - ref_diag.final_objective)
-                    <= diag.gap + ref_diag.gap)
+            assert diag.termination == ref_diag.termination
+            assert np.array_equal(diag.touching, ref_diag.touching)
             return diag.iterations, ref_diag.iterations
-        assert np.array_equal(ell.F, ref.F)
-        assert np.array_equal(ell.c, ref.c)
-        assert diag.termination == "simplex"
+        assert set(diag.touching) <= set(ref_diag.touching)
+        assert_same_ellipsoid(ell, ref, 1e-6)
         assert diag.iterations == diag.evaluations == 0
         assert diag.kept_facets == 0
         assert diag.stage_iterations == []
@@ -834,45 +766,18 @@ class TestSpreadStart:
             assert getattr(diag, name) == getattr(ref_diag, name), name
         assert diag.pivots == ref_diag.pivots + guessed - 1
 
-    @pytest.mark.parametrize("seed", [2, 3])
-    def test_the_barrier_reuses_the_finishes_the_guess_took(
-            self, seed, finish_calls, monkeypatch):
-        # Here the barrier's walks reach sets the guess's walk rejected.
-        # Their finishes are not taken again: no set reaches
-        # _simplex_finish twice
-        visits = []
-        walk = mvie._walk
-
-        def recorded(g, h, simplex, tried, finishes):
-            before = set(tried)
-            out = walk(g, h, simplex, tried, finishes)
-            visits.append(set(tried) - before)
-            return out
-
-        monkeypatch.setattr(mvie, "_walk", recorded)
-        poly = synth_polytope(4, 0.7, 1000, seed, m=50, snr=30.0)
-        ell, diag = solve_mvie_high_accuracy(poly)
-        finished = [tuple(args[2]) for args, _ in finish_calls]
-        guessed = visits[0]
-        assert diag.termination == "tol"
-        assert len(set(finished)) == len(finished)
-        assert set(finished) == set().union(*visits)
-        assert any(guessed & later for later in visits[1:])
-        assert mvie.max_violation(ell, poly) <= 0.0
-
-    def test_the_guess_walks_one_facet_at_a_time(self, stage_walks):
+    def test_the_guess_walks_one_facet_at_a_time(self, guess_walk):
         # The guess lacks facets of the simplex; the walk swaps them in,
-        # one per pivot, before any Newton step
+        # one per pivot, before any Newton step, and no set twice
         poly = synth_polytope(6, 0.6, 400, 1, m=50)
         _, diag = solve_mvie_high_accuracy(poly)
-        walks = stage_walks()
-        steps = walk_steps(walks)
-        assert len(walks) == 1
-        assert walks[0][1][0] == walks[0][0]
+        guess, sets = guess_walk()
+        assert sets[0] == guess
+        assert len(set(sets)) == len(sets)
         assert diag.iterations == 0
-        assert all(len(a & b) == poly.dim for a, b, _ in steps)
-        assert diag.pivots == len(steps)
-        assert 0 < len(steps) <= poly.dim + 1
+        assert all(len(a & b) == poly.dim for a, b in zip(sets, sets[1:]))
+        assert diag.pivots == len(sets) - 1
+        assert 0 < diag.pivots <= poly.dim + 1
 
 
 def sym_basis(d):

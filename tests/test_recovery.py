@@ -374,6 +374,19 @@ class TestPipeline:
             john = check_john(rep.ellipsoid, rep.contacts_reduced)
             assert john.residual <= 1e-9
 
+    def test_near_threshold_instance_ends_on_the_path(self):
+        # Just above the purity threshold 1/sqrt(2) the spread's guess is
+        # rejected, and the barrier runs to its gap bound (29 steps) on
+        # the 3 facets of the simplex: no stage end tries a simplex
+        gt = synth.make_instance(20, 3, 1000, 1 / math.sqrt(2) + 0.01,
+                                 math.inf, 3)
+        rep = run_pipeline(gt.X, 3)
+        assert rep.solver.termination == "tol"
+        assert rep.solver.touching.size == 3
+        assert metrics.rms_angle_error(gt.A, rep.A_hat)[0] <= 1e-3
+        assert rep.max_violation <= 0.0
+        assert rep.solver.gap <= 1e-11
+
     @pytest.mark.parametrize("n,l,seed", [
         *((n, 1000, seed) for n in (4, 5) for seed in range(4)),
         *((n, 400, seed) for n in (6, 7) for seed in range(2))])

@@ -1,4 +1,4 @@
-"""The sweep scripts run end to end on a tiny grid."""
+"""The scripts run end to end on tiny inputs."""
 
 import os
 import subprocess
@@ -38,3 +38,26 @@ def test_noise_sweep_rejects_n_below_3(tmp_path):
     assert "Traceback" not in proc.stderr
     assert "error: --N must be at least 3" in proc.stderr.splitlines()[-1]
     assert not (tmp_path / "out").exists()
+
+
+def test_src_lines_counts_code_apart_from_docstrings(tmp_path):
+    # 9 lines: a docstring over two lines, a blank, a comment, a
+    # statement over two lines, and a function whose docstring stands
+    # alone; the statement, the def and the return are the 4 code lines
+    (tmp_path / "mod.py").write_text(
+        '"""A module\n'
+        'docstring."""\n'
+        "\n"
+        "# a comment\n"
+        "x = (1 +\n"
+        "     2)\n"
+        "def f():\n"
+        '    """Its docstring."""\n'
+        "    return 'not a docstring'  # trailing comment\n")
+    proc = subprocess.run(
+        [sys.executable, os.path.join(ROOT, "scripts", "src_lines.py"),
+         str(tmp_path)], capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    rows = [line.split() for line in proc.stdout.splitlines()]
+    assert rows[0] == ["module", "lines", "code"]
+    assert rows[1:] == [["mod.py", "9", "4"], ["total", "9", "4"]]
