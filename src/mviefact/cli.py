@@ -27,7 +27,11 @@ File formats (owned here):
                  K (facets), affine_residual, noise_sigma (null with no
                  discarded singular value), diagnostics, timings (seconds
                  per stage); phi_deg and permutation with --truth, S_hat
-                 (N x L) with --emit-shat.
+                 (N x L) with --emit-shat. contacts_reduced (N x (N-1))
+                 is in the reduced coordinates of dimred.affine_fit(X)'s
+                 chart, and final_objective is -log det F of the
+                 ellipsoid in them; A_hat, the ambient fields,
+                 affine_residual and noise_sigma are in X's units.
                  diagnostics: the SolveDiagnostics fields listed in
                  _SOLVE_FIGURES (iterations, final_objective, termination,
                  stage_iterations, evaluations, kept_facets, rounds, gap,

@@ -16,6 +16,11 @@ singular vectors and no L x M factor are formed. affine_fit centres a
 copy of X and leaves X as it was; it returns the chart together with
 the data in the chart's reduced coordinates, Phi^T (X - b), which its
 residual needs anyway.
+
+Each function here that squares the data works on it divided by 2^k,
+k = binary_exponent of the data, and scales its results back: no
+square overflows or underflows, and the results for 2^j X are 2^j
+times those for X, bit for bit.
 """
 
 from __future__ import annotations
@@ -28,7 +33,7 @@ import numpy as np
 from scipy.linalg.lapack import dgeqrf, dgesdd, dorgqr
 
 from .errors import BadDims, ConvergenceFailure, DimMismatch, RankDeficientData
-from .numerics import as_matrix
+from .numerics import as_matrix, binary_exponent
 
 __all__ = [
     "AffineChart",
@@ -53,6 +58,11 @@ def affine_fit(x: np.ndarray, n: int) -> tuple[AffineChart, np.ndarray]:
     """Fit the (N-1)-dimensional affine hull of the data columns, and map
     the data into the fitted chart: returns the chart and the reduced
     points Phi^T C, C the centered data. x is not modified.
+
+    Its one data-sized copy is x / 2^e, e = binary_exponent(x), centred
+    in place; the fit runs on it, and b, the reduced points, the
+    residual and sigma are scaled back by 2^e into x's units. So Phi is
+    the same, and the rest 2^j times as large, bit for bit, for 2^j x.
 
     b is the column mean and Phi holds the top N-1 left singular
     vectors of C, up to sign: the Ritz vectors of one Rayleigh-Ritz step
@@ -84,8 +94,10 @@ def affine_fit(x: np.ndarray, n: int) -> tuple[AffineChart, np.ndarray]:
         raise BadDims(f"need M >= N-1, got M={m}, N={n}")
     if n < 2:
         raise BadDims("need N >= 2 for a nontrivial affine fit")
-    b = x.mean(axis=1)
-    centered = x - b[:, None]
+    e = binary_exponent(x)
+    centered = np.ldexp(x, -e)
+    b = centered.mean(axis=1)
+    centered -= b[:, None]
     p = min(n, m)
     try:
         v = np.linalg.eigh(centered @ centered.T)[1][:, :-p - 1:-1]
@@ -113,20 +125,24 @@ def affine_fit(x: np.ndarray, n: int) -> tuple[AffineChart, np.ndarray]:
                 (off2 + np.einsum("ij,ij->j", reduced, reduced)).max())),
                 1e-300)):
         warnings.warn(
-            f"affine fit residual {res:.3e} exceeds 1e-8 relative and the "
-            "first discarded direction stands above the noise; the data "
-            f"may hold more than N={n} signatures",
+            f"affine fit residual {math.ldexp(res, e):.3e} exceeds 1e-8 "
+            "relative and the first discarded direction stands above the "
+            f"noise; the data may hold more than N={n} signatures",
             stacklevel=2)
-    return (AffineChart(Phi=phi, b=b, residual=res,
-                        noise_sigma=math.sqrt(sigma2)), reduced)
+    chart = AffineChart(phi, np.ldexp(b, e), math.ldexp(res, e),
+                        math.ldexp(math.sqrt(sigma2), e))
+    return chart, np.ldexp(reduced, e)
 
 
 def fit_residual(chart: AffineChart, x: np.ndarray) -> float:
-    """Largest distance of any column from the chart's affine set."""
+    """Largest distance of any column from the chart's affine set, taken
+    on x / 2^k and b / 2^k, k = binary_exponent(x), and scaled back; for
+    the data the chart was fitted to it is the chart's residual."""
     x = as_matrix(x, "data")
-    centered = x - chart.b[:, None]
-    return math.sqrt(float(
-        _offsets_squared(centered, chart.Phi, chart.Phi.T @ centered).max()))
+    k = binary_exponent(x)
+    centered = np.ldexp(x, -k) - np.ldexp(chart.b, -k)[:, None]
+    off2 = _offsets_squared(centered, chart.Phi, chart.Phi.T @ centered)
+    return math.ldexp(math.sqrt(float(off2.max())), k)
 
 
 def _offsets_squared(centered: np.ndarray, phi: np.ndarray,

@@ -30,7 +30,7 @@ import numpy as np
 from scipy.spatial import ConvexHull, QhullError
 
 from .errors import DegenerateInput, TooFewPoints
-from .numerics import as_matrix
+from .numerics import as_matrix, binary_exponent
 
 __all__ = ["HPolytope", "enumerate_facets"]
 
@@ -69,7 +69,7 @@ def enumerate_facets(points) -> HPolytope:
     if l < d + 1:
         raise TooFewPoints(f"need at least d+1={d + 1} points, got {l}")
     # A power of two scales exactly, so pts / 2^k keeps every bit.
-    k = int(np.frexp(max(pts.max(), -pts.min()))[1])
+    k = binary_exponent(pts)
     pts = np.ldexp(pts, -k)
 
     span = pts.max(axis=0) - pts.min(axis=0)

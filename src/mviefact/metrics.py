@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimMismatch, ZeroColumn
-from .numerics import as_matrix
+from .numerics import as_matrix, binary_exponent
 
 __all__ = ["TrialResult", "rms_angle_error", "snr_of"]
 
@@ -85,10 +85,8 @@ def snr_of(x_clean, w_noise) -> float:
     w = as_matrix(w_noise, "W_noise")
     if x.shape != w.shape:
         raise DimMismatch(f"shape mismatch: {x.shape} vs {w.shape}")
-    k = int(np.frexp(max(np.abs(x).max(initial=0.0),
-                         np.abs(w).max(initial=0.0)))[1])
-    x = np.ldexp(x, -k)
-    w = np.ldexp(w, -k)
+    k = binary_exponent(x, w)
+    x, w = np.ldexp(x, -k), np.ldexp(w, -k)
     noise = float(np.sum(w * w))
     if noise == 0.0:
         return math.inf

@@ -64,7 +64,7 @@ from .errors import (
     TooFewContacts,
 )
 from .hull import HPolytope
-from .numerics import as_matrix, as_vector, eig_sym
+from .numerics import as_matrix, as_vector, binary_exponent, eig_sym
 
 __all__ = [
     "Ellipsoid",
@@ -1003,10 +1003,14 @@ def max_violation(ellipsoid: Ellipsoid, poly: HPolytope) -> float:
     by the largest facet distance max_i (h_i - g_i . c) from the centre.
 
     Not positive for an inscribed ellipsoid; free of the data's units.
+    Taken on F / 2^k and the facet distances / 2^k, k =
+    binary_exponent(F), so no square in the norms overflows or
+    underflows, and the same bits come out for the polytope and
+    ellipsoid scaled by 2^j.
     """
-    g, h = poly.normals, poly.offsets
-    depth = h - g @ ellipsoid.c
-    excess = np.linalg.norm(g @ ellipsoid.F, axis=1) - depth
+    g, k = poly.normals, binary_exponent(ellipsoid.F)
+    depth = np.ldexp(poly.offsets - g @ ellipsoid.c, -k)
+    excess = np.linalg.norm(g @ np.ldexp(ellipsoid.F, -k), axis=1) - depth
     return float(excess.max() / depth.max())
 
 

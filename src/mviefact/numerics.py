@@ -3,7 +3,9 @@
 Matrices throughout the package are plain float64 ``numpy.ndarray``
 objects in row-major layout; every public operation validates shape and
 finiteness on entry. This module provides the shared primitives: a
-symmetric eigendecomposition and the package-wide random generator.
+symmetric eigendecomposition, the binary exponent by which a function
+scales its data to entries below 1 in magnitude, and the package-wide
+random generator.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ __all__ = [
     "EigSymResult",
     "as_matrix",
     "as_vector",
+    "binary_exponent",
     "eig_sym",
     "rng_from_seed",
 ]
@@ -41,6 +44,18 @@ def as_matrix(a, name: str = "matrix") -> np.ndarray:
             and math.isfinite(a.min(initial=0.0))):
         raise NotFinite(f"{name} contains NaN or Inf")
     return a
+
+
+def binary_exponent(*arrays) -> int:
+    """The k with |a_ij| < 2^k for every entry of the given arrays, from
+    one max and one min of each: 0 when all are empty or zero, and no
+    bound when one holds a NaN or an infinity.
+
+    Dividing by 2^k is exact, so a function that squares or inverts its
+    data scales it by 2^-k, where nothing overflows or underflows, and
+    its answer for 2^j a has the bits of its answer for a."""
+    peak = max(max(a.max(initial=0.0), -a.min(initial=0.0)) for a in arrays)
+    return int(np.frexp(peak)[1])
 
 
 def as_vector(v, name: str = "vector") -> np.ndarray:

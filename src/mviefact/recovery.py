@@ -33,7 +33,7 @@ from .errors import (
     TooFewContacts,
     WrongCount,
 )
-from .numerics import as_matrix
+from .numerics import as_matrix, binary_exponent
 
 __all__ = [
     "RecoveryReport",
@@ -57,6 +57,13 @@ _MAX_ROUNDS = 1000
 
 @dataclass
 class RecoveryReport:
+    """What run_pipeline found. contacts_reduced and ellipsoid are in the
+    reduced coordinates of dimred.affine_fit(X)'s chart, where the hull
+    was enumerated, and the solver's final_objective and objective_trace
+    are -log det F there; A_hat, the ambient fields, the affine residual
+    and noise_sigma are in X's units. S_hat, max_violation and the
+    solver's other figures are free of units."""
+
     A_hat: np.ndarray                     # M x N estimated signatures
     contacts_reduced: np.ndarray          # N x (N-1), one row per contact
     contacts_ambient: np.ndarray          # N x M
@@ -75,9 +82,13 @@ class RecoveryReport:
 def find_contacts(f: np.ndarray, c: np.ndarray,
                   normals: np.ndarray) -> np.ndarray:
     """Tangency points f (f g / ||f g||) + c of the ellipsoid (f, c), its
-    farthest points along the given facet normals g, one row each."""
+    farthest points along the given facet normals g, one row each. The
+    directions f g / ||f g|| are taken with f / 2^k, k =
+    binary_exponent(f), so that no square in the norm overflows or
+    underflows, and the same bits come out for 2^j f."""
     f = as_matrix(f, "F")
-    fg = normals @ f.T              # row i = (f g_i)^T, f symmetric
+    # row i = (f g_i)^T / 2^k, f symmetric
+    fg = normals @ np.ldexp(f, -binary_exponent(f)).T
     return fg / np.linalg.norm(fg, axis=1, keepdims=True) @ f.T + c
 
 
@@ -92,13 +103,18 @@ def consolidate_contacts(candidates, n: int) -> np.ndarray:
     distinct candidates pass through unchanged. When every group is
     narrower than the gap between groups, the groups are exactly those
     (notes/decisions.md). Raises TooFewContacts when there are fewer
-    than N distinct candidates.
+    than N distinct candidates. The distances are taken on the
+    candidates / 2^k, k their binary_exponent, and the means scaled
+    back, so no square overflows or underflows and the contacts of 2^j
+    times the candidates are 2^j times theirs, bit for bit.
     """
     pts = np.atleast_2d(np.asarray(candidates, dtype=float))
     if pts.shape[0] < n:
         raise TooFewContacts(
             f"only {pts.shape[0]} contact candidates for N={n}; "
             "the ellipsoid touches too few facets of the data hull")
+    k = binary_exponent(pts)
+    pts = np.ldexp(pts, -k)
     start = np.linalg.norm(pts - pts.mean(axis=0), axis=1).argmax()
     gap = np.linalg.norm(pts - pts[start], axis=1)   # to the nearest pick
     label = np.zeros(pts.shape[0], dtype=int)
@@ -112,8 +128,8 @@ def consolidate_contacts(candidates, n: int) -> np.ndarray:
         label[closer] = j
         gap[closer] = dist[closer]
     _, first = np.unique(label, return_index=True)
-    return np.array([pts[label == label[i]].mean(axis=0)
-                     for i in np.sort(first)])
+    return np.ldexp([pts[label == label[i]].mean(axis=0)
+                     for i in np.sort(first)], k)
 
 
 def reconstruct_endmembers(contacts_ambient) -> np.ndarray:
@@ -150,17 +166,22 @@ def recover_abundances(x: np.ndarray, a_hat: np.ndarray) -> np.ndarray:
     negative bound multiplier, or stops when there is none. Every step
     is taken pixel by pixel, so no pixel's bits depend on the others.
 
-    The multiplier test is relative to lambda_max(G) and |b|, so
-    recover_abundances(k x, k A_hat) is recover_abundances(x, A_hat)
-    for any k > 0. Raises RankDeficientA when lambda_min(G) is at most
-    1e-10 lambda_max(G), and ConvergenceFailure should the working sets
-    cycle past _MAX_ROUNDS, the first round counted.
+    x and A_hat are both divided by 2^k, k = binary_exponent(x), before
+    G and b are formed, so neither overflows nor underflows, and the
+    multiplier test is relative to lambda_max(G) and |b|. So
+    recover_abundances(s x, s A_hat) is recover_abundances(x, A_hat)
+    for any s > 0, within rounding, and bit for bit where s is a power
+    of two. Raises RankDeficientA when lambda_min(G) is at most 1e-10
+    lambda_max(G), and ConvergenceFailure should the working sets cycle
+    past _MAX_ROUNDS, the first round counted.
     """
     x = as_matrix(x, "X")
     a = as_matrix(a_hat, "A_hat")
     if a.shape[0] != x.shape[0]:
         raise WrongCount(
             f"A_hat has {a.shape[0]} rows, X has {x.shape[0]}")
+    k = binary_exponent(x)
+    x, a = np.ldexp(x, -k), np.ldexp(a, -k)
     n, l = a.shape[1], x.shape[1]
     gram = a.T @ a
     lam = np.linalg.eigvalsh(gram)           # ascending
@@ -268,23 +289,19 @@ def run_pipeline(x: np.ndarray, n: int,
     ``timings``, and a package error raised in a stage carries its name
     in ``exc.stage``. No step draws random numbers.
 
-    X is scaled once, to X / 2^k, k the binary exponent of max|X|, and
-    the fit and the abundances both work on that copy, so every stage
-    sees entries below 1 in magnitude and none overflows or underflows.
-    Scaling by a power of two is exact: A_hat, the ambient contacts and
-    centre, the affine residual and the noise estimate are scaled back
-    by 2^k, and the answer for 2^j X is 2^j times the answer for X, bit
-    for bit. The reduced-space results, the contacts and the ellipsoid,
-    stay in the reduced coordinates of X / 2^k, where the hull was
-    enumerated.
+    Every stage is free of the units of X. Each function that squares
+    or inverts data divides it by a power of two of its own and scales
+    its results back, which is exact, and the solve divides the polytope
+    by its interior point's smallest facet distance. So the answer for
+    2^j X is 2^j times the answer for X, bit for bit, S_hat and the
+    solve's unit-free figures are the same, and no stage overflows or
+    underflows. The reduced-space results, the contacts and the
+    ellipsoid, are in the reduced coordinates of affine_fit(X)'s chart,
+    where the hull was enumerated.
     """
     timings: dict[str, float] = {}
 
     with _stage("dimred", timings):
-        x = np.asarray(x, dtype=float)
-        # a NaN or infinite max gives k = 0; affine_fit then rejects X
-        k = int(np.frexp(max(x.max(initial=0.0), -x.min(initial=0.0)))[1])
-        x = np.ldexp(x, -k)
         chart, reduced = dimred.affine_fit(x, n)
 
     with _stage("hull", timings):
@@ -301,18 +318,17 @@ def run_pipeline(x: np.ndarray, n: int,
         s_hat = recover_abundances(x, a_hat) if want_abundances else None
 
     return RecoveryReport(
-        A_hat=np.ldexp(a_hat, k),
+        A_hat=a_hat,
         contacts_reduced=merged,
-        contacts_ambient=np.ldexp(ambient, k),
+        contacts_ambient=ambient,
         raw_contact_count=raw.shape[0],
-        center_ambient=np.ldexp(
-            dimred.lift_points(ell.c[:, None], chart)[:, 0], k),
+        center_ambient=dimred.lift_points(ell.c[:, None], chart)[:, 0],
         ellipsoid=ell,
         S_hat=s_hat,
         n_facets=poly.n_facets,
         solver=diag,
         timings=timings,
-        affine_residual=math.ldexp(chart.residual, k),
-        noise_sigma=math.ldexp(chart.noise_sigma, k),
+        affine_residual=chart.residual,
+        noise_sigma=chart.noise_sigma,
         max_violation=mvie.max_violation(ell, poly),
     )

@@ -155,6 +155,31 @@ class TestAffineFit:
         assert np.abs(chart.Phi @ reduced
                       - (gt.X - chart.b[:, None])).max() <= 1e-12
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:affine fit residual")
+    @pytest.mark.parametrize("s", [2.0 ** 600, 2.0 ** -600, 1e200, 1e-200,
+                                   1e300, 1e-300],
+                             ids=["2^600", "2^-600", "1e200", "1e-200",
+                                  "1e300", "1e-300"])
+    def test_fit_follows_the_units_of_x(self, s):
+        # the fit squares X / 2^k, not X, whose squares overflow or
+        # underflow at these scales: Phi is the unit-scale one, and b,
+        # the residual and sigma are s times theirs, bit for bit where s
+        # is a power of two
+        x = synth.make_instance(50, 4, 1000, 0.7, 30.0, 0).X
+        base, _ = dimred.affine_fit(x, 4)
+        chart, _ = dimred.affine_fit(s * x, 4)
+        assert (np.abs(chart.Phi @ chart.Phi.T - base.Phi @ base.Phi.T).max()
+                <= 1e-15)
+        for got, unit in ((chart.b, base.b), (chart.residual, base.residual),
+                          (chart.noise_sigma, base.noise_sigma)):
+            want = s * np.asarray(unit)
+            if math.frexp(s)[0] == 0.5:
+                assert np.array_equal(got, want)
+            else:
+                assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+        assert dimred.fit_residual(chart, s * x) == chart.residual
+
     def test_warning_points_at_the_caller(self):
         gt = synth.make_instance(50, 4, 1000, 0.7, 30.0, 0)
         with pytest.warns(UserWarning, match="affine fit residual") as rec:

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -162,7 +163,7 @@ class TestRecoverAbundances:
         # test to a relative threshold
         gt = synth.make_instance(50, 4, 1000, 0.7, 30.0, seed=0)
         base = recover_abundances(gt.X, gt.A)
-        for s in (1e-6, 1e-4, 1e-2, 1e2, 1e4):
+        for s in (1e-300, 1e-200, 1e-6, 1e-4, 1e-2, 1e2, 1e4, 1e200, 1e300):
             s_hat = recover_abundances(s * gt.X, s * gt.A)
             assert np.abs(s_hat - base).max() <= 1e-9
 
@@ -397,13 +398,44 @@ class TestPipeline:
         r = 0.6 if n in (5, 6) else 1 / math.sqrt(n - 1) + 0.1
         x = synth.make_instance(50, n, l, r, math.inf, seed).X
         ell = run_pipeline(x, n).ellipsoid
-        k = int(np.frexp(x.max())[1])
-        _, reduced = dimred.affine_fit(np.ldexp(x, -k), n)
+        _, reduced = dimred.affine_fit(x, n)
         eq = ConvexHull(reduced.T).equations
         g, h = eq[:, :-1], -eq[:, -1]
         depth = h - g @ ell.c
         excess = np.linalg.norm(g @ ell.F, axis=1) - depth
         assert excess.max() / depth.max() <= 0.0
+
+    @pytest.mark.parametrize("s", [1e4, 2.0 ** -40], ids=["1e4", "2^-40"])
+    def test_report_is_in_the_chart_of_the_fit(self, s):
+        # contacts_reduced and the ellipsoid are in the reduced
+        # coordinates of affine_fit(X)'s own chart, whatever the units of
+        # X: through it the contacts lift to the ambient ones, and the
+        # ellipsoid lies inside the hull of its reduced points as they are
+        x = s * synth.make_instance(50, 4, 1000, 0.7, math.inf, 0).X
+        rep = run_pipeline(x, 4)
+        chart, reduced = dimred.affine_fit(x, 4)
+        lifted = dimred.lift_points(rep.contacts_reduced.T, chart).T
+        assert (np.abs(lifted - rep.contacts_ambient).max()
+                <= 1e-12 * np.abs(rep.contacts_ambient).max())
+        eq = ConvexHull(reduced.T).equations
+        g, h = eq[:, :-1], -eq[:, -1]
+        depth = h - g @ rep.ellipsoid.c
+        excess = np.linalg.norm(g @ rep.ellipsoid.F, axis=1) - depth
+        assert excess.max() / depth.max() <= 0.0
+
+    @pytest.mark.parametrize("want_abundances", [False, True])
+    def test_peak_memory_beyond_x(self, want_abundances):
+        # the fit's one copy of X / 2^k, centred in place, and its
+        # residual buffer: about 2.16 X of numpy's allocations here, and
+        # 3.16 X with a second scaled copy of X kept through the call
+        x = synth.make_instance(50, 4, 20000, 0.7, 30.0, 0).X
+        tracemalloc.start()
+        try:
+            run_pipeline(x, 4, want_abundances=want_abundances)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * x.nbytes
 
     @pytest.mark.filterwarnings("ignore:affine fit residual")
     @pytest.mark.parametrize("n,r", [(4, 0.7), (3, 0.85)])

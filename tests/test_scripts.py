@@ -9,14 +9,20 @@ import pytest
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
-def run_script(script, args, out):
+def script_env():
+    """The environment with the package's source on the path, BLAS on
+    one thread."""
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [os.path.join(ROOT, "src"), env.get("PYTHONPATH")]))
+    return env
+
+
+def run_script(script, args, out):
     return subprocess.run(
         [sys.executable, os.path.join(ROOT, "scripts", script), *args,
          "--trials", "1", "--M", "20", "--L", "150", "--out", str(out)],
-        env=env, capture_output=True, text=True, timeout=120)
+        env=script_env(), capture_output=True, text=True, timeout=120)
 
 
 @pytest.mark.parametrize("script,args", [
@@ -61,3 +67,16 @@ def test_src_lines_counts_code_apart_from_docstrings(tmp_path):
     rows = [line.split() for line in proc.stdout.splitlines()]
     assert rows[0] == ["module", "lines", "code"]
     assert rows[1:] == [["mod.py", "9", "4"], ["total", "9", "4"]]
+
+
+def test_fit_scale_prints_the_fit_time_and_peak():
+    proc = subprocess.run(
+        [sys.executable, os.path.join(ROOT, "scripts", "fit_scale.py"),
+         "--M", "20", "--L", "500", "--repeats", "2"],
+        env=script_env(), capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[0].startswith("M=20 L=500 N=4")
+    assert lines[1].startswith("dimred stage: median")
+    assert [line.split(":")[0] for line in lines[2:]] == [
+        "peak beyond X, abundances False", "peak beyond X, abundances True"]
