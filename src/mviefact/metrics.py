@@ -76,7 +76,8 @@ def snr_of(x_clean, w_noise) -> float:
     """Realized signal-to-noise ratio in dB: ||X||^2 / ||W||^2.
 
     Matches the generator's definition with the empirical noise second
-    moment in place of the nominal variance. Returns +inf for zero noise.
+    moment in place of the nominal variance. Returns +inf for zero noise
+    and -inf for a zero signal with nonzero noise.
     Both are divided by one power of two, from the larger peak, before
     they are squared, so the ratio neither overflows nor underflows at
     any scale and snr_of(2^j x, 2^j w) is snr_of(x, w).
@@ -91,4 +92,6 @@ def snr_of(x_clean, w_noise) -> float:
     if noise == 0.0:
         return math.inf
     signal = float(np.sum(x * x))
+    if signal == 0.0:
+        return -math.inf
     return 10.0 * math.log10(signal / noise)

@@ -19,7 +19,8 @@ polytope (Zhang & Gao, SIAM J. Optim. 14(1), 2003). It keeps a few
 dozen of the thousands of facets of a data hull and names the touched ones.
 Before any Newton step it guesses d+1 facets from the spread of the
 points (``HPolytope.spread``), in whose metric the facets nearest the
-interior point are those of the latent simplex. When the simplex they
+interior point are those of the latent simplex, by d+1 masked argmins
+over the K facets' distances in that metric. When the simplex they
 bound has an inscribed ellipsoid, known in closed form, certified to lie
 inside the polytope, the solve ends on it: on noiseless data the MVIE
 touches the hull at exactly N = d+1 points (the paper's recovery
@@ -221,7 +222,9 @@ def solve_mvie(poly: HPolytope, cfg: FpgmConfig | None = None
     """Run the accelerated proximal gradient solver on one polytope.
 
     Starts from y = poly.interior, W = 0.9 r0 I, r0 = min_i (h_i - g_i .
-    y); raises EmptyInterior unless r0 > 0, as the Newton solve does.
+    y). As the Newton solve does, it raises EmptyInterior unless r0 > 0,
+    and Divergence when a ray from y along one of that solve's seed
+    directions leaves through no facet: the polytope is then unbounded.
     Returns the inscribed ellipsoid (F = W symmetric with smallest
     eigenvalue >= eps, center c = y) and per-iteration diagnostics. The
     recorded composite objective is non-increasing: whenever the
@@ -231,10 +234,12 @@ def solve_mvie(poly: HPolytope, cfg: FpgmConfig | None = None
     cfg = cfg or FpgmConfig()
     g, h = poly.normals, poly.offsets
     y = poly.interior.astype(float)
-    slack = float((h - g @ y).min())
+    depth = h - g @ y
+    slack = float(depth.min())
     if not slack > 0.0:
         raise EmptyInterior(
             f"no strictly feasible center found (best slack {slack:.3e})")
+    _exits(g, depth / slack, _seed_rays(poly.dim))
     w = 0.9 * slack * np.eye(poly.dim)
     trace = [composite_objective(w, y, poly, cfg)]
     backtracks: list[int] = []
@@ -411,23 +416,29 @@ def _exit_facets(g: np.ndarray, h: np.ndarray, rays: np.ndarray
     return hit
 
 
+def _exits(g: np.ndarray, h: np.ndarray, rays: np.ndarray) -> np.ndarray:
+    """_exit_facets of rays that must leave {x : g_i . x <= h_i} (h > 0):
+    raises Divergence when one leaves through no facet, for the polytope
+    then contains it. Both solves call it on the seed rays before any
+    step, so neither iterates on a polytope a seed ray proves unbounded."""
+    hit = _exit_facets(g, h, rays)
+    if (hit < 0).any():
+        raise Divergence("a ray from the interior point leaves through no "
+                         "facet; the polytope is unbounded")
+    return hit
+
+
 def _spanning(g: np.ndarray, h: np.ndarray, kept: np.ndarray) -> np.ndarray:
     """Grow kept until its normals span R^d: while they leave a subspace
     free, add the facets where the rays from the origin along +-v leave
-    the polytope, for a basis v of that subspace. Raises Divergence when
-    a ray never leaves, for the polytope then contains it."""
+    the polytope, for a basis v of that subspace (``_exits``)."""
     d = g.shape[1]
     while True:
         lam, vec = np.linalg.eigh(g[kept].T @ g[kept])
         free = vec[:, lam <= d * np.finfo(float).eps * lam[-1]].T
         if not free.size:
             return kept
-        hit = _exit_facets(g, h, np.vstack([free, -free]))
-        if (hit < 0).any():
-            raise Divergence("no facet bounds the polytope along a "
-                             "direction its kept facets leave free; the "
-                             "polytope is unbounded")
-        kept = np.union1d(kept, hit)
+        kept = np.union1d(kept, _exits(g, h, np.vstack([free, -free])))
 
 
 def _step_bound(gt: np.ndarray, gg: np.ndarray, delta: np.ndarray,
@@ -518,43 +529,40 @@ def _touching(q: np.ndarray, delta: np.ndarray, t: float, d: int
     return order[:d + 1 + (int(drop.argmax()) if drop.size else 0)]
 
 
-def _simplex_candidate(r: np.ndarray, gt: np.ndarray, top: np.ndarray
+def _simplex_candidate(rg: np.ndarray, dist: np.ndarray
                        ) -> np.ndarray | None:
-    """Of the positions top (columns of gt, the preferred first), the
-    first d+1 whose directions u_i = R g_i / ||R g_i|| meet every one
-    taken before at a negative inner product, ascending, or None when
-    fewer qualify. Each pick takes one product with the columns, so top
-    may hold all K facets. The contact directions of a simplex's
-    inscribed ellipsoid meet pairwise at -1/d; neighbouring hull facets
-    at one contact, at about +1. u_i . u_j has the sign of (R g_i) .
-    (R g_j)."""
-    d = r.shape[0]
-    ut = r.dot(gt.take(top, axis=1))
-    ok = np.ones(top.size, dtype=bool)
+    """Of the facets whose directions are the rows of rg and whose
+    distances are dist, d+1 picked by masked argmins, ascending, or None
+    when fewer qualify: the nearest, then each time the nearest whose
+    direction meets every one picked before at a negative inner product,
+    ties going to the lower index. These are the first d+1 that qualify
+    in the stable ascending order of dist, found with no sort of the K
+    facets. The contact
+    directions of a simplex's inscribed ellipsoid meet pairwise at -1/d;
+    neighbouring hull facets at one contact, at about +1."""
+    left = dist.copy()
     pick = []
-    while len(pick) <= d:
-        j = int(ok.argmax())              # the first left in top
-        if not ok[j]:
+    while len(pick) <= rg.shape[1]:
+        j = left.argmin()
+        if left[j] == math.inf:
             return None
         pick.append(j)
-        ok &= ut[:, j].dot(ut) < 0.0
-    return np.sort(top[pick])
+        left[rg.dot(rg[j]) >= 0.0] = math.inf
+    return np.sort(pick)
 
 
 def _spread_candidate(spread: np.ndarray, g: np.ndarray, h: np.ndarray
                       ) -> np.ndarray | None:
     """The simplex guessed from the points' spread: for R^T R = spread,
-    the greedy pick of _simplex_candidate over all K facets of
-    {x : g_i . x <= h_i} by ascending h_i / ||R g_i||, their distance from
-    the origin in the metric of the spread, with directions R g_i; None
+    the pick of _simplex_candidate from the K facets of
+    {x : g_i . x <= h_i}, with directions R g_i and distances
+    h_i / ||R g_i||, from the origin in the metric of the spread; None
     when spread has no Cholesky factor or the pick finds no candidate."""
     r, info = dpotrf(spread)
     if info:
         return None
     rg = g.dot(r.T)                       # rows R g_i
-    order = np.argsort(h / np.sqrt(np.einsum("ij,ij->i", rg, rg)),
-                       kind="stable")
-    return _simplex_candidate(r, g.T, order)
+    return _simplex_candidate(rg, h / np.sqrt(np.einsum("ij,ij->i", rg, rg)))
 
 
 def _simplex_finish(g: np.ndarray, h: np.ndarray, idx: np.ndarray):
@@ -647,11 +655,10 @@ def _warm_start(d: int, rejected: dict):
     lies inside all K facets. Of the bounded sets of theta > 0 the start
     is the theta F* of largest log det, and its gap bound is their least
     log det F* less its own. Only the rejections the walk kept are read,
-    in the order of their sets: the start takes no pass over the K
+    in the order it made them: the start takes no pass over the K
     facets."""
     inner = [(d * math.log(theta) + logdet, logdet, theta * f, c)
-             for _, theta, f, c, logdet in filter(
-                 None, (rejected[key] for key in sorted(rejected)))
+             for _, theta, f, c, logdet in filter(None, rejected.values())
              if theta > 0.0]
     if not inner:
         return None
@@ -706,16 +713,19 @@ def solve_mvie_high_accuracy(poly: HPolytope
     scaling costs -d log theta + 1e-11 / 2 in log det.
 
     The guess from the spread: when poly.spread is set, before any
-    Newton step, with R^T R = spread, of the facets ordered by h'_i /
-    ||R g_i||, their distance from c0 in the metric of the spread, the
-    first d+1 whose directions R g_i meet every one taken before at a
-    negative inner product are picked. When they bound a simplex whose
-    inscribed ellipsoid, scaled to fit all K facets in one pass, is
-    certified within 1e-11 / 2 of the optimum in log det, the solve ends
-    on it (``_simplex_finish``; notes/decisions.md, "A simplex guessed
-    from the points' spread" and "A certified simplex finish"). A bounded
-    set rejected names the next: the facet of the K that cuts its
-    inscribed ellipsoid deepest, in place of the set's facet whose
+    Newton step, with R^T R = spread, the facet nearest c0 by h'_i /
+    ||R g_i||, its distance in the metric of the spread, is picked, then
+    d times the nearest whose direction R g_i meets every one picked
+    before at a negative inner product, ties going to the lower index:
+    the first d+1 such facets in the stable ascending order of those
+    distances, found by argmins with no sort (``_simplex_candidate``;
+    notes/decisions.md, "The guess by argmins"). When they bound a
+    simplex whose inscribed ellipsoid, scaled to fit all K facets in one
+    pass, is certified within 1e-11 / 2 of the optimum in log det, the
+    solve ends on it (``_simplex_finish``; notes/decisions.md, "A simplex
+    guessed from the points' spread" and "A certified simplex finish"). A
+    bounded set rejected names the next: the facet of the K that cuts
+    its inscribed ellipsoid deepest, in place of the set's facet whose
     contact lies nearest it. The walk stops on a certified set, a set it
     rejected before, a set that names none, or after d+1 pivots
     (notes/decisions.md, "Pivoting a rejected simplex candidate"). This
@@ -737,9 +747,10 @@ def solve_mvie_high_accuracy(poly: HPolytope
     without a guess (notes/decisions.md, "A rejected guess as the
     barrier's start").
 
-    Raises Divergence when the polytope is unbounded: when a ray from c0
-    leaves through no facet, or when the iterates grow without bound and
-    no facet cuts them off. ``solve_mvie`` is the paper's first-order
+    Raises Divergence when the polytope is unbounded: when a seed ray or
+    a ray along a direction the kept normals leave free leaves through no
+    facet (``_exits``), or when the iterates grow without bound and no
+    facet cuts them off. ``solve_mvie`` is the paper's first-order
     method, kept as the reference the tests check this solve against.
 
     Diagnostics: ``iterations`` counts Newton steps over all rounds,
@@ -813,11 +824,11 @@ def _barrier_solve(poly: HPolytope, seed: np.ndarray | None
                     evaluations=0, touching=simplex, gap=gap, pivots=pivots)
                 return Ellipsoid(F=r0 * e, c=c0 + r0 * cc), diag
             start = _warm_start(d, rejected)
-        seed = _exit_facets(g, h, _seed_rays(d))
+        seed = _exits(g, h, _seed_rays(d))
         if start is not None:
             # the facets the guess's walk tried lie nearest the contacts
             seed = np.concatenate([seed, np.ravel(list(rejected))])
-    kept = _spanning(g, h, np.unique(seed[seed >= 0]))
+    kept = _spanning(g, h, np.unique(seed))
     _, flat, _ = _sym_basis(d)
     m_e = flat.shape[0]
     eye = np.eye(d)

@@ -116,6 +116,11 @@ class TestSnr:
         x = rng.random((6, 9))
         assert snr_of(x, np.zeros_like(x)) == math.inf
 
+    @pytest.mark.filterwarnings("error")
+    def test_zero_signal_is_minus_inf(self):
+        # the mirror of zero noise
+        assert snr_of(np.zeros((3, 4)), np.full((3, 4), 1e-3)) == -math.inf
+
     def test_equal_power_is_zero_db(self, rng):
         x = rng.standard_normal((100, 200))
         assert abs(snr_of(x, x.copy())) <= 0.1

@@ -1,5 +1,6 @@
 import dataclasses
 import functools
+import itertools
 import math
 import os
 import subprocess
@@ -7,6 +8,7 @@ import sys
 
 import numpy as np
 import pytest
+from scipy.linalg.lapack import dpotrf
 
 from mviefact import dimred, hull, mvie, synth
 from mviefact.errors import Divergence, EmptyInterior, TooFewContacts
@@ -255,13 +257,17 @@ class TestSolve:
 
     @pytest.mark.filterwarnings("error")
     def test_unbounded_polytope_diverges(self):
-        # a quadrant and a slab contain inscribed ellipses of any area
+        # A quadrant and a slab contain inscribed ellipses of any area.
+        # A seed ray leaves each through no facet, so both solves raise
+        # before any step.
         quadrant = hull.HPolytope(2, np.eye(2), np.ones(2), np.zeros(2), 0.0)
         slab = hull.HPolytope(2, np.array([[1.0, 0.0], [-1.0, 0.0]]),
                               np.ones(2), np.zeros(2), 0.0)
-        for poly in (quadrant, slab):
-            with pytest.raises(Divergence):
-                solve_mvie_high_accuracy(poly)
+        for solve in (solve_mvie, solve_mvie_high_accuracy):
+            for poly in (quadrant, slab):
+                with pytest.raises(Divergence,
+                                   match="leaves through no facet"):
+                    solve(poly)
 
     def test_diagnostics_shapes(self):
         ell, diag = solve_mvie(square_polytope())
@@ -946,6 +952,74 @@ class TestExitFacets:
         hit = mvie._exit_facets(g, h, rays)
         assert (hit >= 0).all()
         assert np.array_equal(hit, brute_force_exits(g, h, rays))
+
+
+def sorted_scan_guess(spread, g, h):
+    """The spread's guess by the rule the argmins replace: the facets in
+    stable ascending order of h_i / ||R g_i|| (R^T R = spread), then the
+    first d+1 whose directions R g_i meet every one taken before at a
+    negative inner product, ascending; None when fewer qualify."""
+    r, info = dpotrf(spread)
+    assert info == 0
+    rg = g @ r.T
+    pick = []
+    for i in np.argsort(h / np.sqrt(np.einsum("ij,ij->i", rg, rg)),
+                        kind="stable"):
+        if all(rg[i] @ rg[j] < 0.0 for j in pick):
+            pick.append(int(i))
+            if len(pick) == g.shape[1] + 1:
+                return sorted(pick)
+    return None
+
+
+def spread_guess(spread, g, h):
+    out = mvie._spread_candidate(spread, g, h)
+    return None if out is None else out.tolist()
+
+
+class TestSpreadGuess:
+    def test_matches_the_sorted_scan_on_random_polytopes(self, rng):
+        # hulls of Gaussian clouds under their own spread and a random
+        # one, and synth hulls with and without noise under their spread
+        cases = []
+        for _ in range(30):
+            d = int(rng.integers(2, 7))
+            poly = hull.enumerate_facets(rng.standard_normal((60, d)))
+            a = rng.standard_normal((d, d))
+            cases += [(poly, poly.spread), (poly, a @ a.T + 0.1 * np.eye(d))]
+        for n, snr in [(3, math.inf), (4, 30.0), (5, 20.0), (6, math.inf)]:
+            poly = synth_polytope(n, 1.0 / math.sqrt(n - 1) + 0.1, 200,
+                                  0, 20, snr)
+            cases.append((poly, poly.spread))
+        found = 0
+        for poly, spread in cases:
+            g = poly.normals
+            h = poly.offsets - g @ poly.interior
+            guess = spread_guess(spread, g, h / h.min())
+            assert guess == sorted_scan_guess(spread, g, h / h.min())
+            found += guess is not None
+        assert 10 <= found < len(cases)
+
+    def test_exact_ties_go_to_the_lower_index(self, rng):
+        # Under spread I every facet of these lies at the same distance,
+        # bit for bit. The regular tetrahedron's facets meet pairwise at
+        # inner product -1: any order picks all four. The cube's meet at
+        # 0 or -1: after a facet and its opposite none qualifies. The
+        # octahedron's set depends on the order: a facet's antipode taken
+        # second leaves none, three of its neighbours give a tetrahedron.
+        signs = np.array(list(itertools.product([-1.0, 1.0], repeat=3)))
+        tetra = signs[np.prod(signs, axis=1) > 0]
+        cube = np.vstack([np.eye(3), -np.eye(3)])
+        assert spread_guess(np.eye(3), signs, np.ones(8)) == [0, 3, 5, 6]
+        for g, ends in [(tetra, {4}), (cube, {None}), (signs, {None, 4})]:
+            seen = set()
+            for _ in range(40):
+                perm = g[rng.permutation(len(g))]
+                guess = spread_guess(np.eye(3), perm, np.ones(len(g)))
+                assert guess == sorted_scan_guess(np.eye(3), perm,
+                                                  np.ones(len(g)))
+                seen.add(None if guess is None else len(guess))
+            assert seen == ends
 
 
 class TestCheckJohn:
