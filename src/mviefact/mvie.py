@@ -225,11 +225,15 @@ def solve_mvie(poly: HPolytope, cfg: FpgmConfig | None = None
     y). As the Newton solve does, it raises EmptyInterior unless r0 > 0,
     and Divergence when a ray from y along one of that solve's seed
     directions leaves through no facet: the polytope is then unbounded.
-    Returns the inscribed ellipsoid (F = W symmetric with smallest
-    eigenvalue >= eps, center c = y) and per-iteration diagnostics. The
-    recorded composite objective is non-increasing: whenever the
-    momentum step would raise it, momentum is reset and the step is
-    retried from the current iterate.
+    Returns the ellipsoid (F = W symmetric with smallest eigenvalue >=
+    eps, center c = y) and per-iteration diagnostics. The ellipsoid is
+    not inscribed: the penalty lets it cross facets, and on the reduced
+    hulls of make_instance(50, N, 1000, r, inf, seed), (N, r) = (3, 0.85)
+    and (4, 0.7), seeds 0-3, its max_violation is +8.9e-4 to +4.2e-3;
+    it fits once shrunk about c by 0.982-0.998. The recorded composite
+    objective is non-increasing: whenever the momentum step would raise
+    it, momentum is reset and the step is retried from the current
+    iterate.
     """
     cfg = cfg or FpgmConfig()
     g, h = poly.normals, poly.offsets
@@ -680,9 +684,17 @@ def solve_mvie_high_accuracy(poly: HPolytope
         -log det E - (1/t) sum_i log(s_i^2 - ||E g_i||^2),
         s_i = h'_i - g_i . c',
 
-    from E = I/2, c' = 0, t = 1, or from the start a rejected guess gives
-    (below), multiplying t by 100 per stage until the barrier's log-det
-    gap bound 2 K_kept / t is at most 1e-11 / 2. Each stage runs damped
+    multiplying t by 100 per stage until the barrier's log-det gap bound
+    2 K_kept / t is at most 1e-11 / 2. It starts from (E, c') with a
+    certified log-det gap gamma to the optimum: the start a rejected
+    guess gives (below), or else E = I, c' = 0 and gamma = inf. The first
+    t is max(1, 2 K_kept / gamma), where the barrier's bound meets that
+    gap (Boyd & Vandenberghe 11.3.1), and the start is entered t/(t+1) of
+    the way to the kept facets' cones' edge along the segment from E = 0,
+    c' = 0, as constraint generation re-enters (below); without a guess
+    that is t = 1 and E = I/2 when the facet nearest c0 is kept, E a
+    little larger when it is not (notes/decisions.md, "One entry into
+    the barrier"). Each stage runs damped
     Newton steps until t lambda^2 / 2 <= 1e-2 for the Newton decrement
     lambda: t times the stage objective is self-concordant, so the stage
     ends about where Newton's quadratic phase begins. It also ends when a
@@ -738,14 +750,10 @@ def solve_mvie_high_accuracy(poly: HPolytope
     bounds the optimum from above, and where theta > 0 its theta F*
     about c* lies inside all K facets. The barrier starts from the theta
     F* of largest log det, whose gap to the optimum is at most gamma, the
-    least such log det F* less its own, at t = max(1, 2 K_kept / gamma),
-    where the barrier's bound meets that gap (Boyd & Vandenberghe
-    11.3.1), entered t/(t+1) of the way to the kept facets' cones' edge
-    along the segment from E = 0, c' = 0, as constraint generation
-    re-enters. The kept facets are then also those of every set the
-    walk tried. When no set has theta > 0, the barrier starts as it does
-    without a guess (notes/decisions.md, "A rejected guess as the
-    barrier's start").
+    least such log det F* less its own. The kept facets are then also
+    those of every set the walk tried. When no set has theta > 0, the
+    barrier starts as it does without a guess (notes/decisions.md, "A
+    rejected guess as the barrier's start").
 
     Raises Divergence when the polytope is unbounded: when a seed ray or
     a ray along a direction the kept normals leave free leaves through no
@@ -757,11 +765,13 @@ def solve_mvie_high_accuracy(poly: HPolytope
     ``stage_iterations`` the steps of every stage run (a stage run again
     after facets were added has one entry per run), ``backtracks`` the
     step halvings per Newton step (levels skipped by the bound included),
-    ``inv_step_trace`` the inverse accepted step length,
+    ``inv_step_trace`` the inverse accepted step length, 2 to the power
+    of the step's ``backtracks``,
     ``evaluations`` the barrier objective's evaluations (line-search and
     predictor trials, and the start of each round and of a stage run
-    without a prediction), ``objective_trace`` -log det F after every
-    step, ``final_objective`` -log det F of the returned ellipsoid,
+    without a prediction), ``objective_trace`` -log det F at the start
+    and after every step, ``final_objective`` -log det F of the returned
+    ellipsoid,
     ``termination`` "simplex" when the spread's guess ended the solve and
     "tol" when the barrier's gap bound did, ``gap`` the certified bound on
     the log-det gap (2 K_kept / t plus the scaling's cost on the path, -d
@@ -856,29 +866,27 @@ def _barrier_solve(poly: HPolytope, seed: np.ndarray | None
         logdet = 2.0 * float(np.log(chol.diagonal()).sum())
         return -logdet - float(np.log(delta).sum()) / t, logdet, (s, q, delta)
 
+    def enter(x):
+        """x scaled t/(t+1) of the way to the kept facets' cones' edge
+        along the segment from E = 0, c' = 0, where every s_i = h'_i >= 1
+        and E g_i = 0: the facet that sets the bound keeps about 1/t of
+        its Delta_i, as an active facet does on the central path at t."""
+        return x * min(1.0, t / (t + 1.0) * _step_bound(
+            gt, gg, hk * hk, hk * x[m_e:].dot(gt), *unpack(x)))
+
+    # Start at the t where the barrier's bound 2 K_kept / t meets the
+    # start's certified gap; without a start, from E = I, c' = 0 with no
+    # gap bound, so at t = 1 and (nearest facet kept) E = I/2
     gt, gg, hk = facets(kept)
-    if start is None:
-        x = np.concatenate([np.full(d, 0.5), np.zeros(m_e)])  # E = I/2, c' = 0
-        t = 1.0
-        logdet = d * math.log(0.5)
-    else:
-        # Start at the t where the barrier's bound 2 K_kept / t meets the
-        # start's certified gap, and enter as constraint generation does,
-        # t/(t+1) of the way to the kept facets' cones' edge from E = 0
-        e, cc, logdet, gap = start
-        t = max(1.0, 2.0 * kept.size / gap)
-        x = np.concatenate([e.diagonal(), e[np.triu_indices(d, 1)], cc])
-        fit = min(1.0, t / (t + 1.0) * _step_bound(
-            gt, gg, hk * hk, hk * cc.dot(gt), *unpack(x)))
-        x *= fit
-        logdet += d * math.log(fit)
+    e, cc, _, gap = start or (eye, np.zeros(d), 0.0, math.inf)
+    t = max(1.0, 2.0 * kept.size / gap)
+    x = enter(np.concatenate([e.diagonal(), e[np.triu_indices(d, 1)], cc]))
+    f, logdet, sl = objective(*unpack(x), t)   # sl: x's slacks at t
     trace = [-(logdet + logdet_shift)]
     backtracks: list[int] = []
-    inv_step: list[float] = []
     stage_iters: list[int] = []
     rounds = 1
-    evaluations = 0
-    sl = None         # slacks of x on the kept facets, once evaluated at t
+    evaluations = 1
     while True:
         e, cc = unpack(x)
         if sl is None:
@@ -926,7 +934,6 @@ def _barrier_solve(poly: HPolytope, seed: np.ndarray | None
             logdet, e, cc = new_logdet, new_e, new_cc
             steps += 1
             backtracks.append(halvings)
-            inv_step.append(1.0 / alpha)
             trace.append(-(logdet + logdet_shift))
             if e.trace() > _UNBOUNDED_TRACE:
                 unbounded = True
@@ -942,11 +949,8 @@ def _barrier_solve(poly: HPolytope, seed: np.ndarray | None
         if met.any():
             # Keep the most-crossed facets the iterate meets, at most as
             # many as the program has unknowns: those whose s_i <= 0
-            # first, then by ||E g_i|| / s_i. Re-enter along the segment
-            # from E = 0, c' = 0, where every s_i = h'_i >= 1 and
-            # E g_i = 0, to the iterate, t/(t+1) of the way to the cones'
-            # edge: the facet that sets the bound keeps about 1/t of its
-            # Delta_i, as an active facet does on the central path at t.
+            # first, then by ||E g_i|| / s_i, and re-enter as the start
+            # entered
             new = np.flatnonzero(met)
             crossing = np.full(new.size, np.inf)
             inside = s[new] > 0.0
@@ -955,8 +959,7 @@ def _barrier_solve(poly: HPolytope, seed: np.ndarray | None
             kept = np.union1d(kept, new)
             rounds += 1
             gt, gg, hk = facets(kept)
-            bound = _step_bound(gt, gg, hk * hk, hk * cc.dot(gt), e, cc)
-            x *= min(1.0, t / (t + 1.0) * bound)
+            x = enter(x)
             sl = None
             continue
         if unbounded:
@@ -996,7 +999,7 @@ def _barrier_solve(poly: HPolytope, seed: np.ndarray | None
         final_objective=-(logdet + logdet_shift),
         objective_trace=trace,
         backtracks=backtracks,
-        inv_step_trace=inv_step,
+        inv_step_trace=[2.0 ** b for b in backtracks],
         termination="tol",
         stage_iterations=stage_iters,
         kept_facets=int(kept.size),

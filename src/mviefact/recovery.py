@@ -103,12 +103,13 @@ def consolidate_contacts(candidates, n: int) -> np.ndarray:
     distinct candidates pass through unchanged. When every group is
     narrower than the gap between groups, the groups are exactly those
     (notes/decisions.md). Raises TooFewContacts when there are fewer
-    than N distinct candidates. The distances are taken on the
-    candidates / 2^k, k their binary_exponent, and the means scaled
-    back, so no square overflows or underflows and the contacts of 2^j
-    times the candidates are 2^j times theirs, bit for bit.
+    than N distinct candidates, and the errors of ``as_matrix`` for
+    candidates that are not a finite 2-D array. The distances are taken
+    on the candidates / 2^k, k their binary_exponent, and the means
+    scaled back, so no square overflows or underflows and the contacts
+    of 2^j times the candidates are 2^j times theirs, bit for bit.
     """
-    pts = np.atleast_2d(np.asarray(candidates, dtype=float))
+    pts = as_matrix(candidates, "contact candidates")
     if pts.shape[0] < n:
         raise TooFewContacts(
             f"only {pts.shape[0]} contact candidates for N={n}; "
@@ -135,10 +136,11 @@ def consolidate_contacts(candidates, n: int) -> np.ndarray:
 def reconstruct_endmembers(contacts_ambient) -> np.ndarray:
     """Invert the facet-midpoint map: a_i = sum_j q_j - (N-1) q_i.
 
-    contacts_ambient: exactly N ambient points, one per row.
+    contacts_ambient: exactly N ambient points, one per row, a finite
+    2-D array (``as_matrix``); no rows raises WrongCount.
     Returns the M x N signature matrix.
     """
-    q = np.atleast_2d(np.asarray(contacts_ambient, dtype=float))
+    q = as_matrix(contacts_ambient, "contacts")
     n = q.shape[0]
     if n < 1:
         raise WrongCount("need at least one contact point")

@@ -360,6 +360,22 @@ class TestConstraintGeneration:
         assert diag.iterations == sum(diag.stage_iterations)
         assert diag.iterations == len(diag.backtracks)
         assert len(diag.objective_trace) == diag.iterations + 1
+        # each accepted step is 2^-halvings long
+        assert diag.inv_step_trace == [2.0 ** b for b in diag.backtracks]
+
+    def test_cold_start_enters_as_a_warm_one(self, monkeypatch):
+        # Without a start the barrier enters from E = I, c' = 0 at t = 1,
+        # so E = fit I with fit = min(1, 1/2 the step bound from E = 0
+        # along I over the kept facets). The ray-exit facets kept here
+        # lack the facet nearest the centre, so fit is 0.50042, not 1/2
+        systems = first_newton_system(monkeypatch)
+        solve_mvie_high_accuracy(barrier_only(synth_polytope(5, 0.47, 1000,
+                                                             1, m=20)))
+        e_in, _, s, _, t, gt, _ = systems[0]
+        assert t == 1.0
+        fit = min(1.0, 0.5 * (s / np.linalg.norm(gt, axis=0)).min())
+        assert np.abs(e_in - fit * np.eye(e_in.shape[0])).max() <= 1e-15
+        assert fit > 0.5 + 1e-4
 
     @pytest.mark.parametrize("n,r,l,seed", [(4, 0.7, 1000, 7),
                                             (6, 0.6, 400, 1)])
@@ -752,8 +768,8 @@ class TestSpreadStart:
     def test_a_guess_with_no_inner_set_starts_cold(self, monkeypatch):
         # The guess's walk tries 3 bounded sets here, and the centre c*
         # of each lies outside some facet (theta <= 0): none gives an
-        # inscribed start, and the barrier starts at E = I/2, c' = 0,
-        # t = 1 from the ray-exit facets alone, as without the guess
+        # inscribed start, and the barrier enters from E = I, c' = 0 at
+        # t = 1 on the ray-exit facets alone, as without the guess
         starts = warm_starts(monkeypatch)
         poly = synth_polytope(3, 1 / math.sqrt(2) + 0.1, 1000, 0, m=20,
                               snr=20.0)

@@ -97,6 +97,12 @@ class TestConsolidate:
         with pytest.raises(TooFewContacts):
             consolidate_contacts(candidates, 3)
 
+    def test_non_finite_candidates_are_refused(self):
+        # with NaN the farthest-first distances compare false, and two
+        # candidates merged into one contact, [nan, 0.5], for N = 2
+        with pytest.raises(NotFinite):
+            consolidate_contacts([[math.nan, 1.0], [0.0, 0.0]], 2)
+
 
 class TestReconstruct:
     def test_inverse_of_contact_formula(self, rng):
@@ -118,6 +124,12 @@ class TestReconstruct:
     def test_wrong_count(self):
         with pytest.raises(WrongCount):
             reconstruct_endmembers(np.zeros((0, 3)))
+
+    def test_empty_list_is_not_a_matrix(self):
+        # np.atleast_2d made [] one row of width 0, and a 0 x 1 signature
+        # matrix came back
+        with pytest.raises(BadRank):
+            reconstruct_endmembers([])
 
 
 class TestRecoverAbundances:

@@ -80,3 +80,16 @@ def test_fit_scale_prints_the_fit_time_and_peak():
     assert lines[1].startswith("dimred stage: median")
     assert [line.split(":")[0] for line in lines[2:]] == [
         "peak beyond X, abundances False", "peak beyond X, abundances True"]
+
+
+def test_solve_sweep_repeats_bit_for_bit():
+    # the rows of two runs compare by diff: 16 instances at N = 3, seed 1
+    runs = [subprocess.run(
+        [sys.executable, os.path.join(ROOT, "scripts", "solve_sweep.py"),
+         "--N", "3", "--seeds", "1"],
+        env=script_env(), capture_output=True, timeout=120) for _ in range(2)]
+    assert all(proc.returncode == 0 for proc in runs), runs[0].stderr
+    assert runs[0].stdout == runs[1].stdout
+    lines = runs[0].stdout.decode().splitlines()
+    assert lines[0].startswith("N,M,L,r,snr_db,seed,termination,touching")
+    assert len(lines) == 18 and lines[-1].startswith("# total: 16 solved")
