@@ -61,6 +61,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import itertools
 import json
 import math
 import os
@@ -108,6 +109,8 @@ class BenchSpec:
     def __post_init__(self):
         if self.trials < 1:
             raise ParameterError("bench needs trials >= 1")
+        if self.base_seed < 0:
+            raise ParameterError(f"need seed >= 0, got seed={self.base_seed}")
         if not self.Ns or not self.rs or not self.snrs:
             raise ParameterError("bench grid must be nonempty")
         if self.L < max(self.Ns):
@@ -122,10 +125,7 @@ class BenchSpec:
 
     @property
     def cells(self):
-        for n in self.Ns:
-            for r in self.rs:
-                for snr in self.snrs:
-                    yield n, r, snr
+        return itertools.product(self.Ns, self.rs, self.snrs)
 
 
 # -- serialization helpers ----------------------------------------------------
@@ -138,16 +138,16 @@ def _cell(v):
     return v
 
 
-def _write_csv(path, columns: list[str], rows,
+def _write_csv(path, columns: list[str], rows: list[dict],
                omit_timings: bool = False) -> None:
-    """Write a header and rows of cells; with omit_timings every t_
-    column holds 0."""
-    timed = [omit_timings and c.startswith("t_") for c in columns]
+    """Write a header and the cells of each row's columns; with
+    omit_timings every t_ column holds 0."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(columns)
-        writer.writerows([_cell(0.0 if t else v) for t, v in zip(timed, row)]
-                         for row in rows)
+        writer.writerows(
+            [_cell(0.0 if omit_timings and c.startswith("t_") else row[c])
+             for c in columns] for row in rows)
 
 
 def write_matrix_csv(path, x: np.ndarray) -> None:
@@ -196,6 +196,8 @@ def read_truth_json(path) -> tuple[np.ndarray, np.ndarray, dict]:
             payload = json.load(fh)
         a = np.asarray(payload["A"], dtype=float)
         s = np.asarray(payload["S"], dtype=float)
+        if not (np.isfinite(a).all() and np.isfinite(s).all()):
+            raise ValueError("A or S holds NaN or Inf")
         params = dict(payload["params"])
         snr = params.get("snr_db")
         params["snr_db"] = math.inf if snr is None else float(snr)
@@ -265,62 +267,54 @@ def _diagnostics(report: recovery.RecoveryReport) -> dict:
                 max_violation=report.max_violation)
 
 
-def run_bench(spec: BenchSpec) -> tuple[list[metrics.TrialResult], list[dict]]:
-    """Execute every (cell, trial) pair; failures become status rows."""
-    results: list[metrics.TrialResult] = []
+def run_bench(spec: BenchSpec) -> tuple[list[dict], list[dict]]:
+    """Execute every (cell, trial) pair. Each trial is a row keyed by
+    _RESULT_COLUMNS, each cell an aggregate row keyed by
+    _AGGREGATE_COLUMNS; a failed trial keeps its failure values."""
+    results = []
     aggregates = []
     for n, r, snr in spec.cells:
+        params = {"N": n, "M": spec.M, "L": spec.L, "r": r, "snr_db": snr}
         cell = []
-        for trial in range(spec.trials):
-            seed = spec.base_seed + trial
-            res = metrics.TrialResult(seed=seed, N=n, M=spec.M, L=spec.L,
-                                      r=r, snr_db=snr)
+        for seed in range(spec.base_seed, spec.base_seed + spec.trials):
+            row = {**params, "seed": seed, "status": "ok", "phi_deg": math.nan,
+                   "K": 0, **_TRIAL_SOLVE_COLUMNS,
+                   **{f"t_{k}": 0.0 for k in _TIMINGS}}
             t0 = time.perf_counter()
             try:
                 gt = synth.make_instance(spec.M, n, spec.L, r, snr, seed)
                 report = recovery.run_pipeline(gt.X, n)
-                phi, perm = metrics.rms_angle_error(gt.A, report.A_hat)
-                res.rms_angle_deg = phi
-                res.permutation = perm
-                res.K_facets = report.n_facets
-                res.diagnostics = _diagnostics(report)
-                res.runtimes_sec = dict(report.timings)
+                row["phi_deg"], _ = metrics.rms_angle_error(gt.A, report.A_hat)
+                row["K"] = report.n_facets
+                row.update((k, getattr(report.solver, k))
+                           for k in _TRIAL_SOLVE_COLUMNS)
+                row.update((f"t_{k}", v) for k, v in report.timings.items())
             except MviefactError as exc:
-                res.status = f"error:{type(exc).__name__}"
-            res.runtimes_sec["total"] = time.perf_counter() - t0
-            cell.append(res)
+                row["status"] = f"error:{type(exc).__name__}"
+            row["t_total"] = time.perf_counter() - t0
+            cell.append(row)
         results += cell
-        ok = [t for t in cell if t.status == "ok"]
-        phis = np.array([t.rms_angle_deg for t in ok])
+        ok = [t for t in cell if t["status"] == "ok"]
+        phis = np.array([t["phi_deg"] for t in ok])
         aggregates.append({
-            "N": n, "M": spec.M, "L": spec.L, "r": r, "snr_db": snr,
-            "trials": len(cell), "n_ok": len(ok),
+            **params, "trials": len(cell), "n_ok": len(ok),
             "phi_mean_deg": float(phis.mean()) if ok else math.nan,
             "phi_std_deg": (float(phis.std(ddof=1))
                             if len(ok) > 1 else 0.0 if ok else math.nan),
-            "K_mean": (float(np.mean([t.K_facets for t in ok]))
-                       if ok else math.nan),
-            "t_total_mean": float(np.mean([t.runtimes_sec["total"]
-                                           for t in cell])),
+            "K_mean": float(np.mean([t["K"] for t in ok])) if ok else math.nan,
+            "t_total_mean": float(np.mean([t["t_total"] for t in cell])),
         })
     return results, aggregates
 
 
-def write_results_csv(path, results: list[metrics.TrialResult],
+def write_results_csv(path, results: list[dict],
                       omit_timings: bool = False) -> None:
-    _write_csv(path, _RESULT_COLUMNS, (
-        [t.N, t.M, t.L, t.r, t.snr_db, t.seed, t.status, t.rms_angle_deg,
-         t.K_facets,
-         *(t.diagnostics.get(k, v) for k, v in _TRIAL_SOLVE_COLUMNS.items()),
-         *(t.runtimes_sec.get(k, 0.0) for k in _TIMINGS)]
-        for t in results), omit_timings)
+    _write_csv(path, _RESULT_COLUMNS, results, omit_timings)
 
 
 def write_aggregate_csv(path, aggregates: list[dict],
                         omit_timings: bool = False) -> None:
-    _write_csv(path, _AGGREGATE_COLUMNS,
-               ([row[c] for c in _AGGREGATE_COLUMNS] for row in aggregates),
-               omit_timings)
+    _write_csv(path, _AGGREGATE_COLUMNS, aggregates, omit_timings)
 
 
 def cmd_bench(args) -> int:

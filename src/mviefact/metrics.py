@@ -3,33 +3,13 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import DimMismatch, ZeroColumn
 from .numerics import as_matrix, binary_exponent
 
-__all__ = ["TrialResult", "rms_angle_error", "snr_of"]
-
-
-@dataclass
-class TrialResult:
-    """One bench trial: parameters, error, and per-stage runtimes."""
-
-    seed: int
-    N: int
-    M: int
-    L: int
-    r: float
-    snr_db: float
-    status: str = "ok"
-    rms_angle_deg: float = math.nan
-    permutation: tuple[int, ...] = ()
-    K_facets: int = 0
-    # the solve's figures, as in the run JSON; empty on a failed trial
-    diagnostics: dict = field(default_factory=dict)
-    runtimes_sec: dict[str, float] = field(default_factory=dict)
+__all__ = ["rms_angle_error", "snr_of"]
 
 
 def rms_angle_error(a, a_hat) -> tuple[float, tuple[int, ...]]:

@@ -600,7 +600,7 @@ def _simplex_finish(g: np.ndarray, h: np.ndarray, idx: np.ndarray):
     j be one of them, below the floor by rounding alone, idx comes back.
     Its theta, F*, c* and log det F* go with it: log det F* bounds the
     optimum from above, and for theta > 0 theta F* about c* is an
-    inscribed ellipsoid the barrier can start from (``_warm_start``).
+    inscribed ellipsoid the barrier can start from (``_walk``).
     """
     d = g.shape[1]
     b = np.empty((d + 1, d + 1))
@@ -637,37 +637,35 @@ def _walk(g: np.ndarray, h: np.ndarray, simplex: np.ndarray | None):
     names, at most d+1 pivots: a simplex has d+1 facets to replace. Stops
     on a certified set, a set it rejected before, or a candidate that
     names none. Returns (the finish or None, the set it ended on or None,
-    the pivots taken, each rejected set's rejection by the set as a
-    tuple)."""
-    rejected = {}
-    while (simplex is not None and len(rejected) <= g.shape[1] + 1
+    the pivots taken, the sets it rejected as tuples in order, the
+    barrier's start (E, c', gap bound) or None).
+
+    Each bounded set rejected contains the polytope, so log det F* of its
+    finish bounds the optimum from above, and for theta > 0 theta F*
+    about c* lies inside all K facets. Of the bounded sets of theta > 0
+    the start is the theta F* of largest log det, and its gap bound is
+    their least log det F* less its own. It is built from the rejections
+    as they are made: the start takes no pass over the K facets."""
+    d = g.shape[1]
+    rejected = []
+    best = None       # (log det theta F*, theta F*, c*) of the start
+    bound = math.inf  # the least log det F* of the sets of theta > 0
+    while (simplex is not None and len(rejected) <= d + 1
            and tuple(simplex) not in rejected):
         finish, rejection = _simplex_finish(g, h, simplex)
         if finish is not None:
-            return finish, simplex, len(rejected), rejected
-        rejected[tuple(simplex)] = rejection
-        simplex = None if rejection is None else rejection[0]
-    return None, None, max(len(rejected) - 1, 0), rejected
-
-
-def _warm_start(d: int, rejected: dict):
-    """The barrier's start after the walk rejected the sets in rejected:
-    (E, c', log det E, gap bound) or None when no set qualifies.
-
-    Each bounded set contains the polytope, so log det F* of its finish
-    bounds the optimum from above, and for theta > 0 theta F* about c*
-    lies inside all K facets. Of the bounded sets of theta > 0 the start
-    is the theta F* of largest log det, and its gap bound is their least
-    log det F* less its own. Only the rejections the walk kept are read,
-    in the order it made them: the start takes no pass over the K
-    facets."""
-    inner = [(d * math.log(theta) + logdet, logdet, theta * f, c)
-             for _, theta, f, c, logdet in filter(None, rejected.values())
-             if theta > 0.0]
-    if not inner:
-        return None
-    logdet, _, e, c = max(inner, key=lambda start: start[0])
-    return e, c, logdet, min(bound for _, bound, _, _ in inner) - logdet
+            return finish, simplex, len(rejected), rejected, None
+        rejected.append(tuple(simplex))
+        if rejection is None:
+            break
+        simplex, theta, f, c, logdet = rejection
+        if theta > 0.0:
+            bound = min(bound, logdet)
+            inner = d * math.log(theta) + logdet
+            if best is None or inner > best[0]:
+                best = inner, theta * f, c
+    start = None if best is None else (best[1], best[2], bound - best[0])
+    return None, None, max(len(rejected) - 1, 0), rejected, start
 
 
 def solve_mvie_high_accuracy(poly: HPolytope
@@ -821,7 +819,7 @@ def _barrier_solve(poly: HPolytope, seed: np.ndarray | None
         if poly.spread is not None:
             # The simplex guessed from the spread, certified or not before
             # any Newton step: the one place a solve ends on a simplex
-            finish, simplex, pivots, rejected = _walk(
+            finish, simplex, pivots, rejected, start = _walk(
                 g, h, _spread_candidate(poly.spread, g, h))
             if finish is not None:
                 e, cc, logdet, gap = finish
@@ -833,11 +831,10 @@ def _barrier_solve(poly: HPolytope, seed: np.ndarray | None
                     stage_iterations=[], kept_facets=0, rounds=0,
                     evaluations=0, touching=simplex, gap=gap, pivots=pivots)
                 return Ellipsoid(F=r0 * e, c=c0 + r0 * cc), diag
-            start = _warm_start(d, rejected)
         seed = _exits(g, h, _seed_rays(d))
         if start is not None:
             # the facets the guess's walk tried lie nearest the contacts
-            seed = np.concatenate([seed, np.ravel(list(rejected))])
+            seed = np.concatenate([seed, np.ravel(rejected)])
     kept = _spanning(g, h, np.unique(seed))
     _, flat, _ = _sym_basis(d)
     m_e = flat.shape[0]
@@ -878,7 +875,7 @@ def _barrier_solve(poly: HPolytope, seed: np.ndarray | None
     # start's certified gap; without a start, from E = I, c' = 0 with no
     # gap bound, so at t = 1 and (nearest facet kept) E = I/2
     gt, gg, hk = facets(kept)
-    e, cc, _, gap = start or (eye, np.zeros(d), 0.0, math.inf)
+    e, cc, gap = start or (eye, np.zeros(d), math.inf)
     t = max(1.0, 2.0 * kept.size / gap)
     x = enter(np.concatenate([e.diagonal(), e[np.triu_indices(d, 1)], cc]))
     f, logdet, sl = objective(*unpack(x), t)   # sl: x's slacks at t

@@ -193,10 +193,13 @@ def make_instance(m: int, n: int, l: int, r: float, snr_db: float, seed: int,
     S is re-drawn (with a shifted sub-seed) in the unlikely event its
     smallest singular value falls below 1e-8, so the full-row-rank
     assumption holds on every returned instance; L < N raises BadDims,
-    as no N x L matrix then has full row rank.
+    as no N x L matrix then has full row rank, and a negative seed
+    ParameterError.
     """
     if l < n:
         raise BadDims(f"need L >= N for S of full row rank, got L={l}, N={n}")
+    if seed < 0:
+        raise ParameterError(f"need seed >= 0, got seed={seed}")
     sub = np.random.SeedSequence(seed).generate_state(3)
     a = sample_endmembers(m, n, int(sub[0]), library=library)
     s_seed = int(sub[1])

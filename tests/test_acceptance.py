@@ -261,12 +261,11 @@ def test_11_bench_determinism(tmp_path):
 
     # timing columns are wall-clock measurements; with them included the
     # result columns must still agree field-for-field
-    res1, _ = run_bench(spec)
-    res2, _ = run_bench(spec)
-    fields_match = all(
-        (t1.seed, t1.status, t1.rms_angle_deg, t1.K_facets, t1.permutation)
-        == (t2.seed, t2.status, t2.rms_angle_deg, t2.K_facets, t2.permutation)
-        for t1, t2 in zip(res1, res2))
+    def untimed(rows):
+        return [{k: v for k, v in row.items() if not k.startswith("t_")}
+                for row in rows]
+
+    fields_match = untimed(run_bench(spec)[0]) == untimed(run_bench(spec)[0])
     gate("11", identical and fields_match,
          "repeated bench cell: byte-identical CSVs (timings omitted), "
          "bit-identical result fields otherwise")

@@ -9,13 +9,14 @@ import sys
 import numpy as np
 import pytest
 
-from mviefact import dimred, recovery
+from mviefact import dimred, recovery, synth
 from mviefact.cli import (
     BenchSpec,
     main,
     read_matrix_csv,
     read_truth_json,
     run_bench,
+    write_aggregate_csv,
     write_matrix_csv,
     write_results_csv,
 )
@@ -137,6 +138,16 @@ class TestSynthCommand:
                        "--purity", "0.9", *args, "--out", str(out))
         assert code == 2
         assert capsys.readouterr().err.startswith("error [params]:")
+        assert not out.exists()
+
+    def test_negative_seed_exit_2(self, tmp_path, capsys):
+        out = tmp_path / "d"
+        code = run_cli("synth", "--N", "3", "--M", "20", "--L", "50",
+                       "--purity", "0.9", "--seed", "-1", "--out", str(out))
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error [params]: ")
+        assert "Traceback" not in err
         assert not out.exists()
 
 
@@ -328,6 +339,24 @@ class TestRunCommand:
         assert err.startswith("error [io]: ")
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("field", ["A", "S"])
+    @pytest.mark.parametrize("value", ["NaN", "Infinity"])
+    def test_non_finite_truth_exit_1(self, instance_dir, tmp_path, capsys,
+                                     field, value):
+        # json reads NaN and Infinity as floats; a truth holding one is
+        # malformed, not a numerical failure of the run
+        truth = tmp_path / "truth.json"
+        cells = {"A": "[[1.0]]", "S": "[[1.0]]", field: f"[[{value}]]"}
+        truth.write_text(f'{{"A": {cells["A"]}, "S": {cells["S"]}, '
+                         f'"params": {{}}}}')
+        code = run_cli("run", "--input", str(instance_dir / "X.csv"),
+                       "--N", "3", "--truth", str(truth),
+                       "--out", str(tmp_path / "report.json"))
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error [io]: ")
+        assert "Traceback" not in err
+
 
 class TestMatrixCsv:
     def test_bytes_match_csv_writer(self, tmp_path, rng):
@@ -427,6 +456,22 @@ class TestBenchCommand:
         assert capsys.readouterr().err.startswith("error [params]:")
         assert not out.exists()
 
+    def test_negative_seed_exit_2(self, tmp_path, capsys, monkeypatch):
+        # rejected up front: no trial runs and no output is written
+        def trial(*args, **kwargs):
+            raise AssertionError("a trial ran")
+
+        monkeypatch.setattr(synth, "make_instance", trial)
+        out = tmp_path / "bench"
+        code = run_cli("bench", "--N", "3", "--r", "0.9", "--trials", "1",
+                       "--M", "20", "--L", "100", "--seed", "-5",
+                       "--out", str(out))
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error [params]: ")
+        assert "Traceback" not in err
+        assert not out.exists()
+
     def test_infeasible_cell_rejected(self):
         with pytest.raises(ParameterError):
             BenchSpec(Ns=(3,), rs=(0.5,), snrs=(float("inf"),),
@@ -472,10 +517,16 @@ class TestBenchCommand:
                          trials=1, base_seed=0, M=20, L=50)
         results, aggregates = run_bench(spec)
         assert len(results) == 1
-        assert results[0].status.startswith("error:")
+        assert results[0]["status"] == "error:ConvergenceFailure"
         assert aggregates[0]["n_ok"] == 0
-        write_results_csv(tmp_path / "t.csv", results)
-        assert "error:" in (tmp_path / "t.csv").read_text()
+        write_results_csv(tmp_path / "t.csv", results, omit_timings=True)
+        write_aggregate_csv(tmp_path / "a.csv", aggregates, omit_timings=True)
+        # the failure values of every column, timings omitted
+        assert (tmp_path / "t.csv").read_text().splitlines()[1] == (
+            "3,20,50,0.90000000000000002,inf,0,error:ConvergenceFailure,"
+            "nan,0,0,0,,nan,0,0,0,0,0")
+        assert (tmp_path / "a.csv").read_text().splitlines()[1] == (
+            "3,20,50,0.90000000000000002,inf,1,0,nan,nan,nan,0")
 
 
 @pytest.mark.parametrize("knob", [["--fast"], ["--config", "x.json"],

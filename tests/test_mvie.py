@@ -647,15 +647,17 @@ def spread_and_barrier(n, r, l, seed, m, snr):
 def warm_starts(monkeypatch):
     """A list that gets, for each solve of a test whose guess was
     rejected, the number of sets the guess's walk rejected and the start
-    _warm_start made of them (None for none)."""
+    _walk made of them (None for none)."""
     starts = []
-    warm_start = mvie._warm_start
+    walk = mvie._walk
 
-    def recorded(d, rejected):
-        starts.append((len(rejected), warm_start(d, rejected)))
-        return starts[-1][1]
+    def recorded(*args):
+        out = walk(*args)
+        if out[0] is None:
+            starts.append((len(out[3]), out[4]))
+        return out
 
-    monkeypatch.setattr(mvie, "_warm_start", recorded)
+    monkeypatch.setattr(mvie, "_walk", recorded)
     return starts
 
 
@@ -744,18 +746,22 @@ class TestSpreadStart:
         systems = first_newton_system(monkeypatch)
         poly = synth_polytope(4, 0.7, 1000, 0, m=50, snr=30.0)
         ell, diag = solve_mvie_high_accuracy(poly)
-        [(_, (e, cc, logdet, gap))] = starts
+        [(_, (e, cc, gap))] = starts
         e_in, _, _, _, t, gt, _ = systems[0]
         kept = gt.shape[1]
         assert 0.0 < gap < math.inf
         assert t == max(1.0, 2.0 * kept / gap)
-        assert abs(np.linalg.slogdet(e)[1] - logdet) <= 1e-12
         # in the solve's coordinates: about the interior point, scaled
         c0 = poly.interior
         depth = poly.offsets - poly.normals @ c0
         g, h = poly.normals, depth / depth.min()
         reach = np.linalg.norm(g @ e, axis=1)
         assert np.all(reach <= (h - g @ cc) * (1.0 + 1e-12))
+        # the returned log det lies within gap above the start's
+        logdet = np.linalg.slogdet(e)[1]
+        final = -diag.final_objective - poly.dim * math.log(depth.min())
+        assert logdet <= final + diag.gap + 1e-12
+        assert final <= logdet + gap + 1e-12
         fit = e_in[0, 0] / e[0, 0]
         assert 0.5 <= fit < 1.0
         assert np.abs(e_in - fit * e).max() <= 1e-12 * np.abs(e).max()
