@@ -4,9 +4,10 @@
 Builds X = A S + W by hand: a uniform random M x N matrix A, Dirichlet(1)
 abundance columns S and Gaussian noise W of sigma 1e-3, from a fixed
 seed. Runs run_pipeline on it and prints the median over the repeats of
-its dimred stage time (dimred.affine_fit), and the peak of numpy's
-allocations within one call beyond X, as a multiple of X's size, read
-by tracemalloc without and with abundances.
+its dimred stage time (dimred.affine_fit) and of its recover stage time
+with abundances, and the peak of numpy's allocations within one call
+beyond X, as a multiple of X's size, read by tracemalloc without and
+with abundances.
 
     PYTHONPATH=src python scripts/fit_scale.py [--M 224] [--L 100000]
 """
@@ -55,6 +56,11 @@ def main():
                             for _ in range(args.repeats))
     print(f"M={args.M} L={args.L} N={args.N}, X {x.nbytes / 2**20:.1f} MiB")
     print(f"dimred stage: median {1e3 * fit:.1f} ms of {args.repeats} calls")
+    recover = statistics.median(
+        run_pipeline(x, args.N, want_abundances=True).timings["recover"]
+        for _ in range(args.repeats))
+    print(f"recover stage with abundances: median {1e3 * recover:.1f} ms "
+          f"of {args.repeats} calls")
     for want in (False, True):
         print(f"peak beyond X, abundances {want}: "
               f"{peak_over_x(x, args.N, want):.2f} x X")

@@ -224,6 +224,8 @@ def cmd_synth(args) -> int:
 
 def cmd_run(args) -> int:
     x = read_matrix_csv(args.input)
+    # a bad truth file fails before the solve, not after it
+    a_true = read_truth_json(args.truth)[0] if args.truth else None
     report = recovery.run_pipeline(x, args.N,
                                    want_abundances=args.emit_shat)
 
@@ -243,8 +245,7 @@ def cmd_run(args) -> int:
         "diagnostics": _diagnostics(report),
         "timings": report.timings,
     }
-    if args.truth:
-        a_true, _, _ = read_truth_json(args.truth)
+    if a_true is not None:
         phi, perm = metrics.rms_angle_error(a_true, report.A_hat)
         payload["phi_deg"] = phi
         payload["permutation"] = list(perm)

@@ -9,11 +9,13 @@ N tight groups; a farthest-first traversal finds the groups without a
 seed, and each group's mean is one contact. The signature columns
 follow from a_i = sum_j q_j - (N-1) q_i. The abundances are the exact
 simplex-constrained least-squares fit (FCLS) of every pixel to those
-columns, found in finitely many rounds by a primal active-set method:
-the first round, where every pixel has all entries free, applies one
-shared KKT inverse to all pixels, and each later round solves the few
-pixels still open in one batched call; like A_hat, they follow the
-units of the data.
+columns, solved in the fitted chart: its reduced points against the
+signatures in the chart, so that only the affine fit reads X. They are
+found in finitely many rounds by a primal active-set method: the first
+round, where every pixel has all entries free, applies one shared KKT
+inverse to all pixels, and each later round solves the few pixels still
+open in one batched call. They are free of the units of the data and of
+any offset in it.
 """
 
 from __future__ import annotations
@@ -155,7 +157,8 @@ def recover_abundances(x: np.ndarray, a_hat: np.ndarray) -> np.ndarray:
     Column j of the result minimises ||A_hat s - x_j||^2 over s >= 0,
     1^T s = 1 (FCLS, Heinz & Chang, IEEE TGRS 2001), found exactly by
     the primal active-set method (Nocedal & Wright, Alg. 16.3) on the
-    Gram system G = A_hat^T A_hat, b = A_hat^T x. Every pixel starts at
+    Gram system G = A^T A, b = A^T x of the scaled and shifted A_hat and
+    x below. Every pixel starts at
     s = 1/N with all N entries free, so the first round shares one
     sum-to-one KKT matrix: its inverse, formed once, is applied to every
     pixel's right-hand side, and a pixel whose solution is nonnegative
@@ -168,29 +171,39 @@ def recover_abundances(x: np.ndarray, a_hat: np.ndarray) -> np.ndarray:
     negative bound multiplier, or stops when there is none. Every step
     is taken pixel by pixel, so no pixel's bits depend on the others.
 
-    x and A_hat are both divided by 2^k, k = binary_exponent(x), before
-    G and b are formed, so neither overflows nor underflows, and the
-    multiplier test is relative to lambda_max(G) and |b|. So
-    recover_abundances(s x, s A_hat) is recover_abundances(x, A_hat)
-    for any s > 0, within rounding, and bit for bit where s is a power
-    of two. Raises RankDeficientA when lambda_min(G) is at most 1e-10
-    lambda_max(G), and ConvergenceFailure should the working sets cycle
-    past _MAX_ROUNDS, the first round counted.
+    x and A_hat are both divided by 2^k, k = binary_exponent(x, A_hat),
+    and then A_hat's first column is subtracted from both, before G and
+    b are formed, so neither overflows nor underflows, and the
+    multiplier test is relative to lambda_max(G) and |b|. For 1^T s = 1
+    the shift leaves every residual as it was, and a row c 1^T stacked
+    under both sides, c = 2^binary_exponent of the shifted A_hat, adds
+    c^2 to every entry of G and of b and the residual c (1^T s - 1) = 0.
+    So recover_abundances(s x + t 1^T, s A_hat + t 1^T) is
+    recover_abundances(x, A_hat) for any s > 0 and offset vector t,
+    within rounding, and bit for bit where s is a power of two and t is
+    0. Raises RankDeficientA when lambda_min(G) is at most 1e-10
+    lambda_max(G), that is when the columns of A_hat are affinely
+    dependent, and ConvergenceFailure should the working sets cycle past
+    _MAX_ROUNDS, the first round counted.
     """
     x = as_matrix(x, "X")
     a = as_matrix(a_hat, "A_hat")
     if a.shape[0] != x.shape[0]:
         raise WrongCount(
             f"A_hat has {a.shape[0]} rows, X has {x.shape[0]}")
-    k = binary_exponent(x)
+    k = binary_exponent(x, a)
     x, a = np.ldexp(x, -k), np.ldexp(a, -k)
+    x -= a[:, [0]]
+    a -= a[:, [0]]
     n, l = a.shape[1], x.shape[1]
-    gram = a.T @ a
+    # a row c 1^T under both sides: its residual c (1^T s - 1) is 0
+    ones2 = math.ldexp(1.0, 2 * binary_exponent(a))
+    gram = a.T @ a + ones2
     lam = np.linalg.eigvalsh(gram)           # ascending
     if not lam[0] > 1e-10 * lam[-1]:
         raise RankDeficientA(
-            f"estimated signatures are rank deficient (eigs {lam})")
-    b = a.T @ x
+            f"estimated signatures are affinely dependent (eigs {lam})")
+    b = a.T @ x + ones2
 
     # Round 1: every pixel at s = 1/N with all entries free, one KKT matrix
     kkt = np.ones((n + 1, n + 1))
@@ -287,7 +300,12 @@ def run_pipeline(x: np.ndarray, n: int,
     method, ``mvie.solve_mvie_high_accuracy``) and ``recover``
     (``find_contacts``, their farthest-first merge
     ``consolidate_contacts``, lift, signature reconstruction and optional
-    ``recover_abundances``). Each stage's wall time goes into
+    ``recover_abundances``). The abundances are solved in the chart, on
+    the reduced points against the signatures reconstructed from the
+    reduced contacts: for 1^T s = 1, x - A_hat s = (I - Phi Phi^T)(x - b)
+    + Phi (u - A_r s) with orthogonal parts, and only the second depends
+    on s. So X is read by the dimred stage alone, and S_hat is free of
+    any offset in X. Each stage's wall time goes into
     ``timings``, and a package error raised in a stage carries its name
     in ``exc.stage``. No step draws random numbers.
 
@@ -317,7 +335,8 @@ def run_pipeline(x: np.ndarray, n: int,
         merged = consolidate_contacts(raw, n)
         ambient = dimred.lift_points(merged.T, chart).T
         a_hat = reconstruct_endmembers(ambient)
-        s_hat = recover_abundances(x, a_hat) if want_abundances else None
+        s_hat = (recover_abundances(reduced, reconstruct_endmembers(merged))
+                 if want_abundances else None)
 
     return RecoveryReport(
         A_hat=a_hat,

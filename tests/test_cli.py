@@ -339,6 +339,20 @@ class TestRunCommand:
         assert err.startswith("error [io]: ")
         assert "Traceback" not in err
 
+    def test_missing_truth_fails_before_the_solve(self, instance_dir,
+                                                  tmp_path, capsys,
+                                                  monkeypatch):
+        # the truth file is read before the recovery, which never runs
+        calls = []
+        monkeypatch.setattr(recovery, "run_pipeline",
+                            lambda *args, **kwargs: calls.append(args))
+        code = run_cli("run", "--input", str(instance_dir / "X.csv"),
+                       "--N", "3", "--truth", str(tmp_path / "none.json"),
+                       "--out", str(tmp_path / "report.json"))
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error [io]: ")
+        assert calls == []
+
     @pytest.mark.parametrize("field", ["A", "S"])
     @pytest.mark.parametrize("value", ["NaN", "Infinity"])
     def test_non_finite_truth_exit_1(self, instance_dir, tmp_path, capsys,

@@ -179,6 +179,23 @@ class TestRecoverAbundances:
             s_hat = recover_abundances(s * gt.X, s * gt.A)
             assert np.abs(s_hat - base).max() <= 1e-9
 
+    def test_abundances_ignore_an_offset(self):
+        # an offset t 1^T on X and A_hat leaves every residual of a
+        # sum-to-one s as it was, so it must not reach the Gram, whose
+        # condition would grow with (t / spread)^2
+        gt = synth.make_instance(50, 4, 1000, 0.7, 30.0, seed=0)
+        base = recover_abundances(gt.X, gt.A)
+        for t in (1e2, 1e3, 1e4):
+            s_hat = recover_abundances(gt.X + t, gt.A + t)
+            assert np.abs(s_hat - base).max() <= 1e-9
+
+    def test_affinely_independent_columns_suffice(self, rng):
+        # v and 2 v are linearly dependent, but FCLS with 1^T s = 1 asks
+        # only that they be affinely independent
+        v = rng.random((5, 1)) + 0.1
+        s_hat = recover_abundances(1.5 * v, np.hstack([v, 2.0 * v]))
+        assert np.abs(s_hat[:, 0] - [0.5, 0.5]).max() <= 1e-12
+
     @pytest.mark.parametrize("n", range(3, 9))
     def test_matches_support_enumeration(self, n):
         gen = rng_from_seed(40 + n)
@@ -368,11 +385,36 @@ class TestPipeline:
         # the stages see X scaled to the same bits at every power of two
         gt = synth.make_instance(20, n, 200, 1 / math.sqrt(n - 1) + 0.1,
                                  math.inf, seed)
-        base = run_pipeline(gt.X, n)
-        rep = run_pipeline(2.0 ** k * gt.X, n)
+        base = run_pipeline(gt.X, n, want_abundances=True)
+        rep = run_pipeline(2.0 ** k * gt.X, n, want_abundances=True)
         assert rep.raw_contact_count == base.raw_contact_count >= n
         assert np.array_equal(rep.A_hat, 2.0 ** k * base.A_hat)
         assert rep.noise_sigma == 2.0 ** k * base.noise_sigma > 0
+        assert np.array_equal(rep.S_hat, base.S_hat)
+
+    def test_abundances_ignore_an_offset_in_x(self):
+        # a dark level on every band moves neither A_hat's fit nor S_hat,
+        # out to offsets 1e6 times the data's spread
+        gt = synth.make_instance(50, 4, 1000, 0.7, 30.0, 0)
+        base = run_pipeline(gt.X, 4, want_abundances=True).S_hat
+        for c in (1e2, 1e4, 1e6):
+            s_hat = run_pipeline(gt.X + c, 4, want_abundances=True).S_hat
+            assert np.abs(s_hat.sum(axis=0) - 1.0).max() <= 1e-13
+            assert np.abs(s_hat - base).max() <= 1e-9
+
+    def test_abundances_are_solved_in_the_chart(self, monkeypatch):
+        # the recover stage gets the (N-1)-row reduced points, not X
+        args = []
+        real = recovery.recover_abundances
+        monkeypatch.setattr(recovery, "recover_abundances",
+                            lambda x, a: args.append((x, a)) or real(x, a))
+        gt = synth.make_instance(50, 4, 1000, 0.7, 30.0, 0)
+        rep = run_pipeline(gt.X, 4, want_abundances=True)
+        _, reduced = dimred.affine_fit(gt.X, 4)
+        [(x, a)] = args
+        assert x.shape == (3, 1000) and a.shape == (3, 4)
+        assert np.array_equal(x, reduced)
+        assert np.array_equal(a, reconstruct_endmembers(rep.contacts_reduced))
 
     @pytest.mark.parametrize("n,l,r,seeds", [(4, 1000, 0.7, range(8)),
                                              (6, 400, 0.6, (0, 1))])

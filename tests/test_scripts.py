@@ -78,7 +78,8 @@ def test_fit_scale_prints_the_fit_time_and_peak():
     lines = proc.stdout.splitlines()
     assert lines[0].startswith("M=20 L=500 N=4")
     assert lines[1].startswith("dimred stage: median")
-    assert [line.split(":")[0] for line in lines[2:]] == [
+    assert lines[2].startswith("recover stage with abundances: median")
+    assert [line.split(":")[0] for line in lines[3:]] == [
         "peak beyond X, abundances False", "peak beyond X, abundances True"]
 
 
