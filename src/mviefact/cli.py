@@ -16,12 +16,15 @@ numerical outside the pipeline.
 
 --snr is read by float: finite dB, or inf, +inf or Infinity (any case)
 for noiseless data; nan and -inf exit 2. --L or --M below --N exits 2.
+run --truth reads the truth file before the recovery: a malformed one
+exits 1, one whose A is not (rows of X) x --N exits 2.
 
 File formats (owned here):
   matrix CSV     no header, one row per band (M rows), one column per
                  pixel, 17 significant digits
   truth JSON     {"A": rows, "S": rows, "params": {N,M,L,r,snr_db,seed}};
-                 snr_db is dB or "inf", and noiseless if missing or null
+                 A and S finite 2-D arrays; snr_db is dB or "inf", and
+                 noiseless if missing or null
   run JSON       params {N}, A_hat (M x N), contacts_reduced,
                  contacts_ambient, raw_contact_count, center_ambient,
                  K (facets), affine_residual, noise_sigma (null with no
@@ -73,7 +76,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import metrics, recovery, synth
-from .errors import BadDims, MviefactError, NumericalError, ParameterError
+from .errors import (
+    BadDims,
+    DimMismatch,
+    MviefactError,
+    NumericalError,
+    ParameterError,
+)
 
 __all__ = ["BenchSpec", "main", "cmd_synth", "cmd_run", "cmd_bench"]
 
@@ -190,12 +199,16 @@ def write_truth_json(path, gt: synth.GroundTruth) -> None:
 
 
 def read_truth_json(path) -> tuple[np.ndarray, np.ndarray, dict]:
-    """Parse a truth JSON; a malformed file or field raises OSError."""
+    """Parse a truth JSON; a malformed file or field, A or S not a
+    finite 2-D array among them, raises OSError."""
     try:
         with open(path) as fh:
             payload = json.load(fh)
         a = np.asarray(payload["A"], dtype=float)
         s = np.asarray(payload["S"], dtype=float)
+        if a.ndim != 2 or s.ndim != 2:
+            raise ValueError(f"A and S must be 2-D, got {a.shape} and "
+                             f"{s.shape}")
         if not (np.isfinite(a).all() and np.isfinite(s).all()):
             raise ValueError("A or S holds NaN or Inf")
         params = dict(payload["params"])
@@ -226,6 +239,9 @@ def cmd_run(args) -> int:
     x = read_matrix_csv(args.input)
     # a bad truth file fails before the solve, not after it
     a_true = read_truth_json(args.truth)[0] if args.truth else None
+    if a_true is not None and a_true.shape != (x.shape[0], args.N):
+        raise DimMismatch(f"truth A is {a_true.shape}, the run needs "
+                          f"{(x.shape[0], args.N)} (rows of X x N)")
     report = recovery.run_pipeline(x, args.N,
                                    want_abundances=args.emit_shat)
 

@@ -39,7 +39,6 @@ __all__ = ["HPolytope", "enumerate_facets"]
 class HPolytope:
     """Bounded full-dimensional polytope {x : G x <= h}, unit rows in G."""
 
-    dim: int
     normals: np.ndarray              # K x dim, unit rows
     offsets: np.ndarray              # K
     interior: np.ndarray             # strictly feasible point
@@ -47,6 +46,10 @@ class HPolytope:
     # dim x dim covariance of the points / 2^k over its trace, unit-free;
     # None when the polytope is built by hand
     spread: np.ndarray | None = None
+
+    @property
+    def dim(self) -> int:
+        return self.normals.shape[1]
 
     @property
     def n_facets(self) -> int:
@@ -86,7 +89,7 @@ def enumerate_facets(points) -> HPolytope:
         normals = np.array([[1.0], [-1.0]])
         offsets = np.ldexp([flat.max(), -flat.min()], k)
         interior = np.ldexp([0.5 * (flat.max() + flat.min())], k)
-        return HPolytope(1, normals, offsets, interior, eps, spread)
+        return HPolytope(normals, offsets, interior, eps, spread)
 
     sv = np.linalg.svd(centered, compute_uv=False)
     if sv[d - 1] < 1e-12 * max(sv[0], diam):
@@ -105,8 +108,7 @@ def enumerate_facets(points) -> HPolytope:
     # without its np.unique over all K x d simplex entries
     vertices = np.bincount(qh.simplices.ravel(), minlength=l) > 0
     interior = np.ldexp(pts[vertices].mean(axis=0), k)
-    return HPolytope(d, normals, np.ldexp(-eq[:, d], k), interior, eps,
-                     spread)
+    return HPolytope(normals, np.ldexp(-eq[:, d], k), interior, eps, spread)
 
 
 def _drop_repeats(eq: np.ndarray) -> np.ndarray:

@@ -55,7 +55,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dgesv, dgetrs, dpotrf, dsyevd
+from scipy.linalg.lapack import dgesv, dposv, dpotrf, dpotrs, dsyevd
 
 from .errors import (
     DimMismatch,
@@ -533,6 +533,17 @@ def _touching(q: np.ndarray, delta: np.ndarray, t: float, d: int
     return order[:d + 1 + (int(drop.argmax()) if drop.size else 0)]
 
 
+def _room(g: np.ndarray, h: np.ndarray, f: np.ndarray, c: np.ndarray
+          ) -> np.ndarray:
+    """(h_i - g_i . c) / ||F g_i|| for each facet {x : g_i . x <= h_i}:
+    the factor by which {F u + c : ||u|| <= 1} may grow about c before
+    it meets facet i. The ellipsoid meets or crosses facet i where that
+    is at most 1, and its centre lies outside facet i where it is not
+    positive."""
+    w = g.dot(f)
+    return (h - g.dot(c)) / np.sqrt(np.einsum("ij,ij->i", w, w))
+
+
 def _simplex_candidate(rg: np.ndarray, dist: np.ndarray
                        ) -> np.ndarray | None:
     """Of the facets whose directions are the rows of rg and whose
@@ -584,8 +595,8 @@ def _simplex_finish(g: np.ndarray, h: np.ndarray, idx: np.ndarray):
 
     S contains the polytope, so no ellipsoid inside the polytope has a
     larger log det than F*; theta F* about c* lies inside it for theta =
-    min_i (h_i - g_i . c*) / ||F* g_i|| over all K facets, so its log-det
-    gap is at most -d log theta. The finish is taken when that is at most
+    min_i (h_i - g_i . c*) / ||F* g_i|| over all K facets, the least
+    room (``_room``), so its log-det gap is at most -d log theta. The finish is taken when that is at most
     half of _GAP, and the returned E is theta exp(-_GAP/(2d)) F*: the
     whole gap stays within _GAP, and the margin keeps E inside under
     rounding. ||F* g_i|| is taken from the F* that is returned: on a
@@ -618,10 +629,9 @@ def _simplex_finish(g: np.ndarray, h: np.ndarray, idx: np.ndarray):
     if info or not lam[0] > 0.0:
         return None, None
     f = (vec * np.sqrt(lam)).dot(vec.T)
-    w = g.dot(f)
-    ratio = (h - g.dot(c)) / np.sqrt(np.einsum("ij,ij->i", w, w))
-    j = int(ratio.argmin())
-    low = float(ratio[j])
+    room = _room(g, h, f, c)
+    j = int(room.argmin())
+    low = float(room[j])
     floor = math.exp(-0.5 * _GAP / d)
     logdet = 0.5 * float(np.log(lam).sum())
     if not low >= floor:
@@ -683,44 +693,53 @@ def solve_mvie_high_accuracy(poly: HPolytope
         s_i = h'_i - g_i . c',
 
     multiplying t by 100 per stage until the barrier's log-det gap bound
-    2 K_kept / t is at most 1e-11 / 2. It starts from (E, c') with a
-    certified log-det gap gamma to the optimum: the start a rejected
-    guess gives (below), or else E = I, c' = 0 and gamma = inf. The first
-    t is max(1, 2 K_kept / gamma), where the barrier's bound meets that
-    gap (Boyd & Vandenberghe 11.3.1), and the start is entered t/(t+1) of
-    the way to the kept facets' cones' edge along the segment from E = 0,
+    2 K_kept / t is at most 1e-11 / 2. The iterate is held as the one
+    point (E, c'); Newton steps, the path's tangent and the predictor are
+    vectors in the coordinates of E's upper triangle and c'. Each point
+    evaluated gets one Cholesky factorization of E, which gives log det E,
+    tells the points where E is not positive definite apart, and gives
+    E^-1 by two triangular solves. The Newton system is symmetric positive
+    definite while the kept normals span R^d: it is solved by Cholesky,
+    and the tangent from the same factor. It starts from (E, c') with a
+    certified log-det gap gamma to the optimum: the start a rejected guess
+    gives (below), or else E = I, c' = 0 and gamma = inf. The first t is
+    max(1, 2 K_kept / gamma), where the barrier's bound meets that gap
+    (Boyd & Vandenberghe 11.3.1), and the start is entered t/(t+1) of the
+    way to the kept facets' cones' edge along the segment from E = 0,
     c' = 0, as constraint generation re-enters (below); without a guess
     that is t = 1 and E = I/2 when the facet nearest c0 is kept, E a
-    little larger when it is not (notes/decisions.md, "One entry into
-    the barrier"). Each stage runs damped
-    Newton steps until t lambda^2 / 2 <= 1e-2 for the Newton decrement
-    lambda: t times the stage objective is self-concordant, so the stage
-    ends about where Newton's quadratic phase begins. It also ends when a
-    full step's Armijo decrease lambda^2 / 4 is at most one unit in the
-    last place of the objective, below which the line search would pass
-    or fail by rounding alone. The line search halves from the first
-    power of two below the step's distance to the cones' edge, found in
+    little larger when it is not (notes/decisions.md, "One entry into the
+    barrier"). Each stage runs damped Newton steps until
+    t lambda^2 / 2 <= 1e-2 for the Newton decrement lambda: t times the
+    stage objective is self-concordant, so the stage ends about where
+    Newton's quadratic phase begins. It also ends when a full step's
+    Armijo decrease lambda^2 / 4 is at most one unit in the last place of
+    the objective, below which the line search would pass or fail by
+    rounding alone. The line search halves from the largest power of two,
+    at most 1, within the step's distance to the cones' edge, found in
     closed form (``_step_bound``), and accepts strictly feasible points
     only. A stage that ends on the decrement predicts the next stage's
     start along the central path's tangent in 1/t, (1 - 1/100) H^-1 b for
     the stage's Hessian H and barrier gradient b, kept (1 - 1/100) of the
     way to the cones' edge (Boyd & Vandenberghe 11.3; notes/decisions.md).
 
-    The kept facets start as those where the rays from c0 along 16 d
-    fixed directions and +-e_i leave the polytope, grown until their
-    normals span R^d. After every stage the iterate is tested against all
-    K facets. Of the facets it meets or crosses (||E g_i|| >= s_i), the
-    d(d+3)/2 most crossed (s_i <= 0 first, then by ||E g_i|| / s_i) are
-    kept from then on and the stage is run again at the same t, from
-    t/(t+1) of the way to the kept facets' cones' edge along the segment
-    from E = 0, c' = 0 to the iterate; the facets left out are tested
-    again after that stage. The last iterate is optimal for the kept
-    facets, whose polytope contains the full one, and lies inside all K
-    facets, so it is the maximum-volume ellipsoid inscribed in the full
-    polytope (notes/decisions.md). Its E is returned scaled by theta
-    exp(-1e-11 / (2 d)), theta = min(1, min_i s_i / ||E g_i||) over all K
-    facets from the last scan, so rounding cannot leave it outside; the
-    scaling costs -d log theta + 1e-11 / 2 in log det.
+    The kept facets start as those where the rays from c0 along 16 d fixed
+    directions and +-e_i leave the polytope, grown until their normals
+    span R^d. After every stage the iterate is tested against all K facets
+    by its room s_i / ||E g_i||, the factor by which the ellipsoid may
+    grow about c' before it meets facet i (``_room``). Of the facets it
+    meets or crosses (room <= 1), the d(d+3)/2 of least room, the most
+    crossed, are kept from then on (a centre outside a facet gives it a
+    room <= 0) and the stage is run again at the same t, from t/(t+1) of
+    the way to the kept facets' cones' edge along the segment from E = 0,
+    c' = 0 to the iterate; the facets left out are tested again after that
+    stage. The last iterate is optimal for the kept facets, whose polytope
+    contains the full one, and lies inside all K facets, so it is the
+    maximum-volume ellipsoid inscribed in the full polytope
+    (notes/decisions.md). Its E is returned scaled by theta
+    exp(-1e-11 / (2 d)), theta = min(1, least room) over all K facets from
+    the last scan, so rounding cannot leave it outside; the scaling costs
+    -d log theta + 1e-11 / 2 in log det.
 
     The guess from the spread: when poly.spread is set, before any
     Newton step, with R^T R = spread, the facet nearest c0 by h'_i /
@@ -840,8 +859,9 @@ def _barrier_solve(poly: HPolytope, seed: np.ndarray | None
     m_e = flat.shape[0]
     eye = np.eye(d)
 
-    def unpack(x):
-        return x[:m_e].dot(flat).reshape(d, d), x[m_e:]
+    def unpack(v):
+        """(dE, dc') of a vector v in the Newton system's coordinates."""
+        return v[:m_e].dot(flat).reshape(d, d), v[m_e:]
 
     def facets(kept):
         """The kept facets' normals as columns, their outer products
@@ -851,7 +871,8 @@ def _barrier_solve(poly: HPolytope, seed: np.ndarray | None
 
     def objective(e, cc, t):
         """Barrier objective, log det E and the slacks s_i, ||E g_i||^2
-        and Delta_i; inf outside the strict interior."""
+        and Delta_i with E's Cholesky factor; inf outside the strict
+        interior."""
         chol, info = dpotrf(e)
         if info:
             return math.inf, 0.0, None
@@ -861,15 +882,17 @@ def _barrier_solve(poly: HPolytope, seed: np.ndarray | None
         if s.min() <= 0.0 or delta.min() <= 0.0:
             return math.inf, 0.0, None
         logdet = 2.0 * float(np.log(chol.diagonal()).sum())
-        return -logdet - float(np.log(delta).sum()) / t, logdet, (s, q, delta)
+        return (-logdet - float(np.log(delta).sum()) / t, logdet,
+                (s, q, delta, chol))
 
-    def enter(x):
-        """x scaled t/(t+1) of the way to the kept facets' cones' edge
-        along the segment from E = 0, c' = 0, where every s_i = h'_i >= 1
-        and E g_i = 0: the facet that sets the bound keeps about 1/t of
-        its Delta_i, as an active facet does on the central path at t."""
-        return x * min(1.0, t / (t + 1.0) * _step_bound(
-            gt, gg, hk * hk, hk * x[m_e:].dot(gt), *unpack(x)))
+    def enter(e, cc):
+        """(E, c') scaled t/(t+1) of the way to the kept facets' cones'
+        edge along the segment from E = 0, c' = 0, where every s_i = h'_i
+        >= 1 and E g_i = 0: the facet that sets the bound keeps about 1/t
+        of its Delta_i, as an active facet does on the central path at t."""
+        fit = min(1.0, t / (t + 1.0) * _step_bound(
+            gt, gg, hk * hk, hk * cc.dot(gt), e, cc))
+        return fit * e, fit * cc
 
     # Start at the t where the barrier's bound 2 K_kept / t meets the
     # start's certified gap; without a start, from E = I, c' = 0 with no
@@ -877,15 +900,16 @@ def _barrier_solve(poly: HPolytope, seed: np.ndarray | None
     gt, gg, hk = facets(kept)
     e, cc, gap = start or (eye, np.zeros(d), math.inf)
     t = max(1.0, 2.0 * kept.size / gap)
-    x = enter(np.concatenate([e.diagonal(), e[np.triu_indices(d, 1)], cc]))
-    f, logdet, sl = objective(*unpack(x), t)   # sl: x's slacks at t
+    # a rejected guess's F* is symmetric only to rounding: mirror its
+    # upper triangle, as E is held in the Newton system's coordinates
+    e, cc = enter(np.triu(e) + np.triu(e, 1).T, cc)
+    f, logdet, sl = objective(e, cc, t)   # sl: the slacks of (E, c') at t
     trace = [-(logdet + logdet_shift)]
     backtracks: list[int] = []
     stage_iters: list[int] = []
     rounds = 1
     evaluations = 1
     while True:
-        e, cc = unpack(x)
         if sl is None:
             f, logdet, sl = objective(e, cc, t)
             evaluations += 1
@@ -893,15 +917,14 @@ def _barrier_solve(poly: HPolytope, seed: np.ndarray | None
         unbounded = False
         tangent = None
         while True:
-            s, _, delta = sl
-            _, _, e_inv, info = dgesv(e, eye)
-            if info:          # E has a Cholesky factor: singular by rounding
-                break
+            s, _, delta, chol = sl
+            e_inv, _ = dpotrs(chol, eye)
             hess, grad, vt = _newton_system(e, e_inv, s, delta, t, gt, gg)
-            lu, piv, step, info = dgesv(hess, -grad)
+            factor, step, info = dposv(hess, -grad)
             if info:
                 # positive definite while the kept normals span R^d, so
-                # singular only by rounding: the stage can go no further
+                # it fails to factor only by rounding: the stage can go
+                # no further
                 break
             slope = float(grad.dot(step))      # -(Newton decrement)^2
             # t times the objective is self-concordant; its decrement
@@ -909,26 +932,27 @@ def _barrier_solve(poly: HPolytope, seed: np.ndarray | None
             # Past a full step's Armijo decrease below f's last place,
             # the line search can only pass or fail by rounding.
             if -slope * t / 2.0 <= 1e-2 or -0.25 * slope <= math.ulp(f):
-                tangent, _ = dgetrs(lu, piv, vt.dot(2.0 / (t * delta)))
+                tangent, _ = dpotrs(factor, vt.dot(2.0 / (t * delta)))
                 break
-            # halve from 1, skipping the levels beyond the cones' edge
+            # halve from the largest power of two, at most 1, within the
+            # cones' edge: 2^(k-1) for cap = m 2^k, 1/2 <= m < 1
+            de, dc = unpack(step)
             cap = (1.0 + 1e-9) * _step_bound(gt, gg, delta, step.dot(vt),
-                                             *unpack(step))
-            alpha, halvings, f_new = 1.0, 0, math.inf
+                                             de, dc)
+            halvings = 1 - math.frexp(min(cap, 1.0))[1]
+            alpha, f_new = math.ldexp(1.0, -halvings), math.inf
             while halvings <= 60:
-                if alpha <= cap:
-                    trial = x + alpha * step
-                    new_e, new_cc = unpack(trial)
-                    f_new, new_logdet, new_sl = objective(new_e, new_cc, t)
-                    evaluations += 1
-                    if f_new <= f + 0.25 * alpha * slope:
-                        break
+                new_e, new_cc = e + alpha * de, cc + alpha * dc
+                f_new, new_logdet, new_sl = objective(new_e, new_cc, t)
+                evaluations += 1
+                if f_new <= f + 0.25 * alpha * slope:
+                    break
                 alpha *= 0.5
                 halvings += 1
             if not f_new < f:
                 break
-            x, gain, f, sl = trial, f - f_new, f_new, new_sl
-            logdet, e, cc = new_logdet, new_e, new_cc
+            e, cc, gain, f, sl = new_e, new_cc, f - f_new, f_new, new_sl
+            logdet = new_logdet
             steps += 1
             backtracks.append(halvings)
             trace.append(-(logdet + logdet_shift))
@@ -938,25 +962,19 @@ def _barrier_solve(poly: HPolytope, seed: np.ndarray | None
             if gain <= 1e-15 * abs(f):
                 break
         stage_iters.append(steps)
-        s = h - g @ cc
-        ge = g @ e
-        reach = np.sqrt(np.einsum("ij,ij->i", ge, ge))     # ||E g_i||
-        met = reach >= s
+        room = _room(g, h, e, cc)
+        met = room <= 1.0
         met[kept] = False
         if met.any():
-            # Keep the most-crossed facets the iterate meets, at most as
-            # many as the program has unknowns: those whose s_i <= 0
-            # first, then by ||E g_i|| / s_i, and re-enter as the start
-            # entered
+            # Keep the facets the iterate meets with the least room, at
+            # most as many as the program has unknowns, and re-enter as
+            # the start entered
             new = np.flatnonzero(met)
-            crossing = np.full(new.size, np.inf)
-            inside = s[new] > 0.0
-            crossing[inside] = reach[new[inside]] / s[new[inside]]
-            new = new[np.argsort(-crossing, kind="stable")[:m_e + d]]
+            new = new[np.argsort(room[new], kind="stable")[:m_e + d]]
             kept = np.union1d(kept, new)
             rounds += 1
             gt, gg, hk = facets(kept)
-            x = enter(x)
+            e, cc = enter(e, cc)
             sl = None
             continue
         if unbounded:
@@ -972,22 +990,24 @@ def _barrier_solve(poly: HPolytope, seed: np.ndarray | None
         t *= _T_GROWTH
         last, sl = sl, None
         if tangent is not None:
-            # Predict the next centre. Along the central path
-            # dx/d(1/t) = -t H^-1 b, so 1/t falling by (1 - 1/mu)/t moves
-            # x by about (1 - 1/mu) H^-1 b. Where that leaves the cones,
+            # Predict the next centre. Along the central path, in the
+            # Newton system's coordinates, d(E, c')/d(1/t) = -t H^-1 b, so
+            # 1/t falling by (1 - 1/mu)/t moves (E, c') by about
+            # (1 - 1/mu) H^-1 b. Where that leaves the cones,
             # go (1 - 1/mu) of the way to their edge: about the share of
             # its Delta_i a facet that stays active gives up.
             pred = (1.0 - 1.0 / _T_GROWTH) * tangent
+            de, dc = unpack(pred)
             alpha = min(1.0, (1.0 - 1.0 / _T_GROWTH) * _step_bound(
-                gt, gg, last[2], pred.dot(vt), *unpack(pred)))
-            trial = x + alpha * pred
-            f_new, new_logdet, new_sl = objective(*unpack(trial), t)
+                gt, gg, last[2], pred.dot(vt), de, dc))
+            new_e, new_cc = e + alpha * de, cc + alpha * dc
+            f_new, new_logdet, new_sl = objective(new_e, new_cc, t)
             evaluations += 1
             if new_sl is not None:           # else E lost definiteness
-                x, f, sl, logdet = trial, f_new, new_sl, new_logdet
-    # Inside all K facets by the last scan's s_i and ||E g_i||, with the
-    # finish's margin against rounding; gap pays for both
-    fit = min(1.0, float((s / reach).min())) * math.exp(-0.5 * _GAP / d)
+                e, cc, f, sl, logdet = new_e, new_cc, f_new, new_sl, new_logdet
+    # Inside all K facets by the last scan's room, with the finish's
+    # margin against rounding; gap pays for both
+    fit = min(1.0, float(room.min())) * math.exp(-0.5 * _GAP / d)
     e = fit * e
     logdet += d * math.log(fit)
     gap -= d * math.log(fit)
@@ -1002,7 +1022,7 @@ def _barrier_solve(poly: HPolytope, seed: np.ndarray | None
         kept_facets=int(kept.size),
         rounds=rounds,
         evaluations=evaluations,
-        touching=np.sort(kept[_touching(*sl[1:], t, d)]),
+        touching=np.sort(kept[_touching(sl[1], sl[2], t, d)]),
         gap=gap,
         pivots=pivots,
     )

@@ -104,13 +104,16 @@ def consolidate_contacts(candidates, n: int) -> np.ndarray:
     mean, listed in the order of the group's first candidate, so N
     distinct candidates pass through unchanged. When every group is
     narrower than the gap between groups, the groups are exactly those
-    (notes/decisions.md). Raises TooFewContacts when there are fewer
-    than N distinct candidates, and the errors of ``as_matrix`` for
-    candidates that are not a finite 2-D array. The distances are taken
-    on the candidates / 2^k, k their binary_exponent, and the means
-    scaled back, so no square overflows or underflows and the contacts
-    of 2^j times the candidates are 2^j times theirs, bit for bit.
+    (notes/decisions.md). Raises WrongCount for N < 1, TooFewContacts
+    when there are fewer than N distinct candidates, and the errors of
+    ``as_matrix`` for candidates that are not a finite 2-D array. The
+    distances are taken on the candidates / 2^k, k their
+    binary_exponent, and the means scaled back, so no square overflows
+    or underflows and the contacts of 2^j times the candidates are 2^j
+    times theirs, bit for bit.
     """
+    if n < 1:
+        raise WrongCount(f"need N >= 1 contacts, got N={n}")
     pts = as_matrix(candidates, "contact candidates")
     if pts.shape[0] < n:
         raise TooFewContacts(

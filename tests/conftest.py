@@ -16,7 +16,7 @@ def square_polytope():
     """[-1, 1]^2 as an H-polytope."""
     from mviefact.hull import HPolytope
     g = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
-    return HPolytope(2, g, np.ones(4), np.zeros(2), 1e-9)
+    return HPolytope(g, np.ones(4), np.zeros(2), 1e-9)
 
 
 def regular_simplex_points(n):

@@ -70,7 +70,7 @@ def test_3_below_threshold_degrades():
 
 def test_4a_square_oracle():
     g = np.array([[1.0, 0], [-1.0, 0], [0, 1.0], [0, -1.0]])
-    poly = hull.HPolytope(2, g, np.ones(4), np.zeros(2), 1e-9)
+    poly = hull.HPolytope(g, np.ones(4), np.zeros(2), 1e-9)
     ell, _ = mvie.solve_mvie_high_accuracy(poly)
     df = np.abs(ell.F - np.eye(2)).max()
     dc = np.abs(ell.c).max()
@@ -180,7 +180,7 @@ def test_8_gradient_matches_finite_differences():
         k = int(gen.integers(d + 1, 14))
         g = gen.standard_normal((k, d))
         g /= np.linalg.norm(g, axis=1)[:, None]
-        poly = hull.HPolytope(d, g, gen.uniform(0.2, 1.5, k), np.zeros(d),
+        poly = hull.HPolytope(g, gen.uniform(0.2, 1.5, k), np.zeros(d),
                               0.0)
         w0 = gen.standard_normal((d, d)) * 0.6
         w = 0.5 * (w0 + w0.T)

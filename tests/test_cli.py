@@ -353,6 +353,28 @@ class TestRunCommand:
         assert capsys.readouterr().err.startswith("error [io]: ")
         assert calls == []
 
+    @pytest.mark.parametrize("a,n,code,where", [
+        ([[1.0, 0.0, 0.0]] * 30, "4", 2, "params"),   # X is 30 x 400
+        ([[1.0, 0.0, 0.0]] * 29, "3", 2, "params"),
+        ([1.0, 0.0, 0.0], "3", 1, "io"),
+    ], ids=["columns-not-N", "rows-not-M", "not-2-D"])
+    def test_truth_of_wrong_shape_fails_before_the_solve(
+            self, instance_dir, tmp_path, capsys, monkeypatch, a, n, code,
+            where):
+        # the whole recovery ran before the angle error found the shapes
+        # apart, or A not 2-D, and exited 2
+        calls = []
+        monkeypatch.setattr(recovery, "run_pipeline",
+                            lambda *args, **kwargs: calls.append(args))
+        truth = tmp_path / "truth.json"
+        truth.write_text(json.dumps({"A": a, "S": [[1.0]], "params": {}}))
+        got = run_cli("run", "--input", str(instance_dir / "X.csv"),
+                      "--N", n, "--truth", str(truth),
+                      "--out", str(tmp_path / "report.json"))
+        assert got == code
+        assert capsys.readouterr().err.startswith(f"error [{where}]: ")
+        assert calls == []
+
     @pytest.mark.parametrize("field", ["A", "S"])
     @pytest.mark.parametrize("value", ["NaN", "Infinity"])
     def test_non_finite_truth_exit_1(self, instance_dir, tmp_path, capsys,

@@ -7,7 +7,7 @@ from scipy.spatial import ConvexHull
 
 from mviefact import dimred, synth
 from mviefact.errors import DegenerateInput, TooFewPoints
-from mviefact.hull import enumerate_facets
+from mviefact.hull import HPolytope, enumerate_facets
 
 
 # -- independent 2-D oracle: Andrew's monotone chain ------------------------
@@ -119,6 +119,15 @@ class TestKnownShapes:
             d = cube.shape[1]
             assert ConvexHull(cube).equations.shape[0] > 2 * d
             assert enumerate_facets(cube).n_facets == 2 * d
+
+    def test_dim_is_the_normals_width(self):
+        # a dim given apart from the normals could disagree with them:
+        # (3, 4 x 2 normals) was accepted, and the first-order solve then
+        # failed on a bare matmul error
+        g = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
+        poly = HPolytope(g, np.ones(4), np.zeros(2))
+        assert poly.dim == 2
+        assert enumerate_facets(centred_cube(3)).dim == 3
 
     def test_d1_interval(self):
         pts = np.array([[0.3], [2.0], [-1.0], [0.7]])

@@ -60,7 +60,7 @@ class TestObjectiveAndGrad:
         assert np.all(gw == 0.0) and np.all(gy == 0.0)
 
     def test_single_facet_hand_value(self):
-        poly = hull.HPolytope(2, np.array([[1.0, 0.0]]), np.zeros(1),
+        poly = hull.HPolytope(np.array([[1.0, 0.0]]), np.zeros(1),
                               np.array([-1.0, 0.0]), 0.0)
         cfg = FpgmConfig(eps=1e-30)
         f, _, _ = objective_and_grad(np.eye(2), np.zeros(2), poly, cfg)
@@ -76,7 +76,7 @@ class TestObjectiveAndGrad:
             k = int(gen.integers(d + 1, 12))
             g = gen.standard_normal((k, d))
             g /= np.linalg.norm(g, axis=1)[:, None]
-            poly = hull.HPolytope(d, g, gen.uniform(0.2, 1.5, k),
+            poly = hull.HPolytope(g, gen.uniform(0.2, 1.5, k),
                                   np.zeros(d), 0.0)
             w = random_symmetric(gen, d, scale=0.7)
             y = gen.standard_normal(d) * 0.4
@@ -251,7 +251,7 @@ class TestSolve:
     def test_empty_interior(self):
         g = np.array([[1.0, 0.0], [-1.0, 0.0]])
         h = np.array([1.0, -2.0])  # x <= 1 and x >= 2: empty
-        poly = hull.HPolytope(2, g, h, np.zeros(2), 0.0)
+        poly = hull.HPolytope(g, h, np.zeros(2), 0.0)
         with pytest.raises(EmptyInterior):
             solve_mvie(poly)
 
@@ -260,8 +260,8 @@ class TestSolve:
         # A quadrant and a slab contain inscribed ellipses of any area.
         # A seed ray leaves each through no facet, so both solves raise
         # before any step.
-        quadrant = hull.HPolytope(2, np.eye(2), np.ones(2), np.zeros(2), 0.0)
-        slab = hull.HPolytope(2, np.array([[1.0, 0.0], [-1.0, 0.0]]),
+        quadrant = hull.HPolytope(np.eye(2), np.ones(2), np.zeros(2), 0.0)
+        slab = hull.HPolytope(np.array([[1.0, 0.0], [-1.0, 0.0]]),
                               np.ones(2), np.zeros(2), 0.0)
         for solve in (solve_mvie, solve_mvie_high_accuracy):
             for poly in (quadrant, slab):
@@ -332,7 +332,7 @@ class TestConstraintGeneration:
         ang = 2.0 * np.pi * np.arange(40) / 40
         h = np.ones(40)
         h[[5, 25]] = 0.8
-        poly = hull.HPolytope(2, np.column_stack([np.cos(ang), np.sin(ang)]),
+        poly = hull.HPolytope(np.column_stack([np.cos(ang), np.sin(ang)]),
                               h, np.array([0.3, -0.2]), 0.0)
         ell, diag = mvie._barrier_solve(poly, np.array(seed))
         assert_same_ellipsoid(ell, full_set_solve(poly)[0], 1e-6)
@@ -348,6 +348,45 @@ class TestConstraintGeneration:
         assert diag.kept_facets <= 300
         assert_same_ellipsoid(ell, full_set_solve(poly)[0], 1e-6)
         assert mvie.max_violation(ell, poly) <= 0.0
+
+    def test_keeps_the_met_facets_of_least_room(self, monkeypatch):
+        # 40 facets with normals at k * 9 degrees. From the square k = 0,
+        # 10, 20, 30 the first stage's centre crosses the 8 facets facing
+        # +x, whose offsets fall from -0.16 at k = 36 to -0.30 at k = 4
+        # (k = 36-39, then 1-4): it meets more than the d(d+3)/2 = 5
+        # facets a round adds. Those kept are the 5 of least room, so the
+        # most crossed come in first: 1-4 and 39, where taking the crossed
+        # facets by index took 36
+        ang = 2.0 * np.pi * np.arange(40) / 40
+        g = np.column_stack([np.cos(ang), np.sin(ang)])
+        h = np.ones(40)
+        h[[36, 37, 38, 39, 1, 2, 3, 4]] = -0.3 + 0.02 * np.arange(8)[::-1]
+        poly = hull.HPolytope(g, h, np.array([-0.8, 0.0]), 0.0)
+        events = []
+        for name in ("_newton_system", "_room"):
+            def recorded(*args, name=name, fn=getattr(mvie, name)):
+                out = fn(*args)
+                events.append((name, args, out))
+                return out
+
+            monkeypatch.setattr(mvie, name, recorded)
+        ell, _ = mvie._barrier_solve(poly, np.arange(0, 40, 10))
+        assert mvie.max_violation(ell, poly) <= 0.0
+        # each scan's room against the kept sets before and after it
+        kept, room, capped = None, None, 0
+        for name, args, out in events:
+            if name == "_room":
+                room = out
+                continue
+            now = {int(np.flatnonzero((g == col).all(axis=1))[0])
+                   for col in args[5].T}          # the system's normals
+            if room is not None and now != kept:
+                met = [i for i in np.argsort(room, kind="stable")
+                       if room[i] <= 1.0 and i not in kept]
+                assert now - kept == set(met[:5])
+                capped += len(met) > 5
+            kept, room = now, None
+        assert capped
 
     def test_diagnostics_count_every_round(self, monkeypatch):
         # The spread's guess is off: with it this solve ends before any
@@ -473,8 +512,30 @@ def guess_walk(monkeypatch, finish_calls):
 def polygon(k):
     """The regular k-gon with unit inradius, centred at the origin."""
     ang = 2.0 * np.pi * np.arange(k) / k
-    return hull.HPolytope(2, np.column_stack([np.cos(ang), np.sin(ang)]),
+    return hull.HPolytope(np.column_stack([np.cos(ang), np.sin(ang)]),
                           np.ones(k), np.zeros(2), 0.0)
+
+
+class TestRoom:
+    def test_matches_a_loop_over_the_facets(self, rng):
+        for d in range(1, 7):
+            g = rng.standard_normal((30, d))
+            g /= np.linalg.norm(g, axis=1)[:, None]
+            f = random_symmetric(rng, d) + 2.0 * d * np.eye(d)
+            c = rng.standard_normal(d)
+            h = g @ c + rng.uniform(0.1, 3.0, 30) * d
+            h[7] = g[7] @ c - 0.5             # the centre lies outside it
+            room = mvie._room(g, h, f, c)
+            loop = [(h[i] - g[i] @ c) / np.linalg.norm(f @ g[i])
+                    for i in range(30)]
+            assert np.abs(room - loop).max() <= 1e-14 * np.abs(loop).max()
+            assert room[7] < 0.0 and np.delete(room, 7).min() > 0.0
+
+    def test_one_at_the_incircle_of_a_square(self):
+        poly = square_polytope()
+        room = mvie._room(poly.normals, poly.offsets, 0.5 * np.eye(2),
+                          np.array([0.5, 0.0]))
+        assert room.tolist() == [1.0, 3.0, 2.0, 2.0]
 
 
 class TestSimplexFinish:

@@ -97,6 +97,12 @@ class TestConsolidate:
         with pytest.raises(TooFewContacts):
             consolidate_contacts(candidates, 3)
 
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_count_below_one_is_refused(self, rng, n):
+        # farthest-first made one contact, shape (1, 2), for N = 0 and -1
+        with pytest.raises(WrongCount):
+            consolidate_contacts(rng.standard_normal((5, 2)), n)
+
     def test_non_finite_candidates_are_refused(self):
         # with NaN the farthest-first distances compare false, and two
         # candidates merged into one contact, [nan, 0.5], for N = 2

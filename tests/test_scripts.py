@@ -94,3 +94,52 @@ def test_solve_sweep_repeats_bit_for_bit():
     lines = runs[0].stdout.decode().splitlines()
     assert lines[0].startswith("N,M,L,r,snr_db,seed,termination,touching")
     assert len(lines) == 18 and lines[-1].startswith("# total: 16 solved")
+
+
+def test_sweep_diff_counts_the_rows_apart(tmp_path):
+    def sweep(seed):
+        out = tmp_path / f"seed{seed}.csv"
+        proc = subprocess.run(
+            [sys.executable, os.path.join(ROOT, "scripts", "solve_sweep.py"),
+             "--N", "3", "--seeds", str(seed)],
+            env=script_env(), capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        out.write_text(proc.stdout)
+        return out
+
+    def diff(base, change):
+        return subprocess.run(
+            [sys.executable, os.path.join(ROOT, "scripts", "sweep_diff.py"),
+             str(base), str(change)],
+            capture_output=True, text=True, timeout=60)
+
+    base, other = sweep(0), sweep(1)
+    proc = diff(base, base)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[0] == (
+        "rows: 16, differing in any column: 0, in termination or touching: "
+        "0, simplex rows not byte-equal: 0")
+    # one simplex row's last column and one barrier row's touching changed
+    lines = base.read_text().splitlines()
+    rows = [i for i, line in enumerate(lines) if ",simplex," in line][:1]
+    rows += [i for i, line in enumerate(lines) if ",tol," in line][:1]
+    cells = lines[rows[0]].split(",")
+    cells[-1] += "1"
+    lines[rows[0]] = ",".join(cells)
+    cells = lines[rows[1]].split(",")
+    cells[7] = str(int(cells[7]) + 1)
+    lines[rows[1]] = ",".join(cells)
+    change = tmp_path / "change.csv"
+    change.write_text("\n".join(lines) + "\n")
+    out = diff(base, change).stdout.splitlines()
+    assert out[0] == "termination or touching differ at " + ",".join(
+        lines[rows[1]].split(",")[:6])
+    assert out[1] == (
+        "rows: 16, differing in any column: 2, in termination or touching: "
+        "1, simplex rows not byte-equal: 1")
+    assert out[2].startswith("base   # total: 16 solved")
+    assert out[3].startswith("change # total: 16 solved")
+    # the seeds differ, so the grids do
+    proc = diff(base, other)
+    assert proc.returncode == 1
+    assert proc.stdout.startswith("the grids differ")
